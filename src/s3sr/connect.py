@@ -6,9 +6,10 @@ The core construction works in the angle chart: with
 
 horizontality reduces to theta' = -k q(s) sin(theta), and the boundary
 data pin q(0) = tan(psi0), q(1) = tan(psi1) and the integral of q.  A
-cubic Hermite primitive supplies the unique low-degree q meeting all
-three conditions; theta is then integrated numerically (adaptive RK45,
-tolerance 1e-10).
+cubic Hermite primitive F supplies the unique low-degree q = F' meeting
+all three conditions, and theta has the closed form
+theta(s) = 2 arctan(tan(theta0/2) exp(-k F(s))), exact at s = 1 by the
+choice of the integral.
 
 The chart construction needs both endpoints at chart-friendly
 positions: away from the circles theta in {0, pi} and with psi in the
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.integrate import solve_ivp
 
 from .charts import EulerAngles, _point_arrays, _velocity_arrays, from_cartesian, to_cartesian, wrap_angle
 from .curves import SampledCurve, omega_fd_residuals
@@ -44,6 +44,7 @@ __all__ = [
 QMAX = 1e6          # |tan(psi)| guard along a constructed leg
 _K_MIN = 1e-6       # smallest usable azimuth gap
 _POLE_MARGIN = 5e-3   # min sin(theta) allowed along a chart leg
+_LOG_TAN_MAX = float(np.arccosh(1.0 / _POLE_MARGIN))  # sin(theta) = 1/cosh(log tan(theta/2))
 _SCORE_KEEP = 0.30    # identity-gauge margin below which gauges are searched
 _SCORE_MIN = 0.02     # gauge score below which construction is hopeless
 _ENDPOINT_TOL = 1e-8
@@ -69,6 +70,13 @@ def q_with_integral(q0, q1, integral) -> Polynomial:
     condition holds identically in the coefficients.
     """
     return hermite_f(integral, q0, q1).deriv()
+
+
+def _abs_max(poly) -> float:
+    """Exact max of |poly| on [0, 1], at an endpoint or a critical point."""
+    # real parts of complex critical points are harmless extra samples
+    s = np.clip(np.concatenate([[0.0, 1.0], poly.deriv().roots().real]), 0.0, 1.0)
+    return float(np.max(np.abs(poly(s))))
 
 
 # ---------------------------------------------------------------------------
@@ -97,27 +105,30 @@ class _SubgroupLeg:
 
 
 class _ChartLeg:
-    """The angle-chart construction, possibly in a translated gauge."""
+    """The angle-chart construction, possibly in a translated gauge.
 
-    def __init__(self, gauge, phi0, k, qpoly, theta_sol, meta):
-        self.gauge = gauge              # right translation applied before construction
-        self.gauge_inv = conj(gauge)
+    theta comes from the cubic log_tan(s) = log tan(theta(s)/2).
+    """
+
+    def __init__(self, gauge, phi0, k, qpoly, log_tan, meta):
+        self.gauge_inv = conj(gauge)    # undoes the right translation
         self.phi0 = phi0
         self.k = k
         self.qpoly = qpoly
         self.dqpoly = qpoly.deriv()
-        self.theta_sol = theta_sol      # dense ODE solution for theta(s)
+        self.log_tan = log_tan
         self.meta = meta
 
     def eval(self, s):
         s = np.asarray(s, dtype=float)
         qv = self.qpoly(s)
-        theta = self.theta_sol(s)[0]
+        ell = self.log_tan(s)
+        theta = 2.0 * np.arctan(np.exp(ell))
         phi = self.phi0 + self.k * s
         psi = np.arctan(qv)
         dphi = np.full_like(s, self.k)
         dpsi = self.dqpoly(s) / (1.0 + qv * qv)
-        dtheta = -self.k * qv * np.sin(theta)
+        dtheta = -self.k * qv / np.cosh(ell)
         pts = _point_arrays(phi, psi, theta)
         vel = _velocity_arrays(phi, psi, theta, dphi, dpsi, dtheta)
         return qmul(pts, self.gauge_inv), qmul(vel, self.gauge_inv)
@@ -261,29 +272,15 @@ def _chart_data(q_from, q_to, gauge):
     }
 
 
-def _try_chart_leg(q_from, q_to, gauge, data=None):
-    data = data or _chart_data(q_from, q_to, gauge)
-    if data is None:
-        return None
+def _try_chart_leg(gauge, data):
     e0, e1 = data["e0"], data["e1"]
-    phi0, k = data["phi0"], data["k"]
-    psi0, psi1 = data["psi0"], data["psi1"]
+    k = data["k"]
     integral = data["integral"]
-    qpoly = q_with_integral(data["t0"], data["t1"], integral)
-    probe = np.abs(qpoly(np.linspace(0.0, 1.0, 33)))
-    if probe.max() > QMAX:
-        return None
-
-    def rhs(s, th):
-        return -k * qpoly(s) * np.sin(th)
-
-    sol = solve_ivp(rhs, (0.0, 1.0), [e0.theta], dense_output=True, rtol=1e-10, atol=1e-12)
-    if not sol.success:
-        return None
-    if abs(float(sol.y[0, -1]) - e1.theta) > 1e-8:
-        return None
-    theta_probe = sol.sol(np.linspace(0.0, 1.0, 65))[0]
-    if np.min(np.sin(theta_probe)) < _POLE_MARGIN:
+    fpoly = hermite_f(integral, data["t0"], data["t1"])
+    qpoly = fpoly.deriv()
+    log_tan = float(np.log(np.tan(0.5 * e0.theta))) - k * fpoly
+    # exact bounds: sin(theta) >= _POLE_MARGIN along the leg iff |log_tan| <= _LOG_TAN_MAX
+    if _abs_max(qpoly) > QMAX or _abs_max(log_tan) > _LOG_TAN_MAX:
         return None
     meta = {
         "route": "chart",
@@ -292,11 +289,11 @@ def _try_chart_leg(q_from, q_to, gauge, data=None):
         "q_integral": integral,
         "theta0": e0.theta,
         "theta1": e1.theta,
-        "psi0": psi0,
-        "psi1": psi1,
+        "psi0": data["psi0"],
+        "psi1": data["psi1"],
         "gauge": tuple(float(g) for g in gauge),
     }
-    return _ChartLeg(gauge, phi0, k, qpoly, sol.sol, meta)
+    return _ChartLeg(gauge, data["phi0"], k, qpoly, log_tan, meta)
 
 
 def _single_leg(q_from, q_to):
@@ -321,7 +318,7 @@ def _single_leg(q_from, q_to):
     for idx, g, data in order:
         if attempts >= 6:
             break
-        leg = _try_chart_leg(q_from, q_to, g, data)
+        leg = _try_chart_leg(g, data)
         attempts += 1
         if leg is not None:
             return leg, leg.meta

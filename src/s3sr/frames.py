@@ -131,14 +131,11 @@ def omega_eval(q, v):
 
 
 def is_horizontal(q, v, tol):
-    """Horizontality test <v_x, y> == <x, v_y> within tol.
+    """|omega(v)| <= tol, elementwise over stacked (q, v).
 
-    The residual equals the T-component of v (and minus omega(v)).
+    omega(v) is minus the T-component of v, so this bounds both.
     """
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    residual = (v[0] * q[2] + v[1] * q[3]) - (q[0] * v[2] + q[1] * v[3])
-    return bool(abs(residual) <= tol)
+    return np.abs(omega_eval(q, v)) <= tol
 
 
 @dataclass(frozen=True)

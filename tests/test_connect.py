@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
+from scipy.integrate import solve_ivp
 
+import s3sr
 from s3sr.charts import EulerAngles, from_cartesian, to_cartesian, wrap_angle
-from s3sr.connect import connect, connect_constant_psi, hermite_f, q_with_integral
+from s3sr.connect import _abs_max, connect, connect_constant_psi, hermite_f, q_with_integral
 from s3sr.curves import fd_velocities, omega_fd_residuals, unit_norm_error
 from s3sr.frames import omega_eval
+from s3sr.quaternions import qmul
 from conftest import random_unit
 
 
@@ -109,7 +116,29 @@ def test_connect_boundary_integral_identity():
     assert abs(integral - absform) <= 1e-10
 
 
+def _chart_theta_matches_ode(c):
+    """On a chart route, theta read back in the construction gauge matches an ODE reference."""
+    if c.meta["route"] != "chart":
+        return False
+    k = c.meta["k"]
+    qpoly = Polynomial(list(c.meta["q_coeffs"]))
+    ref = solve_ivp(
+        lambda s, th: -k * qpoly(s) * np.sin(th),
+        (0.0, 1.0),
+        [c.meta["theta0"]],
+        t_eval=c.s,
+        rtol=1e-10,
+        atol=1e-12,
+    )
+    in_gauge = qmul(c.points, np.array(c.meta["gauge"]))
+    theta = np.array([from_cartesian(p).theta for p in in_gauge])
+    assert np.max(np.abs(theta - ref.y[0])) <= 1e-7
+    assert abs(theta[-1] - c.meta["theta1"]) <= 1e-12
+    return True
+
+
 def test_connect_random_pairs(rng):
+    chart = 0
     for _ in range(20):
         e0 = EulerAngles(rng.uniform(0, 2 * np.pi), rng.uniform(-np.pi, np.pi), rng.uniform(0.2, np.pi - 0.2))
         e1 = EulerAngles(rng.uniform(0, 2 * np.pi), rng.uniform(-np.pi, np.pi), rng.uniform(0.2, np.pi - 0.2))
@@ -117,15 +146,20 @@ def test_connect_random_pairs(rng):
         assert c.meta["endpoint_error"] <= 1e-8
         assert unit_norm_error(c) <= 1e-10
         assert np.max(np.abs(omega_eval(c.points, c.velocities))) <= 1e-10
+        chart += _chart_theta_matches_ode(c)
+    assert chart >= 15
 
 
 def test_connect_uniform_cartesian_pairs(rng):
     # endpoints drawn on the whole sphere, including branch-crossing pairs
+    chart = 0
     for _ in range(15):
         p, q = random_unit(rng), random_unit(rng)
         c = connect(p, q, n=128)
         assert c.meta["endpoint_error"] <= 1e-8
         assert np.max(np.abs(omega_eval(c.points, c.velocities))) <= 1e-10
+        chart += _chart_theta_matches_ode(c)
+    assert chart >= 10
 
 
 def test_connect_hard_targets():
@@ -171,6 +205,39 @@ def test_curve_invariants_validate(rng):
     worse.velocities[10] += 1e-3 * worse.points[10]
     with pytest.raises(ValueError):
         worse.validate()
+
+
+# -- the closed-form chart leg -----------------------------------------------
+
+
+def test_exact_leg_bounds_match_dense_sampling(rng):
+    s = np.linspace(0.0, 1.0, 10_001)
+    interior = 0
+    for _ in range(200):
+        t0, t1, integral = rng.uniform(-3.0, 3.0, 3)
+        k = rng.uniform(-2.0 * np.pi, 2.0 * np.pi)
+        theta0 = rng.uniform(0.05, np.pi - 0.05)
+        fpoly = hermite_f(integral, t0, t1)
+        qpoly = fpoly.deriv()
+        log_tan = np.log(np.tan(0.5 * theta0)) - k * fpoly
+        interior += bool(np.any(np.abs(log_tan(s)) > max(abs(log_tan(0.0)), abs(log_tan(1.0)))))
+        # the QMAX bound: max |q| over [0, 1]
+        dense = np.max(np.abs(qpoly(s)))
+        exact = _abs_max(qpoly)
+        assert dense - 1e-12 <= exact <= dense + 1e-7 * (1.0 + dense)
+        # the pole margin: min sin(theta) = 1 / cosh(max |log tan(theta/2)|)
+        dense = np.min(np.sin(2.0 * np.arctan(np.exp(log_tan(s)))))
+        exact = 1.0 / np.cosh(_abs_max(log_tan))
+        assert dense - 1e-7 <= exact <= dense + 1e-12
+    assert interior >= 20  # extrema at roots of q inside (0, 1) are exercised
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(s3sr.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, s3sr; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 # -- constant-psi curves -------------------------------------------------------

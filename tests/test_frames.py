@@ -106,6 +106,8 @@ def test_is_horizontal(rng):
     assert is_horizontal(q, 0.3 * f.X - 2.0 * f.Y, tol=1e-12)
     assert not is_horizontal(q, f.T, tol=0.999)
     assert is_horizontal(q, 0.3 * f.X - 2.0 * f.Y + 1e-9 * f.T, tol=1e-6)
+    # elementwise over stacked points
+    assert is_horizontal(np.stack([q, q]), np.stack([f.X, f.T]), tol=1e-12).tolist() == [True, False]
 
 
 def test_bracket_relations():

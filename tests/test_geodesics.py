@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from s3sr.curves import SampledCurve, omega_fd_residuals
-from s3sr.frames import frame_at, omega_eval
+from s3sr.frames import components, frame_at, omega_eval
 from s3sr.geodesics import (
     GeodesicParams,
     ab_profile,
@@ -149,7 +149,34 @@ def test_angle_profile_rejects_zero_velocity():
 
 def test_verify_velocity_energy_geodesic():
     c = integrate_geodesic(ONE, GeodesicParams(1.0, 0.7, 0.6), 3.0, 1e-3)
+    worst = verify_velocity_energy(c)
+    assert worst <= 1e-10
+    # per-sample reference through frames.components
+    ref = 0.0
+    for q, v in zip(c.points, c.velocities):
+        a, b, _ = components(q, v)
+        ref = max(ref, abs(float(v @ v) - (a * a + b * b)))
+    assert abs(worst - ref) <= 1e-15
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verify_velocity_energy_long_geodesic(seed):
+    # T=10 at h=1e-3 drifts |q| by ~3e-13, inside the engine's 1e-12 bound
+    rng = np.random.default_rng(seed)
+    q0 = rng.standard_normal(4)
+    q0 /= np.linalg.norm(q0)
+    c = integrate_geodesic(q0, GeodesicParams(1.0, rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-1.0, 1.0)), 10.0, 1e-3)
     assert verify_velocity_energy(c) <= 1e-10
+
+
+def test_verify_velocity_energy_rejects_off_sphere_curves():
+    c = integrate_geodesic(ONE, GeodesicParams(1.0, 0.7, 0.6), 1.0, 1e-2)
+    scaled = SampledCurve(c.s, c.points * (1.0 + 1e-9), c.velocities * (1.0 + 1e-9))
+    with pytest.raises(ValueError, match="degenerate"):
+        verify_velocity_energy(scaled)
+    radial = SampledCurve(c.s, c.points, c.velocities + 1e-3 * c.points)
+    with pytest.raises(ValueError, match="not tangent"):
+        verify_velocity_energy(radial)
 
 
 def test_verify_velocity_energy_constant_curve():
