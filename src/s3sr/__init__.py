@@ -32,6 +32,7 @@ from .frames import (
     LinearField,
     bracket,
     components,
+    frame_ab,
     frame_at,
     is_horizontal,
     omega_eval,

@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import EulerAngles, from_cartesian
+from .charts import EulerAngles, from_cartesian, to_cartesian
 from .connect import ConstructionError, connect
 from .curves import SampledCurve, fd_velocities, omega_fd_residuals
-from .frames import I1, I3, frame_at
+from .frames import frame_ab, frame_at
 from .geodesics import (
     GeodesicParams,
-    HamiltonianTrajectory,
+    acceleration_T_residual,
     integrate_geodesic,
     integrate_hamiltonian,
     match_costate,
@@ -86,8 +86,6 @@ def _parse_endpoint(text: str):
 
 
 def to_point_from_angles(values):
-    from .charts import to_cartesian
-
     return to_cartesian(EulerAngles(*values))
 
 
@@ -207,15 +205,11 @@ def _cmd_check(args) -> int:
             )
             results.append(("velocity-energy", energy_res, tol))
     if curve.n >= 3:
-        from .geodesics import acceleration_T_residual
-
         results.append(("acceleration-T", acceleration_T_residual(curve), tol))
 
     is_geodesic = record.header.get("tag") in ("geodesic", "hamiltonian")
     if is_geodesic and curve.n >= 3 and "lambda" in record.header:
-        vel = fd_velocities(curve)
-        va = np.sum(vel * (-(curve.points @ I1)), axis=1)
-        vb = np.sum(vel * (-(curve.points @ I3)), axis=1)
+        va, vb = frame_ab(curve.points, fd_velocities(curve))
         angles = np.unwrap(np.arctan2(vb, va))
         fit = np.polyfit(curve.s, angles, 1)
         slope_dev = abs(float(fit[0]) - 2.0 * float(record.header["lambda"]))

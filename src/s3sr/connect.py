@@ -207,25 +207,28 @@ def _two_arc_legs(q_from, rel):
 
 
 def _gauge_candidates():
-    """Right translations preserving the horizontal distribution."""
-    yield np.array([1.0, 0.0, 0.0, 0.0])
+    """Right translations preserving the horizontal distribution, stacked (32, 4)."""
+    gauges = [np.array([1.0, 0.0, 0.0, 0.0])]
     for chi in np.linspace(0.0, np.pi, 16, endpoint=False):
         g = np.array([np.cos(chi), 0.0, np.sin(chi), 0.0])
         if chi != 0.0:
-            yield g
-        yield qmul(g, np.array([0.0, 1.0, 0.0, 0.0]))
+            gauges.append(g)
+        gauges.append(qmul(g, np.array([0.0, 1.0, 0.0, 0.0])))
+    return np.stack(gauges)
 
 
-def _gauge_score(qt):
-    """min(sin(theta), cos(psi)) of a translated endpoint; -inf near poles."""
-    x1, x2, y1, y2 = qt
+_GAUGES = _gauge_candidates()
+
+
+def _gauge_scores(qt):
+    """min(sin(theta), cos(psi)) of translated endpoints, row by row; -inf near poles."""
+    x1, x2, y1, y2 = np.moveaxis(qt, -1, 0)
     rx = np.hypot(x1, x2)
     ry = np.hypot(y1, y2)
-    if rx < 1e-12 or ry < 1e-12:
-        return -np.inf
-    sin_theta = 2.0 * rx * ry
-    cos_psi = (x1 * y1 + x2 * y2) / (rx * ry)
-    return min(sin_theta, cos_psi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_psi = (x1 * y1 + x2 * y2) / (rx * ry)
+    near_pole = (rx < 1e-12) | (ry < 1e-12)
+    return np.where(near_pole, -np.inf, np.minimum(2.0 * rx * ry, cos_psi))
 
 
 def _principal(e: EulerAngles):
@@ -235,12 +238,8 @@ def _principal(e: EulerAngles):
     return e.phi + 2.0 * np.pi * n, psi_w
 
 
-def _chart_data(q_from, q_to, gauge):
-    """Boundary data of the chart construction in a gauge, or None."""
-    qp = qmul(q_from, gauge)
-    qq = qmul(q_to, gauge)
-    if min(_gauge_score(qp), _gauge_score(qq)) < _SCORE_MIN:
-        return None
+def _chart_data(qp, qq, margin):
+    """Boundary data of the chart construction for translated endpoints, or None."""
     e0 = from_cartesian(qp)
     e1 = from_cartesian(qq)
     if e0.pole or e1.pole:
@@ -265,7 +264,7 @@ def _chart_data(q_from, q_to, gauge):
         "t0": t0,
         "t1": t1,
         "integral": integral,
-        "margin": min(_gauge_score(qp), _gauge_score(qq)),
+        "margin": margin,
         # controls how hard the Hermite q and the azimuth sweep can whip
         # the curve around; used to rank otherwise-valid gauges
         "wildness": max(abs(t0), abs(t1), abs(integral)) + 0.25 * abs(k),
@@ -301,11 +300,14 @@ def _single_leg(q_from, q_to):
     arc = _single_arc(q_from, rel)
     if arc is not None:
         return arc, {"route": "subgroup-arc", "angle": arc.angle, "axis": tuple(arc.axis3)}
+    qp = qmul(q_from, _GAUGES)
+    qq = qmul(q_to, _GAUGES)
+    margins = np.minimum(_gauge_scores(qp), _gauge_scores(qq))
     candidates = []
-    for idx, g in enumerate(_gauge_candidates()):
-        data = _chart_data(q_from, q_to, g)
+    for idx in np.flatnonzero(margins >= _SCORE_MIN).tolist():
+        data = _chart_data(qp[idx], qq[idx], float(margins[idx]))
         if data is not None:
-            candidates.append((idx, g, data))
+            candidates.append((idx, _GAUGES[idx], data))
     # the untranslated construction is kept when it is comfortably tame;
     # otherwise gauges are tried from the tamest boundary data up
     order = sorted(candidates, key=lambda t: (t[2]["wildness"], t[0]))

@@ -44,6 +44,7 @@ __all__ = [
     "T_FIELD",
     "frame_at",
     "components",
+    "frame_ab",
     "omega_eval",
     "is_horizontal",
     "bracket",
@@ -119,6 +120,17 @@ def components(q, v, tol=TANGENT_TOL):
         raise ValueError(f"vector is not tangent: |<v, q>| = {radial:.3e}")
     f = frame_at(q, tol=None)
     return FrameComponents(float(np.dot(v, f.X)), float(np.dot(v, f.Y)), float(np.dot(v, f.T)))
+
+
+def frame_ab(points, velocities):
+    """Horizontal frame components (a, b) = (<v, X>, <v, Y>), row by row.
+
+    No tangency check: unlike components, this is the bare pairing on
+    stacked points and velocities.
+    """
+    p = np.asarray(points, dtype=float)
+    v = np.asarray(velocities, dtype=float)
+    return np.sum(v * (-(p @ I1)), axis=-1), np.sum(v * (-(p @ I3)), axis=-1)
 
 
 def omega_eval(q, v):

@@ -9,17 +9,22 @@ left-invariant equation q' = q * u(s) with pure control
 u(s) = -a(s) i - b(s) k.  The reference integrator advances q by group
 exponentials of midpoint-sampled controls, which keeps |q| = 1 to
 rounding; a triple-jump composition of that symmetric step raises the
-order to four (pass order=2 for the plain midpoint scheme).
+order to four (pass order=2 for the plain midpoint scheme).  The
+controls do not depend on q, so the exponentials of a block of steps
+come from one vectorized qexp_pure call; the product chain itself runs
+step by step, left to right, on Python floats (a tree-shaped product
+reorders the rounding and drifts |q| further).
 
 The same flow also arises from the Hamiltonian
 
     H(q, xi) = ( <q I1, xi>^2 + <q I3, xi>^2 ) / 2
 
 integrated here with a classical fourth-order one-step method on the
-pair (q, xi).  Matching initial data must place -lambda in the
-<q I2, .> component of the costate; the component along q itself is
-pure gauge.  The checks at the bottom verify energy, horizontality and
-the linear law for the angle between the velocity and the frame.
+pair (q, xi), its right-hand side unrolled on Python floats.  Matching
+initial data must place -lambda in the <q I2, .> component of the
+costate; the component along q itself is pure gauge.  The checks at
+the bottom verify energy, horizontality and the linear law for the
+angle between the velocity and the frame.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import SampledCurve
-from .frames import I1, I2, I3
+from .frames import I1, I2, I3, frame_ab
 from .quaternions import _EXP_TAYLOR_CUT, check_unit, qexp_pure, qmul
 
 __all__ = [
@@ -50,6 +55,11 @@ __all__ = [
 _COMP4_A = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _COMP4_B = 1.0 - 2.0 * _COMP4_A
 _COMP_WEIGHTS = {2: (1.0,), 4: (_COMP4_A, _COMP4_B, _COMP4_A)}
+
+# steps per qexp_pure call in integrate_geodesic; it also bounds the
+# Python lists of exponentials held at once (a whole long horizon would
+# cost several MB)
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -177,20 +187,30 @@ def integrate_geodesic(q0, params: GeodesicParams, T, h, order=4) -> SampledCurv
     dt = T / nsteps if nsteps else 0.0
     pts = np.empty((nsteps + 1, 4))
     pts[0] = q0
-    w, x, y, z = q0
-    for i in range(nsteps):
-        t = i * dt
-        for c in weights:
-            a, b = ab_profile(params, t + 0.5 * c * dt)
-            ew, ex, ey, ez = qexp_pure([-a * c * dt, 0.0, -b * c * dt])
-            w, x, y, z = (
-                w * ew - x * ex - y * ey - z * ez,
-                w * ex + x * ew + y * ez - z * ey,
-                w * ey + y * ew + z * ex - x * ez,
-                w * ez + z * ew + x * ey - y * ex,
-            )
+    w, x, y, z = q0.tolist()
+    coef = np.asarray(weights)
+    for start in range(0, nsteps, _BLOCK):
+        stop = min(start + _BLOCK, nsteps)
+        # substep midpoints by the same float operations as a per-step loop
+        t = np.arange(start, stop) * dt
+        mids = np.empty((stop - start, len(weights)))
+        for j, c in enumerate(weights):
+            mids[:, j] = t + 0.5 * c * dt
             t += c * dt
-        pts[i + 1] = (w, x, y, z)
+        a, b = ab_profile(params, mids)
+        v = np.stack([-a * coef * dt, np.zeros_like(a), -b * coef * dt], axis=-1)
+        exps = qexp_pure(v).tolist()
+        rows = []
+        for step in exps:
+            for ew, ex, ey, ez in step:
+                w, x, y, z = (
+                    w * ew - x * ex - y * ey - z * ez,
+                    w * ex + x * ew + y * ez - z * ey,
+                    w * ey + y * ew + z * ex - x * ez,
+                    w * ez + z * ew + x * ey - y * ex,
+                )
+            rows.append((w, x, y, z))
+        pts[start + 1 : stop + 1] = rows
 
     s = np.arange(nsteps + 1) * dt
     a, b = ab_profile(params, s)
@@ -242,17 +262,25 @@ def match_costate(q0, params: GeodesicParams):
     return -a0 * (q0 @ I1) - b0 * (q0 @ I3) - params.lam * (q0 @ I2)
 
 
-def _hamiltonian_rhs(y):
-    q = y[:4]
-    xi = y[4:]
-    qi1 = q @ I1
-    qi3 = q @ I3
-    p1 = qi1 @ xi
-    p3 = qi3 @ xi
-    out = np.empty(8)
-    out[:4] = p1 * qi1 + p3 * qi3
-    out[4:] = p1 * (xi @ I1) + p3 * (xi @ I3)
-    return out
+def _hamiltonian_rhs(w, x, y, z, a, b, c, d):
+    """(q', xi') on floats for q = (w, x, y, z), xi = (a, b, c, d).
+
+    With p1 = <q I1, xi> and p3 = <q I3, xi>: q' = p1 q I1 + p3 q I3 and
+    xi' = p1 xi I1 + p3 xi I3, where q I1 = (-x, w, z, -y) and
+    q I3 = (-z, y, -x, w).
+    """
+    p1 = w * b - x * a + z * c - y * d
+    p3 = w * d - z * a + y * b - x * c
+    return (
+        -p1 * x - p3 * z,
+        p1 * w + p3 * y,
+        p1 * z - p3 * x,
+        -p1 * y + p3 * w,
+        -p1 * b - p3 * d,
+        p1 * a + p3 * c,
+        p1 * d - p3 * b,
+        -p1 * c + p3 * a,
+    )
 
 
 def integrate_hamiltonian(q0, xi0, T, h) -> HamiltonianTrajectory:
@@ -265,15 +293,18 @@ def integrate_hamiltonian(q0, xi0, T, h) -> HamiltonianTrajectory:
     xi0 = np.asarray(xi0, dtype=float)
     nsteps = max(1, int(round(T / h))) if T > 0.0 else 0
     dt = T / nsteps if nsteps else 0.0
+    half = 0.5 * dt
+    sixth = dt / 6.0
     ys = np.empty((nsteps + 1, 8))
-    y = np.concatenate([q0, xi0])
-    ys[0] = y
+    ys[0, :4] = q0
+    ys[0, 4:] = xi0
+    y = ys[0].tolist()
     for i in range(nsteps):
-        k1 = _hamiltonian_rhs(y)
-        k2 = _hamiltonian_rhs(y + 0.5 * dt * k1)
-        k3 = _hamiltonian_rhs(y + 0.5 * dt * k2)
-        k4 = _hamiltonian_rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = _hamiltonian_rhs(*y)
+        k2 = _hamiltonian_rhs(*[u + half * k for u, k in zip(y, k1)])
+        k3 = _hamiltonian_rhs(*[u + half * k for u, k in zip(y, k2)])
+        k4 = _hamiltonian_rhs(*[u + dt * k for u, k in zip(y, k3)])
+        y = [u + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4) for u, e1, e2, e3, e4 in zip(y, k1, k2, k3, k4)]
         ys[i + 1] = y
     s = np.arange(nsteps + 1) * dt
     return HamiltonianTrajectory(s, ys[:, :4], ys[:, 4:])
@@ -297,8 +328,7 @@ def verify_velocity_energy(curve: SampledCurve, m_tol=1e-12, tangent_tol=1e-6):
     radial = np.abs(np.sum(v * q, axis=1))
     if np.any(radial > tangent_tol * np.maximum(1.0, np.linalg.norm(v, axis=1))):
         raise ValueError(f"vector is not tangent: |<v, q>| = {float(np.max(radial)):.3e}")
-    a = np.sum(v * (q @ I1), axis=1)
-    b = np.sum(v * (q @ I3), axis=1)
+    a, b = frame_ab(q, v)
     return float(np.max(np.abs(np.sum(v * v, axis=1) - (a * a + b * b))))
 
 
@@ -327,7 +357,5 @@ def angle_profile(curve: SampledCurve) -> np.ndarray:
     v = curve.velocities
     if np.any(np.linalg.norm(v, axis=1) < 1e-15):
         raise ValueError("zero velocity has no direction")
-    p = curve.points
-    va = np.sum(v * (-(p @ I1)), axis=1)
-    vb = np.sum(v * (-(p @ I3)), axis=1)
+    va, vb = frame_ab(curve.points, v)
     return np.unwrap(np.arctan2(vb, va))

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .curves import SampledCurve, fd_velocities, omega_fd_residuals
-from .frames import I1, I3
+from .frames import frame_ab
 from .geodesics import GeodesicParams, ab_profile
 
 __all__ = ["COLUMNS", "CurveRecord", "FORMAT_MARKER"]
@@ -61,8 +61,7 @@ class CurveRecord:
             vel = curve.velocities if curve.velocities is not None else (
                 fd_velocities(curve) if n >= 2 else np.zeros_like(curve.points)
             )
-            a = np.sum(vel * (-(curve.points @ I1)), axis=1)
-            b = np.sum(vel * (-(curve.points @ I3)), axis=1)
+            a, b = frame_ab(curve.points, vel)
         omega_res = omega_fd_residuals(curve) if n >= 2 else np.zeros(1)
         table = np.column_stack([curve.s, curve.points, a, b, omega_res])
         header = {str(k): v for k, v in meta.items() if _scalarish(v)}

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .curves import SampledCurve
 from .geodesics import GeodesicParams, _unit_endpoint, integrate_geodesic
@@ -92,6 +91,10 @@ def shoot(P, Q, cfg: ShootingConfig | None = None) -> ShootingResult:
     candidates meeting the tolerance the shortest duration wins, with
     remaining ties broken by start index, so results are reproducible.
     """
+    # imported here, not at module level: scipy.optimize takes most of
+    # `import s3sr`, and only the polishes below need it
+    from scipy.optimize import least_squares
+
     cfg = cfg or ShootingConfig()
     P = check_unit(np.asarray(P, dtype=float), what="shoot start")
     Q = check_unit(np.asarray(Q, dtype=float), what="shoot target")

@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 
 import s3sr
 from s3sr.charts import EulerAngles, from_cartesian, to_cartesian, wrap_angle
-from s3sr.connect import _abs_max, connect, connect_constant_psi, hermite_f, q_with_integral
+from s3sr.connect import _GAUGES, _abs_max, _gauge_scores, connect, connect_constant_psi, hermite_f, q_with_integral
 from s3sr.curves import fd_velocities, omega_fd_residuals, unit_norm_error
 from s3sr.frames import omega_eval
 from s3sr.quaternions import qmul
@@ -232,12 +232,50 @@ def test_exact_leg_bounds_match_dense_sampling(rng):
     assert interior >= 20  # extrema at roots of q inside (0, 1) are exercised
 
 
-def test_import_leaves_scipy_integrate_unloaded():
+def _scalar_gauge_score(qt):
+    x1, x2, y1, y2 = qt
+    rx = np.hypot(x1, x2)
+    ry = np.hypot(y1, y2)
+    if rx < 1e-12 or ry < 1e-12:
+        return -np.inf
+    return min(2.0 * rx * ry, (x1 * y1 + x2 * y2) / (rx * ry))
+
+
+def test_gauges_are_horizontal_right_translations():
+    assert _GAUGES.shape == (32, 4)
+    assert np.array_equal(_GAUGES[0], [1.0, 0.0, 0.0, 0.0])
+    assert np.max(np.abs(np.linalg.norm(_GAUGES, axis=1) - 1.0)) <= 1e-15
+    # each is exp(chi j) = (cos, 0, sin, 0) or exp(chi j) i = (0, cos, 0, -sin)
+    assert np.all(_GAUGES[:, 2] * _GAUGES[:, 3] == 0.0)
+    assert np.all(_GAUGES[:, 0] * _GAUGES[:, 1] == 0.0)
+    assert len({tuple(g) for g in _GAUGES}) == 32
+
+
+def test_batched_gauge_scores_match_scalar_scores(rng):
+    pts = [random_unit(rng) for _ in range(20)] + [to_cartesian(EulerAngles(0.3, 0.2, 0.0))]
+    for p in pts:
+        qt = qmul(p, _GAUGES)
+        ref = [_scalar_gauge_score(row) for row in qt]
+        assert np.array_equal(_gauge_scores(qt), ref)
+    assert _gauge_scores(qmul(pts[-1], _GAUGES))[0] == -np.inf
+
+
+def _loaded_by_fresh_import(module):
+    """Whether `import s3sr` in a fresh interpreter loads the named module."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(s3sr.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, s3sr; print('scipy.integrate' in sys.modules)"
+    code = f"import sys, s3sr; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    assert not _loaded_by_fresh_import("scipy.integrate")
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only shoot needs least_squares, and it imports it when called
+    assert not _loaded_by_fresh_import("scipy.optimize")
 
 
 # -- constant-psi curves -------------------------------------------------------

@@ -11,6 +11,7 @@ from s3sr.frames import (
     Y_FIELD,
     bracket,
     components,
+    frame_ab,
     frame_at,
     is_horizontal,
     omega_eval,
@@ -75,6 +76,18 @@ def test_components_examples(rng):
     assert abs(a * a + b * b + c * c - float(v @ v)) <= 1e-12
     # reconstruction
     assert np.max(np.abs(a * f.X + b * f.Y + c * f.T - v)) <= 1e-12
+
+
+def test_frame_ab_matches_components(rng):
+    q = random_unit(rng, 20)
+    v = rng.standard_normal((20, 4))
+    v -= np.sum(v * q, axis=1)[:, None] * q  # tangent
+    a, b = frame_ab(q, v)
+    ref = np.array([components(qi, vi)[:2] for qi, vi in zip(q, v)])
+    assert np.max(np.abs(a - ref[:, 0])) <= 1e-15
+    assert np.max(np.abs(b - ref[:, 1])) <= 1e-15
+    a1, b1 = frame_ab(q[0], v[0])
+    assert a1 == a[0] and b1 == b[0]
 
 
 def test_components_rejects_radial(rng):

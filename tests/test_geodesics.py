@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from s3sr.curves import SampledCurve, omega_fd_residuals
 from s3sr.frames import components, frame_at, omega_eval
 from s3sr.geodesics import (
+    _BLOCK,
+    _COMP_WEIGHTS,
     GeodesicParams,
     ab_profile,
     acceleration_T_residual,
@@ -109,6 +113,46 @@ def test_unit_norm_preservation():
     assert c.n == 100001
     drift = np.max(np.abs(np.linalg.norm(c.points, axis=1) - 1.0))
     assert drift <= 1.5e-12
+
+
+def _reference_geodesic(q0, params, T, h, order):
+    """The engine as a per-step loop: one qexp_pure and one qmul per substep."""
+    nsteps = max(1, int(round(T / h))) if T > 0.0 else 0
+    dt = T / nsteps if nsteps else 0.0
+    q = np.asarray(q0, dtype=float)
+    pts = [q]
+    for i in range(nsteps):
+        t = i * dt
+        for c in _COMP_WEIGHTS[order]:
+            a, b = ab_profile(params, t + 0.5 * c * dt)
+            q = qmul(q, qexp_pure([-a * c * dt, 0.0, -b * c * dt]))
+            t += c * dt
+        pts.append(q)
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("nsteps", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 10000])
+def test_blocked_engine_matches_per_step_loop(order, nsteps):
+    rng = np.random.default_rng(nsteps + order)
+    q0 = random_unit(rng)
+    p = GeodesicParams(1.3, rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-1.0, 1.0))
+    h = 1e-3
+    c = integrate_geodesic(q0, p, nsteps * h, h, order=order)
+    ref = _reference_geodesic(q0, p, nsteps * h, h, order)
+    assert c.points.shape == ref.shape == (nsteps + 1, 4)
+    assert np.max(np.abs(c.points - ref)) <= 1e-13
+
+
+def test_engine_memory_stays_blocked():
+    # a list of every step's exponential would hold ~10 MB at T=10
+    tracemalloc.start()
+    try:
+        integrate_geodesic(ONE, GeodesicParams(1.0, 0.3, 0.7), 10.0, 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
 
 
 def test_velocities_are_horizontal_and_unit_speed():

@@ -48,6 +48,40 @@ def test_matched_trajectories_agree(rng):
     assert np.max(np.abs(traj.q - geo.points)) <= 1e-8
 
 
+def _reference_hamiltonian(q0, xi0, T, h):
+    """Classical RK4 with the right-hand side written with numpy and the I matrices."""
+
+    def rhs(y):
+        q, xi = y[:4], y[4:]
+        p1 = (q @ I1) @ xi
+        p3 = (q @ I3) @ xi
+        return np.concatenate([p1 * (q @ I1) + p3 * (q @ I3), p1 * (xi @ I1) + p3 * (xi @ I3)])
+
+    nsteps = max(1, int(round(T / h)))
+    dt = T / nsteps
+    y = np.concatenate([q0, xi0])
+    ys = [y]
+    for _ in range(nsteps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ys.append(y)
+    return np.array(ys)
+
+
+def test_float_rhs_matches_numpy_reference(rng):
+    q0 = random_unit(rng)
+    # a costate with a gauge component, so every term of the right-hand side is live
+    xi0 = match_costate(q0, GeodesicParams(1.0, 0.6, -0.8)) + 0.3 * q0
+    traj = integrate_hamiltonian(q0, xi0, 5.0, 1e-3)
+    ref = _reference_hamiltonian(q0, xi0, 5.0, 1e-3)
+    assert np.max(np.abs(traj.q - ref[:, :4])) <= 1e-13
+    assert np.max(np.abs(traj.xi - ref[:, 4:])) <= 1e-13
+    assert np.array_equal(traj.s, np.arange(5001) * 1e-3)
+
+
 def test_conserved_quantities(rng):
     q0 = random_unit(rng)
     p = GeodesicParams(1.0, 0.3, 0.9)
