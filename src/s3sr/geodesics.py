@@ -117,53 +117,22 @@ def _qmul_f(p, q):
     )
 
 
-def _unit_endpoint(q0, theta0, lam, T, jacobian=False):
+def _unit_endpoint(q0, theta0, lam, T):
     """Unit-speed geodesic_point(q0, GeodesicParams(1, theta0, lam), T) on floats.
 
     Evaluates the same factorisation, q0 * A * C * B with
     A = e(-theta0/2 j), C = exp(T(-i - lam j)), B = e((lam T + theta0/2) j),
-    as a 4-tuple.  With jacobian=True it also returns the columns
-    d/dtheta0, d/dlam, d/dT as three 4-tuples.  A and B are exponentials
-    along j, so dA = A * (-j/2) dtheta0 and dB = B * j dphase; C's T
-    derivative is (-i - lam j) * C, and its lam derivative is the
-    directional derivative of the pure-quaternion exponential along
-    (0, -T, 0), taken on the same |v| < 1e-8 branch that qexp_pure uses.
+    as a 4-tuple, on the same |v| < 1e-8 branch that qexp_pure uses.
     """
     ha = 0.5 * theta0
     phase = lam * T + ha
-    sp, cp = math.sin(phase), math.cos(phase)
     A = (math.cos(ha), 0.0, -math.sin(ha), 0.0)
-    B = (cp, 0.0, sp, 0.0)
+    B = (math.cos(phase), 0.0, math.sin(phase), 0.0)
     vx, vy = -T, -lam * T
     n = math.hypot(vx, vy)
-    cn = math.cos(n)
-    if n < _EXP_TAYLOR_CUT:
-        sinc, dsinc = 1.0, 0.0
-    else:
-        sinc = math.sin(n) / n
-        dsinc = (cn - sinc) / (n * n)  # d(sin n / n) / dn, divided by n
-    C = (cn, sinc * vx, sinc * vy, 0.0)
-    PA = _qmul_f(q0, A)
-    PAC = _qmul_f(PA, C)
-    end = _qmul_f(PAC, B)
-    if not jacobian:
-        return end
-
-    # dphase = dtheta0/2 + T dlam + lam dT
-    dB = _qmul_f(PAC, (-sp, 0.0, cp, 0.0))
-    dA = (-0.5 * math.sin(ha), 0.0, -0.5 * math.cos(ha), 0.0)
-    d_theta = _qmul_f(_qmul_f(_qmul_f(q0, dA), C), B)
-    vw = -T * vy  # <v, dv/dlam> with dv/dlam = (0, -T, 0)
-    dC_lam = (-sinc * vw, dsinc * vw * vx, -sinc * T + dsinc * vw * vy, 0.0)
-    d_lam = _qmul_f(_qmul_f(PA, dC_lam), B)
-    dC_T = _qmul_f((0.0, -1.0, -lam, 0.0), C)
-    d_T = _qmul_f(_qmul_f(PA, dC_T), B)
-    jac = (
-        tuple(d + 0.5 * b for d, b in zip(d_theta, dB)),
-        tuple(d + T * b for d, b in zip(d_lam, dB)),
-        tuple(d + lam * b for d, b in zip(d_T, dB)),
-    )
-    return end, jac
+    sinc = 1.0 if n < _EXP_TAYLOR_CUT else math.sin(n) / n
+    C = (math.cos(n), sinc * vx, sinc * vy, 0.0)
+    return _qmul_f(_qmul_f(_qmul_f(q0, A), C), B)
 
 
 def integrate_geodesic(q0, params: GeodesicParams, T, h, order=4) -> SampledCurve:

@@ -1,18 +1,35 @@
-"""Two-point geodesic boundary-value solver.
+"""Two-point geodesic boundary-value solver, exact on the cut-time loop.
 
-Finds unit-speed geodesic data (theta0, lambda, T) steering the flow
-from P to Q by multi-start Levenberg-Marquardt least squares on the
-chordal endpoint gap.  Start points come from a deterministic grid
-(optionally jittered by the seeded generator); candidates are polished
-in order of raw residual and the solver is deterministic given inputs
-and seed.  The ranking and each polish evaluate the closed-form geodesic
-point, and the polish its analytic Jacobian in (theta0, lambda, T), on
-Python floats; the returned curve is produced by the reference
-integrator and the endpoint error is re-measured on it, so the two
-routes cross-check each run.
+Write rel = conj(P) Q, z = rel_w + i rel_j and beta = rel_x + i rel_z.
+The closed-form geodesic point gives, for unit speed with
+rho = T sqrt(1 + lam^2), T = rho cos(sigma) and lam = tan(sigma),
 
-Negative-duration iterates are folded back with the reversal symmetry
-(theta0, lam, T) -> (theta0 + pi, -lam, -T).
+    z    = (cos rho - i sin(sigma) sin rho) e^{i rho sin(sigma)}
+    beta = -sin(rho) cos(sigma) e^{i (theta0 + rho sin(sigma))}
+
+so m = |beta| fixes sin(rho) cos(sigma) = m, and theta0 follows from
+arg beta.  Minimisers have rho <= pi: at rho = pi every theta0 with the
+same lambda reaches the same point of the vertical circle through P,
+which is the cut time on SU(2) (Boscain & Rossi, SIAM J. Control Optim.
+2008).  For m > 0 the pairs (rho, sigma) with rho in [0, pi] form one
+loop, parametrised by phi in [-pi, pi] through
+
+    cos rho = |z| cos phi,   sin(sigma) sin(rho) = |z| sin phi,
+
+on which the z equation reads arg z = rho sin(sigma) - phi.  That phase
+falls strictly from pi to -pi around the loop, so exactly one geodesic
+with rho <= pi reaches Q, and it is the shortest.  Bisection to adjacent
+floats finds it on Python floats; each quarter of the loop is bisected
+in the angle to its own end (phi or pi - |phi|), which keeps the float
+grid fine where the loop hugs rho = 0 or rho = pi (small m).  The
+closed-form cases need no search: Q = P; the vertical circle m = 0
+(rho = pi, pi sin(sigma) = wrap(arg z - pi), theta0 free, 0 is used);
+and arg z = 0, which holds for m = 1 (rho = pi/2, lam = 0).
+
+The returned curve comes from the reference integrator, with the step
+shortened where needed so the control turns by at most _TURN per step,
+and the endpoint error is re-measured on it, so the two routes
+cross-check each run.
 """
 
 from __future__ import annotations
@@ -23,14 +40,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import SampledCurve
-from .geodesics import GeodesicParams, _unit_endpoint, integrate_geodesic
+from .geodesics import GeodesicParams, _qmul_f, _unit_endpoint, integrate_geodesic
 from .quaternions import check_unit
 
 __all__ = ["ShootingConfig", "ShootingResult", "shoot"]
 
+# largest turn 2*|lam|*h of the control per step of the returned curve
+_TURN = 0.1
+
 
 @dataclass(frozen=True)
 class ShootingConfig:
+    """Solver settings.
+
+    tol bounds the endpoint error of the returned curve, T_max its
+    length and curve_step its integrator step.  The exact solver reads
+    no other field: n_theta0, n_lambda, n_T, lambda_max, max_iter, seed,
+    jitter and polish_limit are accepted and ignored.
+    """
+
     tol: float = 1e-6
     n_theta0: int = 8
     n_lambda: int = 9
@@ -39,13 +67,22 @@ class ShootingConfig:
     T_max: float = 2.0 * np.pi
     max_iter: int = 60
     seed: int = 0
-    jitter: float = 0.05        # start-grid jitter, in units of the grid spacing
-    polish_limit: int = 40      # LM polishes before giving up early
+    jitter: float = 0.05
+    polish_limit: int = 40
     curve_step: float = 1e-3    # step of the returned integrator curve
 
 
 @dataclass
 class ShootingResult:
+    """The shortest geodesic from P to Q and how it was found.
+
+    starts_tried is the number of geodesics evaluated: 1, or 0 for Q = P.
+    meta records the "case" (trivial, vertical, m=1 or generic), the
+    number of "geodesics" with rho <= pi reaching Q (1, or inf on the
+    vertical circle, where theta0 is free), the "bisections" spent and
+    the "closed_form_error" of the solution before integration.
+    """
+
     params: GeodesicParams
     T: float
     endpoint_error: float
@@ -55,46 +92,55 @@ class ShootingResult:
     meta: dict = field(default_factory=dict)
 
 
-def _start_grid(cfg: ShootingConfig):
-    """Deterministic (theta0, lam, T) starts, T-major ascending."""
-    thetas = np.linspace(0.0, 2.0 * np.pi, cfg.n_theta0, endpoint=False)
-    lams = np.linspace(-cfg.lambda_max, cfg.lambda_max, cfg.n_lambda)
-    Ts = np.linspace(cfg.T_max / cfg.n_T, cfg.T_max, cfg.n_T)
-    starts = np.array([[th, lam, T] for T in Ts for lam in lams for th in thetas])
-    if cfg.jitter > 0.0:
-        rng = np.random.default_rng(cfg.seed)
-        spacing = np.array(
-            [
-                2.0 * np.pi / cfg.n_theta0,
-                2.0 * cfg.lambda_max / max(cfg.n_lambda - 1, 1),
-                cfg.T_max / cfg.n_T,
-            ]
-        )
-        starts = starts + cfg.jitter * spacing * rng.standard_normal(starts.shape)
-        starts[:, 2] = np.abs(starts[:, 2])
-    return starts
+def _loop_point(m, r0, v, top):
+    """(rho, sin sigma, cos sigma, phi) on the loop, phi = pi - v if top else v."""
+    sin_rho = math.hypot(m, r0 * math.sin(v))
+    cos_rho = -r0 * math.cos(v) if top else r0 * math.cos(v)
+    rho = math.atan2(sin_rho, cos_rho)
+    return rho, r0 * math.sin(v) / sin_rho, m / sin_rho, math.pi - v if top else v
 
 
-def _fold(x):
-    """Map T < 0 iterates to the equivalent forward-time parameters."""
-    th, lam, T = x
-    if T < 0.0:
-        th, lam, T = th + np.pi, -lam, -T
-    return float(th) % (2.0 * np.pi), float(lam), float(T)
+def _solve_loop(m, r0, psi):
+    """The loop point with phase rho sin(sigma) - phi = psi, and the bisections spent.
+
+    The phase is odd in phi and falls strictly, so the root has
+    phi = -sign(psi) |phi| with phase(|phi|) = -|psi|; it lies on the
+    top quarter (|phi| >= pi/2) iff the phase at pi/2 is >= -|psi|.
+    """
+    target = -abs(psi)
+
+    def gap(v, top):
+        rho, s, _, phi = _loop_point(m, r0, v, top)
+        return rho * s - phi - target
+
+    # gap(., top) rises with v, gap(., bottom) falls; lo keeps gap <= 0
+    top = gap(0.5 * math.pi, False) >= 0.0
+    lo, hi = (0.0, 0.5 * math.pi) if top else (0.5 * math.pi, 0.0)
+    g_lo, g_hi = gap(lo, top), gap(hi, top)
+    steps = 0
+    while g_lo != 0.0 and g_hi != 0.0:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        g_mid = gap(mid, top)
+        steps += 1
+        if g_mid <= 0.0:
+            lo, g_lo = mid, g_mid
+        else:
+            hi, g_hi = mid, g_mid
+    v = lo if abs(g_lo) <= abs(g_hi) else hi
+    rho, s, c, _ = _loop_point(m, r0, v, top)
+    return rho, -math.copysign(s, psi), c, steps
 
 
 def shoot(P, Q, cfg: ShootingConfig | None = None) -> ShootingResult:
-    """Find a unit-speed geodesic from P hitting Q.
+    """Find the shortest unit-speed geodesic from P to Q.
 
-    Never raises on non-convergence: the best candidate is returned
-    with converged=False and its achieved endpoint error.  Among
-    candidates meeting the tolerance the shortest duration wins, with
-    remaining ties broken by start index, so results are reproducible.
+    Never raises on non-convergence: if the shortest length exceeds
+    T_max, that geodesic is returned cut at T_max with converged=False,
+    and a missed tolerance is reported with the achieved endpoint error.
+    The solver has no random choices, so results are reproducible.
     """
-    # imported here, not at module level: scipy.optimize takes most of
-    # `import s3sr`, and only the polishes below need it
-    from scipy.optimize import least_squares
-
     cfg = cfg or ShootingConfig()
     P = check_unit(np.asarray(P, dtype=float), what="shoot start")
     Q = check_unit(np.asarray(Q, dtype=float), what="shoot target")
@@ -103,63 +149,47 @@ def shoot(P, Q, cfg: ShootingConfig | None = None) -> ShootingResult:
         params = GeodesicParams(1.0, 0.0, 0.0)
         curve = integrate_geodesic(P, params, 0.0, cfg.curve_step)
         err = float(np.linalg.norm(curve.end - Q))
-        return ShootingResult(params, 0.0, err, curve, 0, True, {"trivial": True})
+        meta = {"case": "trivial", "geodesics": 1, "bisections": 0, "closed_form_error": err}
+        return ShootingResult(params, 0.0, err, curve, 0, True, meta)
 
-    P_f = P.tolist()
-
-    def residual(x):
-        return np.subtract(_unit_endpoint(P_f, *map(float, x)), Q)
-
-    def jacobian(x):
-        return np.transpose(_unit_endpoint(P_f, *map(float, x), jacobian=True)[1])
-
-    starts = _start_grid(cfg)
-    raw = [math.dist(_unit_endpoint(P_f, *x), Q) for x in starts.tolist()]
-    order = np.argsort(raw, kind="stable")
-
-    candidates = []  # (theta0, lam, T, error, start_index)
-
-    def polish(idx):
-        res = least_squares(
-            residual,
-            starts[idx],
-            jac=jacobian,
-            method="lm",
-            # with a callable jac every scipy version counts residual
-            # calls only, about one per LM iteration
-            max_nfev=cfg.max_iter * 2,
-        )
-        th, lam, T = _fold(res.x)
-        err = float(np.linalg.norm(residual((th, lam, T))))
-        candidates.append((th, lam, T, err, int(idx)))
-        return err
-
-    tried = 0
-    for idx in order[: cfg.polish_limit]:
-        polish(idx)
-        tried += 1
-    if not any(c[3] <= cfg.tol for c in candidates):
-        for idx in order[cfg.polish_limit :]:
-            err = polish(idx)
-            tried += 1
-            if err <= cfg.tol:
-                break
-
-    hits = [c for c in candidates if c[3] <= cfg.tol]
-    if hits:
-        th, lam, T, err, idx = min(hits, key=lambda c: (c[2], c[3], c[4]))
+    P_f, Q_f = P.tolist(), Q.tolist()
+    rw, rx, ry, rz = _qmul_f((P_f[0], -P_f[1], -P_f[2], -P_f[3]), Q_f)
+    m = math.hypot(rx, rz)
+    r0 = math.hypot(rw, ry)
+    psi = math.atan2(ry, rw)
+    case, geodesics, steps = ("m=1" if r0 == 0.0 else "generic"), 1, 0
+    if psi == 0.0:
+        rho, sin_s, cos_s = math.atan2(m, r0), 0.0, 1.0
+    elif m == 0.0:
+        # rho = pi and sin(sigma) = wrap(psi - pi) / pi = -sign(psi) (1 - a)
+        case, geodesics = "vertical", math.inf
+        a = abs(psi) / math.pi
+        rho, cos_s = math.pi, math.sqrt(a * (2.0 - a))
+        sin_s = a - 1.0 if psi > 0.0 else 1.0 - a
     else:
-        th, lam, T, err, idx = min(candidates, key=lambda c: (c[3], c[4]))
+        rho, sin_s, cos_s, steps = _solve_loop(m, r0, psi)
+    T = rho * cos_s
+    lam = sin_s / cos_s
+    theta0 = (math.atan2(-rz, -rx) - rho * sin_s) % (2.0 * math.pi) if m else 0.0
+    closed_form_error = math.dist(_unit_endpoint(P_f, theta0, lam, T), Q_f)
 
-    params = GeodesicParams(1.0, th, lam)
-    curve = integrate_geodesic(P, params, T, cfg.curve_step)
+    params = GeodesicParams(1.0, theta0, lam)
+    cut = T > cfg.T_max
+    T = min(T, cfg.T_max)
+    h = min(cfg.curve_step, _TURN / (2.0 * abs(lam))) if lam else cfg.curve_step
+    curve = integrate_geodesic(P, params, T, h)
     endpoint_error = float(np.linalg.norm(curve.end - Q))
     return ShootingResult(
         params=params,
         T=T,
         endpoint_error=endpoint_error,
         curve=curve,
-        starts_tried=tried,
-        converged=bool(endpoint_error <= cfg.tol),
-        meta={"optimizer_error": err, "best_start": idx},
+        starts_tried=1,
+        converged=bool(endpoint_error <= cfg.tol and not cut),
+        meta={
+            "case": case,
+            "geodesics": geodesics,
+            "bisections": steps,
+            "closed_form_error": closed_form_error,
+        },
     )

@@ -1,19 +1,14 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 from scipy.integrate import solve_ivp
 
-import s3sr
 from s3sr.charts import EulerAngles, from_cartesian, to_cartesian, wrap_angle
 from s3sr.connect import _GAUGES, _abs_max, _gauge_scores, connect, connect_constant_psi, hermite_f, q_with_integral
 from s3sr.curves import fd_velocities, omega_fd_residuals, unit_norm_error
 from s3sr.frames import omega_eval
 from s3sr.quaternions import qmul
-from conftest import random_unit
+from conftest import _loaded_by_fresh_import, random_unit
 
 
 # -- the polynomial building blocks -----------------------------------------
@@ -260,21 +255,11 @@ def test_batched_gauge_scores_match_scalar_scores(rng):
     assert _gauge_scores(qmul(pts[-1], _GAUGES))[0] == -np.inf
 
 
-def _loaded_by_fresh_import(module):
-    """Whether `import s3sr` in a fresh interpreter loads the named module."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(s3sr.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = f"import sys, s3sr; print({module!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
-    return out.stdout.strip() == "True"
-
-
 def test_import_leaves_scipy_integrate_unloaded():
     assert not _loaded_by_fresh_import("scipy.integrate")
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # only shoot needs least_squares, and it imports it when called
     assert not _loaded_by_fresh_import("scipy.optimize")
 
 

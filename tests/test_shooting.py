@@ -10,9 +10,9 @@ from s3sr.geodesics import (
     verify_velocity_energy,
 )
 from s3sr.frames import omega_eval
-from s3sr.quaternions import qexp_pure, qmul
+from s3sr.quaternions import conj, qexp_pure, qmul
 from s3sr.shooting import ShootingConfig, shoot
-from conftest import random_unit
+from conftest import _loaded_by_fresh_import, random_unit
 
 ONE = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -101,28 +101,195 @@ def test_nonconvergence_reports_best_effort():
     assert np.isfinite(r.endpoint_error)
 
 
-def test_float_endpoint_kernel_matches_closed_form_and_differences(rng):
-    """The shooting residual and its analytic Jacobian, on floats."""
+def test_float_endpoint_kernel_matches_closed_form(rng):
+    """The float endpoint kernel against the vectorized closed form."""
     cases = [
         (rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-8.0, 8.0), rng.uniform(-7.0, 7.0))
         for _ in range(40)
     ]
-    cases += [(1.1, 0.7, 0.0), (0.4, 0.0, 1.3), (2.0, 0.0, -1.7), (0.3, -2.5, -0.5)]
-    h = 1e-6
+    cases += [(1.1, 0.7, 0.0), (0.4, 0.0, 1.3), (2.0, 0.0, -1.7), (0.3, -2.5, -0.5), (0.2, 0.1, 1e-9)]
     for th, lam, T in cases:
         P = random_unit(rng)
-        Q = random_unit(rng)
-        P_f = P.tolist()
-        end, jac = _unit_endpoint(P_f, th, lam, T, jacobian=True)
-        assert _unit_endpoint(P_f, th, lam, T) == end
-        ref = geodesic_point(P, GeodesicParams(1.0, th, lam), T) - Q
-        assert np.max(np.abs((np.array(end) - Q) - ref)) <= 1e-13
-        x = np.array([th, lam, T])
-        for k in range(3):
-            step = np.zeros(3)
-            step[k] = h
-            central = (
-                np.array(_unit_endpoint(P_f, *(x + step)))
-                - np.array(_unit_endpoint(P_f, *(x - step)))
-            ) / (2.0 * h)
-            assert np.max(np.abs(np.array(jac[k]) - central)) <= 1e-6
+        end = _unit_endpoint(P.tolist(), th, lam, T)
+        ref = geodesic_point(P, GeodesicParams(1.0, th, lam), T)
+        assert np.max(np.abs(np.array(end) - ref)) <= 1e-13
+
+
+# -- the exact solver ----------------------------------------------------------
+
+SQRT3_PI_2 = np.pi * np.sqrt(3.0) / 2.0
+
+
+def _rel_target(P, psi, chi, alpha):
+    """P * rel with rel_w + i rel_j = cos(chi) e^{i psi} and rel_x + i rel_z = sin(chi) e^{i alpha}."""
+    rel = np.array([np.cos(chi) * np.cos(psi), np.sin(chi) * np.cos(alpha),
+                    np.cos(chi) * np.sin(psi), np.sin(chi) * np.sin(alpha)])
+    return qmul(P, rel)
+
+
+def _assert_solved(r, Q):
+    assert r.converged
+    assert r.endpoint_error <= 1e-6
+    assert np.linalg.norm(r.curve.end - Q) == r.endpoint_error
+    assert r.meta["closed_form_error"] <= 1e-12
+    assert 0.0 <= r.T <= np.pi
+
+
+def test_shoot_loads_no_scipy(tmp_path):
+    assert not _loaded_by_fresh_import("scipy", "s3sr.shoot([1.0, 0, 0, 0], [0, 0, 1.0, 0])")
+    argv = ["s3sr", "shoot", "--from", "1,0,0,0", "--to", "0,0,1,0", "--out", str(tmp_path / "s.csv")]
+    cli = (
+        f"import runpy\nsys.argv = {argv!r}\n"
+        "try:\n    runpy.run_module('s3sr.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n    assert exc.code == 0, exc.code"
+    )
+    assert not _loaded_by_fresh_import("scipy", cli)
+    assert (tmp_path / "s.csv").exists()
+
+
+def test_bracket_direction_target_is_shortest():
+    # the vertical circle through 1: every theta0 with lam = -1/sqrt(3) reaches j at rho = pi
+    r = shoot(ONE, np.array([0.0, 0.0, 1.0, 0.0]))
+    assert r.converged
+    assert abs(r.T - SQRT3_PI_2) <= 1e-9
+    assert abs(r.params.lam + 1.0 / np.sqrt(3.0)) <= 1e-9
+    assert r.meta["case"] == "vertical"
+
+
+def test_cut_time_manufactured_recovery():
+    """Every geodesic with rho < pi is the one shoot returns.
+
+    On short geodesics Q fixes lambda only through the z phase, which is
+    of order rho^3, so the rounding of Q alone moves lambda by up to
+    about 3e-13 / rho^3 at |lambda| = 8 (both parameter sets then reach
+    Q to 5e-16); lambda is compared where that is well below 1e-6.
+    """
+    rng = np.random.default_rng(5150)
+    for _ in range(500):
+        P = random_unit(rng)
+        th, lam = rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-8.0, 8.0)
+        rho = rng.uniform(0.0, np.pi - 1e-3)
+        T = rho / np.hypot(1.0, lam)
+        Q = geodesic_point(P, GeodesicParams(1.0, th, lam), T)
+        r = shoot(P, Q)
+        _assert_solved(r, Q)
+        assert r.meta["case"] == "generic" and r.meta["geodesics"] == 1
+        assert abs((r.params.theta0 - th + np.pi) % (2.0 * np.pi) - np.pi) <= 1e-6
+        assert abs(r.T - T) <= 1e-6
+        if rho >= 0.02:
+            assert abs(r.params.lam - lam) <= 1e-6
+
+
+def test_antipodal_target(rng):
+    for P in (ONE, random_unit(rng), random_unit(rng)):
+        r = shoot(P, -P)
+        _assert_solved(r, -P)
+        assert abs(r.T - np.pi) <= 1e-9
+        assert abs(r.params.lam) <= 1e-9
+
+
+def test_i_and_k_targets(rng):
+    for P in (ONE, random_unit(rng)):
+        for unit in ([0.0, 1.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, -1.0]):
+            Q = qmul(P, np.array(unit))
+            r = shoot(P, Q)
+            _assert_solved(r, Q)
+            assert abs(r.T - np.pi / 2.0) <= 1e-9
+            assert abs(r.params.lam) <= 1e-9
+
+
+def test_vertical_and_near_vertical_targets(rng):
+    for P in (ONE, random_unit(rng)):
+        for sign in (1.0, -1.0):
+            Q = qmul(P, np.array([0.0, 0.0, sign, 0.0]))
+            r = shoot(P, Q)
+            _assert_solved(r, Q)
+            assert abs(r.T - SQRT3_PI_2) <= 1e-9
+            assert abs(r.params.lam + sign / np.sqrt(3.0)) <= 1e-9
+    for m in (1e-12, 1e-10, 1e-8, 1e-6):
+        for psi in (0.3, 2.0, -1.0, -3.1, np.pi, 1e-9):
+            a = abs(psi) / np.pi
+            P = random_unit(rng)
+            Q = _rel_target(P, psi, m, rng.uniform(0.0, 2.0 * np.pi))
+            r = shoot(P, Q)
+            _assert_solved(r, Q)
+            # continuous with the vertical circle's closed form T = pi sqrt(a (2 - a))
+            assert abs(r.T - np.pi * np.sqrt(a * (2.0 - a))) <= 10.0 * m
+
+
+def test_near_start_vertical_offsets(rng):
+    # the parent search stayed at P for eps = 1e-6 (T ~ 1e-20), inside the tolerance
+    for eps in (1e-3, 1e-6):
+        for P in (ONE, random_unit(rng)):
+            Q = qmul(P, np.array([np.cos(eps), 0.0, np.sin(eps), 0.0]))
+            r = shoot(P, Q)
+            _assert_solved(r, Q)
+            assert abs(r.T - np.sqrt(2.0 * np.pi * eps - eps * eps)) <= 1e-9
+
+
+def test_target_within_1e12_of_start(rng):
+    for d in (5e-13, 1e-12, 2e-12):
+        P = random_unit(rng)
+        u = rng.standard_normal(3)
+        Q = qmul(P, qexp_pure(d * u / np.linalg.norm(u)))
+        r = shoot(P, Q)
+        assert r.converged
+        assert r.endpoint_error <= 1e-6
+        assert r.T <= 1e-5
+
+
+def _scan_roots(rel, n=20_000):
+    """Brackets (sigma_lo, sigma_hi, branch) of the z equation found by an n-sample scan per branch.
+
+    Branch 1 has rho <= pi/2 and branch 2 rho >= pi/2; on both,
+    sin(rho) cos(sigma) = m, and the z equation is conj(z) w > 0 with
+    w = (cos rho - i sin(sigma) sin rho) e^{i rho sin(sigma)}.
+    """
+    zr, zi = rel[0], rel[2]
+    m = np.hypot(rel[1], rel[3])
+    smax = np.arctan2(np.hypot(zr, zi), m)  # cos(smax) = m
+    sig = np.linspace(-smax, smax, n)
+    s, c = np.sin(sig), np.cos(sig)
+    # |cos rho| cos(sigma), with cos(sigma) - m formed without cancellation
+    root = np.sqrt(np.maximum(2.0 * np.sin(0.5 * (smax + sig)) * np.sin(0.5 * (smax - sig)), 0.0) * (c + m))
+    rho1 = np.arctan2(m, root)
+    found = []
+    for branch, sign, rho in ((1, 1.0, rho1), (2, -1.0, np.pi - rho1)):
+        a, b = sign * root / c, -s * m / c
+        cp, sp = np.cos(rho * s), np.sin(rho * s)
+        wr, wi = a * cp - b * sp, a * sp + b * cp
+        g_re, g_im = zr * wr + zi * wi, zr * wi - zi * wr
+        change = (np.signbit(g_im[:-1]) != np.signbit(g_im[1:])) & (g_re[:-1] > 0.0) & (g_re[1:] > 0.0)
+        found += [(sig[k], sig[k + 1], branch) for k in np.flatnonzero(change)]
+    return found
+
+
+def test_dense_scan_finds_only_the_returned_geodesic():
+    """No grid is needed: the phase falls strictly around the loop.
+
+    A 20,000-sample scan per branch of the (sigma, rho) loop, on random,
+    near-vertical, near-start and near-m=1 targets, finds exactly one
+    root, and it brackets the geodesic shoot returns.
+    """
+    rng = np.random.default_rng(777)
+    cheap = ShootingConfig(curve_step=0.5)  # the curve is not under test here
+    targets = [(random_unit(rng), random_unit(rng)) for _ in range(600)]
+    for _ in range(200):
+        P = random_unit(rng)
+        targets.append((P, _rel_target(P, rng.uniform(-np.pi, np.pi), 10.0 ** rng.uniform(-12, -6),
+                                       rng.uniform(0.0, 2.0 * np.pi))))
+    for _ in range(150):
+        P = random_unit(rng)
+        targets.append((P, qmul(P, qexp_pure(10.0 ** rng.uniform(-6, -1) * random_unit(rng)[1:]))))
+    for _ in range(100):
+        P = random_unit(rng)
+        chi = 0.5 * np.pi - 10.0 ** rng.uniform(-12, -1)  # |z| = cos(chi) from 1e-12
+        targets.append((P, _rel_target(P, rng.uniform(-np.pi, np.pi), chi, rng.uniform(0.0, 2.0 * np.pi))))
+    for P, Q in targets:
+        r = shoot(P, Q, cheap)
+        assert r.meta["closed_form_error"] <= 1e-12
+        sigma = np.arctan(r.params.lam)
+        rho = r.T * np.hypot(1.0, r.params.lam)
+        [(lo, hi, branch)] = _scan_roots(qmul(conj(P), Q))
+        assert lo - 1e-12 <= sigma <= hi + 1e-12
+        assert (rho <= np.pi / 2.0 + 1e-9) if branch == 1 else (rho >= np.pi / 2.0 - 1e-9)
