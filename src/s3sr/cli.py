@@ -15,17 +15,18 @@ import numpy as np
 
 from .charts import EulerAngles, from_cartesian, to_cartesian
 from .connect import ConstructionError, connect
-from .curves import SampledCurve, fd_velocities, omega_fd_residuals
-from .frames import frame_ab, frame_at
+from .curves import SampledCurve, fd_velocities, omega_fd_residuals, unit_norm_error
+from .frames import frame_at
 from .geodesics import (
     GeodesicParams,
     acceleration_T_residual,
+    angle_profile,
     integrate_geodesic,
     integrate_hamiltonian,
     match_costate,
 )
 from .io import CurveRecord
-from .quaternions import norm, normalize
+from .quaternions import normalize
 from .shooting import ShootingConfig, shoot
 
 EXIT_OK = 0
@@ -41,7 +42,6 @@ class RunConfig:
     tol: float = 1e-6
     step: float = 1e-3
     samples: int = 256
-    seed: int = 0
     format: str = "csv"
 
     def __post_init__(self):
@@ -60,7 +60,6 @@ class RunConfig:
             tol=getattr(args, "tol", 1e-6),
             step=getattr(args, "step", 1e-3),
             samples=getattr(args, "samples", 256),
-            seed=getattr(args, "seed", 0),
             format=getattr(args, "format", "csv"),
         )
 
@@ -91,7 +90,7 @@ def to_point_from_angles(values):
 
 def _sanitize_point(q: np.ndarray) -> np.ndarray:
     """Unit-norm policy: tiny drift accepted, moderate drift normalized."""
-    dev = abs(float(norm(q)) - 1.0)
+    dev = unit_norm_error(SampledCurve(0.0, q))
     if dev <= 1e-12:
         return q
     if dev <= 1e-8:
@@ -100,6 +99,14 @@ def _sanitize_point(q: np.ndarray) -> np.ndarray:
         print(f"warning: input renormalized, | |q| - 1 | = {dev:.3e}", file=sys.stderr)
         return normalize(q)
     raise ValueError(f"input is not a unit quaternion: | |q| - 1 | = {dev:.3e}")
+
+
+def _parse_q0(text: str) -> np.ndarray:
+    """The --q0 quaternion: four components, then the unit-norm policy."""
+    values = _floats(text)
+    if len(values) != 4:
+        raise ValueError("--q0 needs 4 components")
+    return _sanitize_point(np.array(values))
 
 
 def _write_record(curve: SampledCurve, args, cfg: RunConfig, **extra) -> str:
@@ -131,9 +138,7 @@ def _cmd_connect(args) -> int:
 
 def _cmd_geodesic(args) -> int:
     cfg = RunConfig.from_args(args)
-    q0 = _sanitize_point(np.array(_floats(args.q0)))
-    if len(q0) != 4:
-        raise ValueError("--q0 needs 4 components")
+    q0 = _parse_q0(args.q0)
     params = GeodesicParams(args.r, args.theta0, getattr(args, "lambda"))
     curve = integrate_geodesic(q0, params, args.T, cfg.step)
     out = _write_record(curve, args, cfg)
@@ -145,7 +150,7 @@ def _cmd_geodesic(args) -> int:
 
 def _cmd_hamiltonian(args) -> int:
     cfg = RunConfig.from_args(args)
-    q0 = _sanitize_point(np.array(_floats(args.q0)))
+    q0 = _parse_q0(args.q0)
     params = GeodesicParams(args.r, args.theta0, getattr(args, "lambda"))
     meta = {"tag": "hamiltonian", "T": args.T, "h": cfg.step}
     if args.xi0:
@@ -161,7 +166,7 @@ def _cmd_hamiltonian(args) -> int:
     out = _write_record(curve, args, cfg)
     energy = traj.energy()
     print(f"H_drift={float(np.max(np.abs(energy - energy[0]))):.17g}")
-    print(f"norm_drift={float(np.max(np.abs(np.linalg.norm(traj.q, axis=1) - 1.0))):.17g}")
+    print(f"norm_drift={unit_norm_error(curve):.17g}")
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -170,7 +175,7 @@ def _cmd_shoot(args) -> int:
     cfg = RunConfig.from_args(args)
     p = _parse_endpoint(getattr(args, "from"))
     q = _parse_endpoint(args.to)
-    result = shoot(p, q, ShootingConfig(tol=cfg.tol, seed=cfg.seed, curve_step=cfg.step))
+    result = shoot(p, q, ShootingConfig(tol=cfg.tol, curve_step=cfg.step))
     out = _write_record(result.curve, args, cfg, endpoint_error=result.endpoint_error)
     print(f"theta0={result.params.theta0:.17g}")
     print(f"lambda={result.params.lam:.17g}")
@@ -186,19 +191,14 @@ def _cmd_check(args) -> int:
     record.validate(unit_tol=np.inf)  # norm deviation reported as its own check below
     curve = record.to_sampled_curve()
     tol = args.tol
-    results = []
-
-    norms = np.linalg.norm(curve.points, axis=1)
-    results.append(("unit-norm", float(np.max(np.abs(norms - 1.0))), 1e-8))
+    results = [("unit-norm", unit_norm_error(curve), 1e-8)]
 
     if curve.n >= 2:
-        if np.any(np.diff(curve.s) <= 0.0):
-            print("malformed curve: s not strictly increasing", file=sys.stderr)
-            return EXIT_USAGE
+        curve.velocities = fd_velocities(curve)
         results.append(("horizontality", float(np.max(omega_fd_residuals(curve))), tol))
         if curve.n >= 3:
             # interior only: the one-sided end estimates are first order
-            vel = fd_velocities(curve)[1:-1]
+            vel = curve.velocities[1:-1]
             a_col, b_col = record.data[1:-1, 5], record.data[1:-1, 6]
             energy_res = float(
                 np.max(np.abs(np.sum(vel * vel, axis=1) - (a_col**2 + b_col**2)))
@@ -209,11 +209,14 @@ def _cmd_check(args) -> int:
 
     is_geodesic = record.header.get("tag") in ("geodesic", "hamiltonian")
     if is_geodesic and curve.n >= 3 and "lambda" in record.header:
-        va, vb = frame_ab(curve.points, fd_velocities(curve))
-        angles = np.unwrap(np.arctan2(vb, va))
-        fit = np.polyfit(curve.s, angles, 1)
-        slope_dev = abs(float(fit[0]) - 2.0 * float(record.header["lambda"]))
-        results.append(("angle-linearity", slope_dev, max(tol, 1e-3)))
+        try:
+            angles = angle_profile(curve)
+        except ValueError:  # a stationary curve's velocity has no direction
+            print("SKIP angle-linearity (zero velocity)")
+        else:
+            fit = np.polyfit(curve.s, angles, 1)
+            slope_dev = abs(float(fit[0]) - 2.0 * float(record.header["lambda"]))
+            results.append(("angle-linearity", slope_dev, max(tol, 1e-3)))
     else:
         print("SKIP angle-linearity (not a geodesic record)")
 

@@ -109,6 +109,8 @@ def frame_at(q, tol=UNIT_TOL):
 def components(q, v, tol=TANGENT_TOL):
     """Frame components (a, b, c) = (<v,X>, <v,Y>, <v,T>) of a tangent vector.
 
+    (a, b) come from frame_ab and c = <v, T> = -omega(v).
+
     Raises ValueError when v is not tangent at q (|<v, q>| beyond tol,
     scaled by |v| for large vectors).
     """
@@ -118,8 +120,8 @@ def components(q, v, tol=TANGENT_TOL):
     scale = max(1.0, float(np.linalg.norm(v)))
     if radial > tol * scale:
         raise ValueError(f"vector is not tangent: |<v, q>| = {radial:.3e}")
-    f = frame_at(q, tol=None)
-    return FrameComponents(float(np.dot(v, f.X)), float(np.dot(v, f.Y)), float(np.dot(v, f.T)))
+    a, b = frame_ab(q, v)
+    return FrameComponents(float(a), float(b), -float(omega_eval(q, v)))
 
 
 def frame_ab(points, velocities):

@@ -29,14 +29,13 @@ angle between the velocity and the frame.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import SampledCurve
+from .curves import SampledCurve, unit_norm_error
 from .frames import I1, I2, I3, frame_ab
-from .quaternions import _EXP_TAYLOR_CUT, check_unit, qexp_pure, qmul
+from .quaternions import check_unit, qexp_pure, qmul
 
 __all__ = [
     "GeodesicParams",
@@ -103,36 +102,6 @@ def geodesic_point(q0, params: GeodesicParams, s):
         np.stack([np.zeros_like(s), lam * s + 0.5 * th0, np.zeros_like(s)], axis=-1)
     )
     return qmul(left, qmul(core, right))
-
-
-def _qmul_f(p, q):
-    """Quaternion product p*q on 4-tuples of Python floats."""
-    pw, px, py, pz = p
-    qw, qx, qy, qz = q
-    return (
-        pw * qw - px * qx - py * qy - pz * qz,
-        pw * qx + px * qw + py * qz - pz * qy,
-        pw * qy + py * qw + pz * qx - px * qz,
-        pw * qz + pz * qw + px * qy - py * qx,
-    )
-
-
-def _unit_endpoint(q0, theta0, lam, T):
-    """Unit-speed geodesic_point(q0, GeodesicParams(1, theta0, lam), T) on floats.
-
-    Evaluates the same factorisation, q0 * A * C * B with
-    A = e(-theta0/2 j), C = exp(T(-i - lam j)), B = e((lam T + theta0/2) j),
-    as a 4-tuple, on the same |v| < 1e-8 branch that qexp_pure uses.
-    """
-    ha = 0.5 * theta0
-    phase = lam * T + ha
-    A = (math.cos(ha), 0.0, -math.sin(ha), 0.0)
-    B = (math.cos(phase), 0.0, math.sin(phase), 0.0)
-    vx, vy = -T, -lam * T
-    n = math.hypot(vx, vy)
-    sinc = 1.0 if n < _EXP_TAYLOR_CUT else math.sin(n) / n
-    C = (math.cos(n), sinc * vx, sinc * vy, 0.0)
-    return _qmul_f(_qmul_f(_qmul_f(q0, A), C), B)
 
 
 def integrate_geodesic(q0, params: GeodesicParams, T, h, order=4) -> SampledCurve:
@@ -205,10 +174,9 @@ class HamiltonianTrajectory:
     xi: np.ndarray
 
     def momenta(self):
-        """(p1, p3): the pairings <q I1, xi> and <q I3, xi>."""
-        p1 = np.sum((self.q @ I1) * self.xi, axis=1)
-        p3 = np.sum((self.q @ I3) * self.xi, axis=1)
-        return p1, p3
+        """(p1, p3) = (<q I1, xi>, <q I3, xi>), i.e. -(a, b) of xi as q I1 = -X, q I3 = -Y."""
+        a, b = frame_ab(self.q, self.xi)
+        return -a, -b
 
     def qdot(self):
         p1, p3 = self.momenta()
@@ -291,7 +259,7 @@ def verify_velocity_energy(curve: SampledCurve, m_tol=1e-12, tangent_tol=1e-6):
         raise ValueError("curve carries no velocities")
     q = curve.points
     v = curve.velocities
-    norm_dev = float(np.max(np.abs(np.linalg.norm(q, axis=1) - 1.0)))
+    norm_dev = unit_norm_error(curve)
     if norm_dev > m_tol:
         raise ValueError(f"frame matrix degenerate: | |q| - 1 | = {norm_dev:.3e}")
     radial = np.abs(np.sum(v * q, axis=1))

@@ -22,8 +22,9 @@ with rho <= pi reaches Q, and it is the shortest.  Bisection to adjacent
 floats finds it on Python floats; each quarter of the loop is bisected
 in the angle to its own end (phi or pi - |phi|), which keeps the float
 grid fine where the loop hugs rho = 0 or rho = pi (small m).  The
-closed-form cases need no search: Q = P; the vertical circle m = 0
-(rho = pi, pi sin(sigma) = wrap(arg z - pi), theta0 free, 0 is used);
+closed-form cases need no search: Q = P; the vertical circle m = 0,
+taken for every m below the smallest normal float (rho = pi,
+pi sin(sigma) = wrap(arg z - pi), theta0 free, 0 is used);
 and arg z = 0, which holds for m = 1 (rho = pi/2, lam = 0).
 
 The returned curve comes from the reference integrator, with the step
@@ -35,18 +36,24 @@ cross-check each run.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .curves import SampledCurve
-from .geodesics import GeodesicParams, _qmul_f, _unit_endpoint, integrate_geodesic
-from .quaternions import check_unit
+from .geodesics import GeodesicParams, geodesic_point, integrate_geodesic
+from .quaternions import check_unit, conj, qmul
 
 __all__ = ["ShootingConfig", "ShootingResult", "shoot"]
 
 # largest turn 2*|lam|*h of the control per step of the returned curve
 _TURN = 0.1
+
+# below the smallest normal float, sin rho = hypot(m, .) and
+# cos sigma = m / sin rho lose their mantissa; the vertical circle's
+# closed form reaches such a target to within m
+_M_MIN = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -152,15 +159,14 @@ def shoot(P, Q, cfg: ShootingConfig | None = None) -> ShootingResult:
         meta = {"case": "trivial", "geodesics": 1, "bisections": 0, "closed_form_error": err}
         return ShootingResult(params, 0.0, err, curve, 0, True, meta)
 
-    P_f, Q_f = P.tolist(), Q.tolist()
-    rw, rx, ry, rz = _qmul_f((P_f[0], -P_f[1], -P_f[2], -P_f[3]), Q_f)
+    rw, rx, ry, rz = qmul(conj(P), Q).tolist()
     m = math.hypot(rx, rz)
     r0 = math.hypot(rw, ry)
     psi = math.atan2(ry, rw)
     case, geodesics, steps = ("m=1" if r0 == 0.0 else "generic"), 1, 0
     if psi == 0.0:
         rho, sin_s, cos_s = math.atan2(m, r0), 0.0, 1.0
-    elif m == 0.0:
+    elif m < _M_MIN:
         # rho = pi and sin(sigma) = wrap(psi - pi) / pi = -sign(psi) (1 - a)
         case, geodesics = "vertical", math.inf
         a = abs(psi) / math.pi
@@ -170,10 +176,10 @@ def shoot(P, Q, cfg: ShootingConfig | None = None) -> ShootingResult:
         rho, sin_s, cos_s, steps = _solve_loop(m, r0, psi)
     T = rho * cos_s
     lam = sin_s / cos_s
-    theta0 = (math.atan2(-rz, -rx) - rho * sin_s) % (2.0 * math.pi) if m else 0.0
-    closed_form_error = math.dist(_unit_endpoint(P_f, theta0, lam, T), Q_f)
-
+    theta0 = (math.atan2(-rz, -rx) - rho * sin_s) % (2.0 * math.pi) if m >= _M_MIN else 0.0
     params = GeodesicParams(1.0, theta0, lam)
+    closed_form_error = float(np.linalg.norm(geodesic_point(P, params, T) - Q))
+
     cut = T > cfg.T_max
     T = min(T, cfg.T_max)
     h = min(cfg.curve_step, _TURN / (2.0 * abs(lam))) if lam else cfg.curve_step

@@ -6,6 +6,7 @@ import pytest
 from s3sr.cli import main
 from s3sr.geodesics import GeodesicParams, integrate_geodesic
 from s3sr.io import COLUMNS, CurveRecord
+from s3sr.quaternions import normalize
 
 
 def run(*args):
@@ -95,9 +96,19 @@ def test_cli_connect_malformed_angles(tmp_path):
     assert run("connect", "--from", "0,1,1,1,1", "--to", "1,1,1") == 2
 
 
-def test_cli_usage_errors():
+def test_cli_usage_errors(capsys):
     assert run() == 2
     assert run("nonsense") == 2
+    capsys.readouterr()
+    # the component count is checked before the unit-norm policy
+    for argv in (
+        ["hamiltonian", "--q0", "1,0,0", "--T", "1"],
+        ["hamiltonian", "--q0", "1,0,0,0,0", "--T", "1"],
+        ["geodesic", "--q0", "0.6,0.6,0.6", "--T", "1"],
+        ["geodesic", "--q0", "1,0,0,0,0", "--T", "1"],
+    ):
+        assert run(*argv) == 2
+        assert "needs 4 components" in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_common_options(tmp_path):
@@ -164,6 +175,18 @@ def test_cli_check_connect_file_skips_angle_linearity(tmp_path, capsys):
     assert code == 0
     assert "SKIP angle-linearity" in captured
     assert "PASS horizontality" in captured
+
+
+def test_cli_check_stationary_geodesic_skips_angle_linearity(tmp_path, capsys):
+    out = tmp_path / "still.csv"
+    assert run("geodesic", "--q0", "1,0,0,0", "--r", "0", "--lambda", "0.5",
+               "--T", "1", "--out", str(out)) == 0
+    capsys.readouterr()
+    code = run("check", str(out))
+    captured = capsys.readouterr().out
+    assert code == 0
+    assert "SKIP angle-linearity (zero velocity)" in captured
+    assert "FAIL" not in captured
 
 
 def test_cli_check_malformed_file(tmp_path):
@@ -247,6 +270,18 @@ def test_cli_normalization_policy(tmp_path, capsys):
     assert run("geodesic", "--q0", "1.000000001,0,0,0", "--T", "0.1", "--out", str(out)) == 0
     # large deviation: rejected
     assert run("geodesic", "--q0", "1.5,0,0,0", "--T", "0.1", "--out", str(out)) == 2
+    capsys.readouterr()
+    # either side of each threshold: kept to 1e-12, normalized silently to
+    # 1e-8, normalized with a warning to 1e-3, rejected beyond
+    for dev in (0.5e-12, 2e-12, 0.5e-8, 2e-8, 0.5e-3, 2e-3):
+        q = (1.0 + dev) * np.array([0.5, 0.5, 0.5, 0.5])
+        text = ",".join(format(v, ".17g") for v in q)
+        code = run("geodesic", "--q0", text, "--T", "0.1", "--out", str(out))
+        assert code == (2 if dev > 1e-3 else 0)
+        assert ("warning" in capsys.readouterr().err) == (1e-8 < dev <= 1e-3)
+        if code == 0:
+            first = CurveRecord.from_csv(out).data[0, 1:5]
+            assert np.array_equal(first, q if dev <= 1e-12 else normalize(q))
 
 
 def test_cli_json_format(tmp_path):

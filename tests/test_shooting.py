@@ -3,7 +3,6 @@ import pytest
 
 from s3sr.geodesics import (
     GeodesicParams,
-    _unit_endpoint,
     acceleration_T_residual,
     angle_profile,
     geodesic_point,
@@ -99,20 +98,6 @@ def test_nonconvergence_reports_best_effort():
     assert r.endpoint_error > 1e-6
     assert r.curve.n >= 1
     assert np.isfinite(r.endpoint_error)
-
-
-def test_float_endpoint_kernel_matches_closed_form(rng):
-    """The float endpoint kernel against the vectorized closed form."""
-    cases = [
-        (rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-8.0, 8.0), rng.uniform(-7.0, 7.0))
-        for _ in range(40)
-    ]
-    cases += [(1.1, 0.7, 0.0), (0.4, 0.0, 1.3), (2.0, 0.0, -1.7), (0.3, -2.5, -0.5), (0.2, 0.1, 1e-9)]
-    for th, lam, T in cases:
-        P = random_unit(rng)
-        end = _unit_endpoint(P.tolist(), th, lam, T)
-        ref = geodesic_point(P, GeodesicParams(1.0, th, lam), T)
-        assert np.max(np.abs(np.array(end) - ref)) <= 1e-13
 
 
 # -- the exact solver ----------------------------------------------------------
@@ -215,6 +200,19 @@ def test_vertical_and_near_vertical_targets(rng):
             _assert_solved(r, Q)
             # continuous with the vertical circle's closed form T = pi sqrt(a (2 - a))
             assert abs(r.T - np.pi * np.sqrt(a * (2.0 - a))) <= 10.0 * m
+
+
+def test_subnormal_m_targets():
+    # with P = 1, rel = Q exactly, so m = |(rel_x, rel_z)| can be subnormal;
+    # from a random P, the rounding in qmul hides it
+    zs = [(np.cos(psi), np.sin(psi)) for psi in (0.3, 1.0, 2.0, 3.0, -1.0)] + [(-1.0, 0.0)]
+    for m in (5e-324, 1e-320, 1e-310):
+        for zw, zj in zs:
+            Q = np.array([zw, m, zj, 0.0])
+            r = shoot(ONE, Q)
+            _assert_solved(r, Q)
+            a = abs(np.arctan2(zj, zw)) / np.pi
+            assert abs(r.T - np.pi * np.sqrt(a * (2.0 - a))) <= 1e-12
 
 
 def test_near_start_vertical_offsets(rng):
