@@ -3,7 +3,11 @@
 CSV layout is bit-stable: '#'-prefixed header lines (a format marker,
 sorted key=value metadata, the column list), then comma-separated rows
 rendered with 17 significant digits and LF line endings.  Column order
-is fixed: s, x1, x2, y1, y2, a, b, omega_res.
+is fixed: s, x1, x2, y1, y2, a, b, omega_res.  Rows are written and
+parsed in blocks of 1024 (one '%.17g' row template per row, one numpy
+conversion per block), with the same bytes and values as a per-value
+writer and reader; a block holding a blank, comment or malformed line
+is parsed line by line, so errors still name their line.
 """
 
 from __future__ import annotations
@@ -22,6 +26,12 @@ __all__ = ["COLUMNS", "CurveRecord", "FORMAT_MARKER"]
 
 COLUMNS = ("s", "x1", "x2", "y1", "y2", "a", "b", "omega_res")
 FORMAT_MARKER = "s3sr-curve v1"
+
+
+# rows per tolist() call when writing and per np.array call when parsing;
+# it also bounds the Python objects held at once
+_BLOCK = 1024
+_ROW = ",".join(["%.17g"] * len(COLUMNS))
 
 
 def _fmt(x: float) -> str:
@@ -89,37 +99,34 @@ class CurveRecord:
         for key in sorted(self.header):
             lines.append(f"# {key}={_header_str(self.header[key])}")
         lines.append("# columns: " + ",".join(COLUMNS))
-        for row in self.data:
-            lines.append(",".join(_fmt(v) for v in row))
+        for start in range(0, len(self.data), _BLOCK):
+            lines.extend(_ROW % tuple(row) for row in self.data[start : start + _BLOCK].tolist())
         Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
     @classmethod
     def from_csv(cls, path) -> "CurveRecord":
+        return cls._from_csv_text(Path(path).read_text())
+
+    @classmethod
+    def _from_csv_text(cls, text) -> "CurveRecord":
         header: dict = {}
-        rows = []
-        text = Path(path).read_text()
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body == FORMAT_MARKER or body.startswith("columns:"):
-                    continue
-                if "=" in body:
-                    key, value = body.split("=", 1)
-                    header[key.strip()] = _parse_value(value.strip())
-                continue
-            parts = line.split(",")
-            if len(parts) != len(COLUMNS):
-                raise ValueError(f"line {lineno}: expected {len(COLUMNS)} fields, got {len(parts)}")
+        lines = text.splitlines()
+        # the header lines above the first data line go line by line
+        body = next((i for i, line in enumerate(lines) if line.strip()[:1] not in ("", "#")), len(lines))
+        _parse_lines(lines[:body], 1, header)
+        blocks = []
+        for start in range(body, len(lines), _BLOCK):
+            block = lines[start : start + _BLOCK]
             try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-        if not rows:
+                rows = np.array([line.split(",") for line in block], dtype=float)
+                if rows.shape[1] != len(COLUMNS):
+                    raise ValueError
+            except ValueError:  # a blank, comment or malformed line: parse line by line
+                rows = np.array(_parse_lines(block, start + 1, header), dtype=float).reshape(-1, len(COLUMNS))
+            blocks.append(rows)
+        if not sum(len(rows) for rows in blocks):
             raise ValueError("no data rows found")
-        return cls(header, np.array(rows))
+        return cls(header, np.concatenate(blocks))
 
     # -- JSON ----------------------------------------------------------
 
@@ -134,7 +141,11 @@ class CurveRecord:
 
     @classmethod
     def from_json(cls, path) -> "CurveRecord":
-        payload = json.loads(Path(path).read_text())
+        return cls._from_json_text(Path(path).read_text())
+
+    @classmethod
+    def _from_json_text(cls, text) -> "CurveRecord":
+        payload = json.loads(text)
         if payload.get("format") != FORMAT_MARKER or "rows" not in payload:
             raise ValueError("not a curve file")
         return cls(dict(payload.get("header", {})), np.array(payload["rows"], dtype=float))
@@ -153,8 +164,8 @@ class CurveRecord:
     def read(cls, path) -> "CurveRecord":
         text = Path(path).read_text()
         if text.lstrip().startswith("{"):
-            return cls.from_json(path)
-        return cls.from_csv(path)
+            return cls._from_json_text(text)
+        return cls._from_csv_text(text)
 
 
 def _scalarish(v) -> bool:
@@ -165,6 +176,31 @@ def _header_str(v) -> str:
     if isinstance(v, (float, np.floating)):
         return _fmt(v)
     return str(v)
+
+
+def _parse_lines(lines, first, header) -> list:
+    """Rows of CSV lines numbered from `first`; '#' lines fill `header`."""
+    rows = []
+    for lineno, line in enumerate(lines, first):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body == FORMAT_MARKER or body.startswith("columns:"):
+                continue
+            if "=" in body:
+                key, value = body.split("=", 1)
+                header[key.strip()] = _parse_value(value.strip())
+            continue
+        parts = line.split(",")
+        if len(parts) != len(COLUMNS):
+            raise ValueError(f"line {lineno}: expected {len(COLUMNS)} fields, got {len(parts)}")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return rows
 
 
 def _parse_value(v: str):

@@ -213,6 +213,19 @@ def test_verify_velocity_energy_long_geodesic(seed):
     assert verify_velocity_energy(c) <= 1e-10
 
 
+@pytest.mark.parametrize("params,T", [(GeodesicParams(1.0, 0.3, 0.5), 50.0), (GeodesicParams(2.0, 0.3, 3.0), 20.0)])
+def test_verify_velocity_energy_very_long_geodesic(params, T):
+    # the engine drifts |q| by 1.7e-12 and 2.3e-12 here, past a fixed 1e-12;
+    # the bound grows with the sample count
+    c = integrate_geodesic(ONE, params, T, 1e-3)
+    assert np.max(np.abs(np.linalg.norm(c.points, axis=1) - 1.0)) > 1e-12
+    assert verify_velocity_energy(c) <= 1e-10
+    # a curve scaled off the sphere by 1e-9 still raises at that length
+    scaled = SampledCurve(c.s, c.points * (1.0 + 1e-9), c.velocities * (1.0 + 1e-9))
+    with pytest.raises(ValueError, match="degenerate"):
+        verify_velocity_energy(scaled)
+
+
 def test_verify_velocity_energy_rejects_off_sphere_curves():
     c = integrate_geodesic(ONE, GeodesicParams(1.0, 0.7, 0.6), 1.0, 1e-2)
     scaled = SampledCurve(c.s, c.points * (1.0 + 1e-9), c.velocities * (1.0 + 1e-9))

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from s3sr.frames import I1, I2, I3
 from s3sr.geodesics import (
     GeodesicParams,
+    _hamiltonian_rhs,
     geodesic_point,
     integrate_geodesic,
     integrate_hamiltonian,
@@ -80,6 +83,52 @@ def test_float_rhs_matches_numpy_reference(rng):
     assert np.max(np.abs(traj.q - ref[:, :4])) <= 1e-13
     assert np.max(np.abs(traj.xi - ref[:, 4:])) <= 1e-13
     assert np.array_equal(traj.s, np.arange(5001) * 1e-3)
+
+
+def _list_stage_hamiltonian(q0, xi0, T, h):
+    """The float RK4 with its stage inputs and update built by list comprehensions over zip."""
+    nsteps = max(1, int(round(T / h))) if T > 0.0 else 0
+    dt = T / nsteps if nsteps else 0.0
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    ys = np.empty((nsteps + 1, 8))
+    ys[0, :4] = q0
+    ys[0, 4:] = xi0
+    y = ys[0].tolist()
+    for i in range(nsteps):
+        k1 = _hamiltonian_rhs(*y)
+        k2 = _hamiltonian_rhs(*[u + half * k for u, k in zip(y, k1)])
+        k3 = _hamiltonian_rhs(*[u + half * k for u, k in zip(y, k2)])
+        k4 = _hamiltonian_rhs(*[u + dt * k for u, k in zip(y, k3)])
+        y = [u + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4) for u, e1, e2, e3, e4 in zip(y, k1, k2, k3, k4)]
+        ys[i + 1] = y
+    return ys
+
+
+@pytest.mark.parametrize("nsteps", [0, 1, 5000])
+def test_unrolled_stages_match_list_stages_bit_for_bit(nsteps):
+    rng = np.random.default_rng(nsteps)
+    q0 = random_unit(rng)
+    xi0 = match_costate(q0, GeodesicParams(1.2, 0.4, 0.9)) - 0.2 * q0
+    h = 1e-3
+    traj = integrate_hamiltonian(q0, xi0, nsteps * h, h)
+    ref = _list_stage_hamiltonian(q0, xi0, nsteps * h, h)
+    assert traj.q.shape == (nsteps + 1, 4)
+    assert np.array_equal(traj.q, ref[:, :4])
+    assert np.array_equal(traj.xi, ref[:, 4:])
+
+
+def test_hamiltonian_memory_is_one_table():
+    # the (10001, 8) float table is 0.64 MB; a per-step list over the horizon would add ~3 MB
+    q0 = np.array([1.0, 0.0, 0.0, 0.0])
+    xi0 = match_costate(q0, GeodesicParams(1.0, 0.3, 0.7))
+    tracemalloc.start()
+    try:
+        integrate_hamiltonian(q0, xi0, 10.0, 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
 
 
 def test_conserved_quantities(rng):

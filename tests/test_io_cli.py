@@ -64,6 +64,63 @@ def test_malformed_csv_raises(tmp_path):
         CurveRecord.from_csv(path)
 
 
+def _per_value_csv(record):
+    """The CSV writer formatting one value at a time."""
+    lines = ["# s3sr-curve v1"]
+    for key in sorted(record.header):
+        value = record.header[key]
+        lines.append(f"# {key}={format(float(value), '.17g') if isinstance(value, float) else value}")
+    lines.append("# columns: " + ",".join(COLUMNS))
+    for row in record.data:
+        lines.append(",".join(format(float(v), ".17g") for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _table(nrows, seed):
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((nrows, len(COLUMNS))) * 10.0 ** rng.integers(-20, 20, (nrows, len(COLUMNS)))
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -7.0, 1e16, 0.1]
+    flat = data.reshape(-1)
+    flat[rng.choice(flat.size, min(flat.size, len(special)), replace=False)] = special[: flat.size]
+    return data
+
+
+@pytest.mark.parametrize("nrows", [1, 1024, 1025, 3000])
+def test_blocked_csv_matches_per_value_writer(tmp_path, nrows):
+    rec = CurveRecord({"tag": "x", "lambda": 0.5, "n": nrows}, _table(nrows, nrows))
+    path = tmp_path / "t.csv"
+    rec.to_csv(path)
+    assert path.read_bytes() == _per_value_csv(rec)
+    back = CurveRecord.from_csv(path)
+    assert back.header == rec.header
+    assert np.array_equal(back.data.view(np.int64), rec.data.view(np.int64))  # bit for bit, -0.0 included
+
+
+def test_csv_reader_skips_blank_and_comment_lines_between_rows(tmp_path):
+    rec = CurveRecord({"tag": "x"}, _table(3000, 7))
+    path = tmp_path / "t.csv"
+    rec.to_csv(path)
+    lines = path.read_text().splitlines()
+    for at, extra in ((2900, "# late=3"), (1500, ""), (1200, "   "), (1030, "# a note"), (5, "")):
+        lines.insert(at, extra)
+    path.write_text("\n".join(lines) + "\n")
+    back = CurveRecord.from_csv(path)
+    assert np.array_equal(back.data.view(np.int64), rec.data.view(np.int64))
+    assert back.header == {"tag": "x", "late": 3}
+
+
+@pytest.mark.parametrize("bad,message", [("1,2,3", "expected 8 fields, got 3"), ("1,2,3,4,5,6,7,x", "could not convert")])
+def test_csv_reader_names_the_bad_line(tmp_path, bad, message):
+    rec = CurveRecord({"tag": "x"}, _table(3000, 8))
+    path = tmp_path / "t.csv"
+    rec.to_csv(path)
+    lines = path.read_text().splitlines()
+    lines[1499] = bad
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^line 1500: {message}"):
+        CurveRecord.from_csv(path)
+
+
 # -- CLI contract -------------------------------------------------------------
 
 
@@ -152,6 +209,27 @@ def test_cli_geodesic_then_check(tmp_path, capsys):
     assert code == 0
     assert "FAIL" not in captured
     assert "PASS angle-linearity" in captured
+
+
+def test_cli_check_fast_geodesic_passes_velocity_energy(tmp_path, capsys):
+    # r=3, lambda=5: the central difference alone misses |v|^2 by 3.3e-4 at h=1e-3
+    out = tmp_path / "geo.csv"
+    assert run("geodesic", "--q0", "1,0,0,0", "--r", "3", "--lambda", "5", "--T", "2", "--out", str(out)) == 0
+    capsys.readouterr()
+    code = run("check", str(out))
+    captured = capsys.readouterr().out
+    assert code == 0
+    assert "PASS velocity-energy" in captured
+    assert "FAIL" not in captured
+    # a column off by 1e-3 is still caught
+    rec = CurveRecord.from_csv(out)
+    rec.data[:, 5] += 1e-3
+    shifted = tmp_path / "shifted.csv"
+    rec.to_csv(shifted)
+    code = run("check", str(shifted))
+    captured = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL velocity-energy" in captured
 
 
 def test_cli_check_detects_scaled_point(tmp_path, capsys):
