@@ -15,6 +15,10 @@ chart coordinates is horizontal exactly when
 phi and psi are stored unnormalized (curves may wind); the chart is
 singular on the circles theta = 0 and theta = pi, where one of alpha,
 beta is undefined.
+
+The chart map _point_arrays and its inverse _angle_arrays are the
+vectorized kernels over (..., 4) arrays; to_cartesian and from_cartesian
+are their checked single-point forms.
 """
 
 from __future__ import annotations
@@ -86,6 +90,20 @@ def to_cartesian(e: EulerAngles) -> np.ndarray:
     return _point_arrays(e.phi, e.psi, e.theta)
 
 
+def _angle_arrays(q):
+    """Vectorized chart inverse over (..., 4): (phi, psi, theta, rx, ry).
+
+    rx = hypot(x1, x2) and ry = hypot(y1, y2); on a pole circle (either
+    below _POLE_EPS) the undefined half-angle sum is set to 0.
+    """
+    x1, x2, y1, y2 = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    rx = np.hypot(x1, x2)
+    ry = np.hypot(y1, y2)
+    alpha = np.where(rx < _POLE_EPS, 0.0, np.arctan2(x2, x1))
+    beta = np.where(ry < _POLE_EPS, 0.0, np.arctan2(y2, y1))
+    return alpha + beta, alpha - beta, 2.0 * np.arctan2(ry, rx), rx, ry
+
+
 def from_cartesian(q, tol=UNIT_TOL) -> EulerAngles:
     """Invert the chart at a unit point.
 
@@ -94,23 +112,9 @@ def from_cartesian(q, tol=UNIT_TOL) -> EulerAngles:
     set to 0, with ``pole`` marking which circle was hit.
     """
     q = check_unit(np.asarray(q, dtype=float), tol, "chart point")
-    x1, x2, y1, y2 = q
-    rx = float(np.hypot(x1, x2))
-    ry = float(np.hypot(y1, y2))
-    theta = 2.0 * float(np.arctan2(ry, rx))
-    pole = None
-    if ry < _POLE_EPS:
-        alpha = float(np.arctan2(x2, x1))
-        beta = 0.0
-        pole = "theta=0"
-    elif rx < _POLE_EPS:
-        alpha = 0.0
-        beta = float(np.arctan2(y2, y1))
-        pole = "theta=pi"
-    else:
-        alpha = float(np.arctan2(x2, x1))
-        beta = float(np.arctan2(y2, y1))
-    return EulerAngles(phi=alpha + beta, psi=alpha - beta, theta=theta, pole=pole)
+    phi, psi, theta, rx, ry = _angle_arrays(q)
+    pole = "theta=0" if ry < _POLE_EPS else "theta=pi" if rx < _POLE_EPS else None
+    return EulerAngles(phi=float(phi), psi=float(psi), theta=float(theta), pole=pole)
 
 
 def _velocity_arrays(phi, psi, theta, dphi, dpsi, dtheta):
@@ -149,8 +153,7 @@ def omega_euler(e: EulerAngles, rates) -> float:
 
 def horizontality_residual_euler(e: EulerAngles, rates) -> float:
     """|sin(theta) sin(psi) phi' + cos(psi) theta'|; zero iff horizontal."""
-    dphi, _, dtheta = rates
-    return float(abs(np.sin(e.theta) * np.sin(e.psi) * dphi + np.cos(e.psi) * dtheta))
+    return float(2.0 * abs(omega_euler(e, rates)))
 
 
 def euler_ab(e: EulerAngles, rates):

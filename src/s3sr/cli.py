@@ -78,14 +78,10 @@ def _parse_endpoint(text: str):
     """Either 'phi,psi,theta' angles or a 'w,x,y,z' quaternion."""
     values = _floats(text)
     if len(values) == 3:
-        return to_point_from_angles(values)
+        return to_cartesian(EulerAngles(*values))
     if len(values) == 4:
         return _sanitize_point(np.array(values))
     raise ValueError(f"expected 3 angles or 4 quaternion components, got {len(values)}")
-
-
-def to_point_from_angles(values):
-    return to_cartesian(EulerAngles(*values))
 
 
 def _sanitize_point(q: np.ndarray) -> np.ndarray:
@@ -124,11 +120,7 @@ def _cmd_connect(args) -> int:
     p = _parse_endpoint(getattr(args, "from"))
     q = _parse_endpoint(args.to)
     n = 2 if float(np.linalg.norm(p - q)) < 1e-13 else cfg.samples
-    try:
-        curve = connect(p, q, n=n)
-    except ConstructionError as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
+    curve = connect(p, q, n=n)
     out = _write_record(curve, args, cfg)
     print(f"endpoint_error={curve.meta['endpoint_error']:.17g}")
     print(f"max_omega_residual={curve.meta['max_omega_fd']:.17g}")
@@ -237,7 +229,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_frames(args) -> int:
-    q = _sanitize_point(_parse_endpoint(args.at))
+    q = _parse_endpoint(args.at)
     f = frame_at(q)
     for name, vec in zip("XYTN", f):
         print(f"{name}=" + ",".join(format(v, ".17g") for v in vec))

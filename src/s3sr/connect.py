@@ -16,11 +16,14 @@ positions: away from the circles theta in {0, pi} and with psi in the
 principal branch (cos psi > 0).  Right translation by unit quaternions
 of the form exp(chi*j), or those times i, preserves the horizontal
 distribution, so the construction is run in a translated gauge chosen
-by a deterministic score and mapped back afterwards.  Pairs that no
-gauge makes chart-friendly (and degenerate data such as k ~ 0) fall
-back to a waypoint route: two one-parameter-subgroup arcs with
-horizontal axes, glued with a smooth time warp whose first and second
-derivatives vanish at the junction.
+by a deterministic score and mapped back afterwards.  The boundary data
+of all 32 candidate gauges come from one array pass of the chart
+inverse.  A gauge is kept only when min(sin(theta), cos(psi)) >= 0.02 at
+both translated endpoints, which already puts them off the poles and
+psi in the principal branch.  Pairs that no gauge makes chart-friendly
+(and degenerate data such as k ~ 0) fall back to a waypoint route: two
+one-parameter-subgroup arcs with horizontal axes, glued with a smooth
+time warp whose first and second derivatives vanish at the junction.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .charts import EulerAngles, _point_arrays, _velocity_arrays, from_cartesian, to_cartesian, wrap_angle
+from .charts import EulerAngles, _angle_arrays, _point_arrays, _velocity_arrays, to_cartesian, wrap_angle
 from .curves import SampledCurve, omega_fd_residuals
 from .quaternions import check_unit, conj, qexp_pure, qmul
 
@@ -110,14 +113,13 @@ class _ChartLeg:
     theta comes from the cubic log_tan(s) = log tan(theta(s)/2).
     """
 
-    def __init__(self, gauge, phi0, k, qpoly, log_tan, meta):
+    def __init__(self, gauge, phi0, k, qpoly, log_tan):
         self.gauge_inv = conj(gauge)    # undoes the right translation
         self.phi0 = phi0
         self.k = k
         self.qpoly = qpoly
         self.dqpoly = qpoly.deriv()
         self.log_tan = log_tan
-        self.meta = meta
 
     def eval(self, s):
         s = np.asarray(s, dtype=float)
@@ -231,70 +233,6 @@ def _gauge_scores(qt):
     return np.where(near_pole, -np.inf, np.minimum(2.0 * rx * ry, cos_psi))
 
 
-def _principal(e: EulerAngles):
-    """(phi, psi) representative with psi wrapped into (-pi, pi]."""
-    psi_w = float(wrap_angle(e.psi))
-    n = round((psi_w - e.psi) / (2.0 * np.pi))
-    return e.phi + 2.0 * np.pi * n, psi_w
-
-
-def _chart_data(qp, qq, margin):
-    """Boundary data of the chart construction for translated endpoints, or None."""
-    e0 = from_cartesian(qp)
-    e1 = from_cartesian(qq)
-    if e0.pole or e1.pole:
-        return None
-    phi0, psi0 = _principal(e0)
-    phi1, psi1 = _principal(e1)
-    if abs(psi0) >= np.pi / 2 or abs(psi1) >= np.pi / 2:
-        return None
-    k_raw = phi1 - phi0
-    k = k_raw - 4.0 * np.pi * round(k_raw / (4.0 * np.pi))
-    if abs(k) < _K_MIN:
-        return None
-    t0, t1 = np.tan(psi0), np.tan(psi1)
-    integral = float(np.log(np.tan(0.5 * e0.theta) / np.tan(0.5 * e1.theta))) / k
-    return {
-        "e0": e0,
-        "e1": e1,
-        "phi0": phi0,
-        "psi0": psi0,
-        "psi1": psi1,
-        "k": k,
-        "t0": t0,
-        "t1": t1,
-        "integral": integral,
-        "margin": margin,
-        # controls how hard the Hermite q and the azimuth sweep can whip
-        # the curve around; used to rank otherwise-valid gauges
-        "wildness": max(abs(t0), abs(t1), abs(integral)) + 0.25 * abs(k),
-    }
-
-
-def _try_chart_leg(gauge, data):
-    e0, e1 = data["e0"], data["e1"]
-    k = data["k"]
-    integral = data["integral"]
-    fpoly = hermite_f(integral, data["t0"], data["t1"])
-    qpoly = fpoly.deriv()
-    log_tan = float(np.log(np.tan(0.5 * e0.theta))) - k * fpoly
-    # exact bounds: sin(theta) >= _POLE_MARGIN along the leg iff |log_tan| <= _LOG_TAN_MAX
-    if _abs_max(qpoly) > QMAX or _abs_max(log_tan) > _LOG_TAN_MAX:
-        return None
-    meta = {
-        "route": "chart",
-        "k": k,
-        "q_coeffs": tuple(float(c) for c in qpoly.coef),
-        "q_integral": integral,
-        "theta0": e0.theta,
-        "theta1": e1.theta,
-        "psi0": data["psi0"],
-        "psi1": data["psi1"],
-        "gauge": tuple(float(g) for g in gauge),
-    }
-    return _ChartLeg(gauge, data["phi0"], k, qpoly, log_tan, meta)
-
-
 def _single_leg(q_from, q_to):
     rel = qmul(conj(q_from), q_to)
     arc = _single_arc(q_from, rel)
@@ -303,27 +241,50 @@ def _single_leg(q_from, q_to):
     qp = qmul(q_from, _GAUGES)
     qq = qmul(q_to, _GAUGES)
     margins = np.minimum(_gauge_scores(qp), _gauge_scores(qq))
-    candidates = []
-    for idx in np.flatnonzero(margins >= _SCORE_MIN).tolist():
-        data = _chart_data(qp[idx], qq[idx], float(margins[idx]))
-        if data is not None:
-            candidates.append((idx, _GAUGES[idx], data))
+    # one array pass over the 32 gauges, row 0 for P and row 1 for Q, with
+    # psi wrapped into (-pi, pi] and phi shifted to match
+    phi, psi_raw, theta, _, _ = _angle_arrays(np.stack([qp, qq]))
+    psi = wrap_angle(psi_raw)
+    phi = phi + 2.0 * np.pi * np.round((psi - psi_raw) / (2.0 * np.pi))
+    k = phi[1] - phi[0]
+    k -= 4.0 * np.pi * np.round(k / (4.0 * np.pi))
+    # margin >= _SCORE_MIN forces 2 rx ry >= 0.02, so rx, ry >= 0.01 (far off
+    # the poles), and cos(psi) >= 0.02, so the wrapped psi is principal
+    idx = np.flatnonzero((margins >= _SCORE_MIN) & (np.abs(k) >= _K_MIN))
+    phi0, psi, theta, k = phi[0, idx], psi[:, idx], theta[:, idx], k[idx]
+    tan_psi = np.tan(psi)
+    half_tan = np.tan(0.5 * theta)
+    integral = np.log(half_tan[0] / half_tan[1]) / k
+    # controls how hard the Hermite q and the azimuth sweep can whip the
+    # curve around; ranks otherwise-valid gauges
+    wildness = np.maximum(np.abs(tan_psi).max(axis=0), np.abs(integral)) + 0.25 * np.abs(k)
+    order = np.lexsort((idx, wildness))
     # the untranslated construction is kept when it is comfortably tame;
     # otherwise gauges are tried from the tamest boundary data up
-    order = sorted(candidates, key=lambda t: (t[2]["wildness"], t[0]))
-    if candidates and candidates[0][0] == 0:
-        ident = candidates[0]
-        tame_enough = ident[2]["wildness"] <= max(4.0 * order[0][2]["wildness"], 3.0)
-        if ident[2]["margin"] >= _SCORE_KEEP and tame_enough:
-            order = [ident] + [c for c in order if c[0] != 0]
-    attempts = 0
-    for idx, g, data in order:
-        if attempts >= 6:
-            break
-        leg = _try_chart_leg(g, data)
-        attempts += 1
-        if leg is not None:
-            return leg, leg.meta
+    identity_ok = idx.size and idx[0] == 0 and margins[0] >= _SCORE_KEEP
+    if identity_ok and wildness[0] <= max(4.0 * wildness[order[0]], 3.0):
+        order = np.concatenate([[0], order[order != 0]])
+    for j in order[:6].tolist():
+        kj = float(k[j])
+        fpoly = hermite_f(float(integral[j]), tan_psi[0, j], tan_psi[1, j])
+        qpoly = fpoly.deriv()
+        log_tan = float(np.log(half_tan[0, j])) - kj * fpoly
+        # exact bounds: sin(theta) >= _POLE_MARGIN along the leg iff |log_tan| <= _LOG_TAN_MAX
+        if _abs_max(qpoly) > QMAX or _abs_max(log_tan) > _LOG_TAN_MAX:
+            continue
+        gauge = _GAUGES[idx[j]]
+        meta = {
+            "route": "chart",
+            "k": kj,
+            "q_coeffs": tuple(float(c) for c in qpoly.coef),
+            "q_integral": float(integral[j]),
+            "theta0": float(theta[0, j]),
+            "theta1": float(theta[1, j]),
+            "psi0": float(psi[0, j]),
+            "psi1": float(psi[1, j]),
+            "gauge": tuple(float(g) for g in gauge),
+        }
+        return _ChartLeg(gauge, float(phi0[j]), kj, qpoly, log_tan), meta
     return None, None
 
 

@@ -1,13 +1,31 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 from scipy.integrate import solve_ivp
 
 from s3sr.charts import EulerAngles, from_cartesian, to_cartesian, wrap_angle
-from s3sr.connect import _GAUGES, _abs_max, _gauge_scores, connect, connect_constant_psi, hermite_f, q_with_integral
+from s3sr.connect import (
+    _GAUGES,
+    _K_MIN,
+    _LOG_TAN_MAX,
+    _SCORE_KEEP,
+    _SCORE_MIN,
+    QMAX,
+    _abs_max,
+    _ChartLeg,
+    _gauge_scores,
+    _GluedLeg,
+    _two_arc_legs,
+    connect,
+    connect_constant_psi,
+    hermite_f,
+    q_with_integral,
+)
 from s3sr.curves import fd_velocities, omega_fd_residuals, unit_norm_error
 from s3sr.frames import omega_eval
-from s3sr.quaternions import qmul
+from s3sr.quaternions import conj, qmul
 from conftest import _loaded_by_fresh_import, random_unit
 
 
@@ -170,6 +188,46 @@ def test_connect_hard_targets():
         assert np.max(omega_fd_residuals(c)) <= 1e-6
 
 
+_ANGLE = st.floats(-np.pi, np.pi)
+_THETA = st.floats(0.05, np.pi - 0.05)
+
+
+@st.composite
+def _degenerate_pairs(draw):
+    """Endpoints near a chart pole, antipodal, |dphi| near _K_MIN, or coincident."""
+    kind = draw(st.sampled_from(["pole", "antipodal", "k-min", "coincident"]))
+    phi = draw(_ANGLE)
+    p = to_cartesian(EulerAngles(phi, draw(_ANGLE), draw(_THETA)))
+    if kind == "pole":
+        # theta/2 is the distance to the circle theta = 0 (and likewise for pi)
+        gaps = [2.0 * 10.0 ** draw(st.floats(-6.0, -1.0)) for _ in range(2)]
+        near = [to_cartesian(EulerAngles(draw(_ANGLE), draw(_ANGLE), g if draw(st.booleans()) else np.pi - g))
+                for g in gaps]
+        q = near[0]
+        p = near[1] if draw(st.booleans()) else p
+        if draw(st.booleans()):
+            p, q = q, p
+    elif kind == "antipodal":
+        q = -p
+    elif kind == "k-min":
+        dphi = draw(st.sampled_from([-1.0, 1.0])) * _K_MIN * 10.0 ** draw(st.floats(-2.0, 2.0))
+        q = to_cartesian(EulerAngles(phi + dphi, draw(_ANGLE), draw(_THETA)))
+    else:
+        q = p.copy()
+    return p, q
+
+
+@given(_degenerate_pairs())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_connect_degenerate_endpoints(pair):
+    p, q = pair
+    c = connect(p, q, n=32)
+    assert c.meta["route"] in ("constant", "subgroup-arc", "chart", "two-arc")
+    assert np.max(np.abs(c.points[0] - p)) <= 1e-8
+    assert np.max(np.abs(c.points[-1] - q)) <= 1e-8
+    assert np.max(np.abs(omega_eval(c.points, c.velocities))) <= 1e-8
+
+
 def test_connect_smoothness():
     c = connect(P_EX, Q_EX, n=512)
     h = c.s[1] - c.s[0]
@@ -253,6 +311,82 @@ def test_batched_gauge_scores_match_scalar_scores(rng):
         ref = [_scalar_gauge_score(row) for row in qt]
         assert np.array_equal(_gauge_scores(qt), ref)
     assert _gauge_scores(qmul(pts[-1], _GAUGES))[0] == -np.inf
+
+
+def _principal(e):
+    """(phi, psi) representative with psi wrapped into (-pi, pi]."""
+    psi_w = float(wrap_angle(e.psi))
+    n = round((psi_w - e.psi) / (2.0 * np.pi))
+    return e.phi + 2.0 * np.pi * n, psi_w
+
+
+def _chart_data(qp, qq, margin):
+    """Boundary data of the chart construction for translated endpoints, or None."""
+    e0 = from_cartesian(qp)
+    e1 = from_cartesian(qq)
+    if e0.pole or e1.pole:
+        return None
+    phi0, psi0 = _principal(e0)
+    phi1, psi1 = _principal(e1)
+    if abs(psi0) >= np.pi / 2 or abs(psi1) >= np.pi / 2:
+        return None
+    k_raw = phi1 - phi0
+    k = k_raw - 4.0 * np.pi * round(k_raw / (4.0 * np.pi))
+    if abs(k) < _K_MIN:
+        return None
+    t0, t1 = np.tan(psi0), np.tan(psi1)
+    integral = float(np.log(np.tan(0.5 * e0.theta) / np.tan(0.5 * e1.theta))) / k
+    wildness = max(abs(t0), abs(t1), abs(integral)) + 0.25 * abs(k)
+    return {"theta0": e0.theta, "phi0": phi0, "k": k, "t0": t0, "t1": t1,
+            "integral": integral, "margin": margin, "wildness": wildness}
+
+
+def _reference_leg(p, q):
+    """Gauge selection candidate by candidate: (leg, gauge index or None, attempts)."""
+    qp, qq = qmul(p, _GAUGES), qmul(q, _GAUGES)
+    margins = np.minimum(_gauge_scores(qp), _gauge_scores(qq))
+    candidates = []
+    for idx in np.flatnonzero(margins >= _SCORE_MIN).tolist():
+        data = _chart_data(qp[idx], qq[idx], float(margins[idx]))
+        if data is not None:
+            candidates.append((idx, data))
+    order = sorted(candidates, key=lambda t: (t[1]["wildness"], t[0]))
+    if candidates and candidates[0][0] == 0:
+        ident = candidates[0]
+        tame_enough = ident[1]["wildness"] <= max(4.0 * order[0][1]["wildness"], 3.0)
+        if ident[1]["margin"] >= _SCORE_KEEP and tame_enough:
+            order = [ident] + [c for c in order if c[0] != 0]
+    attempts = 0
+    for idx, d in order:
+        if attempts >= 6:
+            break
+        attempts += 1
+        fpoly = hermite_f(d["integral"], d["t0"], d["t1"])
+        qpoly = fpoly.deriv()
+        log_tan = float(np.log(np.tan(0.5 * d["theta0"]))) - d["k"] * fpoly
+        if _abs_max(qpoly) <= QMAX and _abs_max(log_tan) <= _LOG_TAN_MAX:
+            return _ChartLeg(_GAUGES[idx], d["phi0"], d["k"], qpoly, log_tan), idx, attempts
+    leg_a, leg_b, _ = _two_arc_legs(p, qmul(conj(p), q))
+    return _GluedLeg(leg_a, leg_b), None, attempts
+
+
+def test_gauge_selection_matches_per_candidate_reference():
+    pairs = random_unit(np.random.default_rng(1), 4000).reshape(2000, 2, 4)
+    s = np.linspace(0.0, 1.0, 64)
+    seen = set()
+    for n in [*range(12), 16, 25, 148, 224, 698]:
+        p, q = pairs[n]
+        leg, idx, attempts = _reference_leg(p, q)
+        c = connect(p, q, n=64)
+        pts, vel = leg.eval(s)
+        assert c.meta["route"] == ("two-arc" if idx is None else "chart")
+        assert idx is None or c.meta["gauge"] == tuple(_GAUGES[idx])
+        assert c.points.tobytes() == pts.tobytes()
+        assert c.velocities.tobytes() == vel.tobytes()
+        seen.add(("two-arc" if idx is None else "identity" if idx == 0 else "translated", attempts))
+    # an identity-kept gauge, a translated one, legs found on attempts 3 and 5,
+    # and the two-arc fallback after six failed attempts
+    assert {("identity", 1), ("translated", 1), ("translated", 3), ("translated", 5), ("two-arc", 6)} <= seen
 
 
 def test_import_leaves_scipy_integrate_unloaded():
