@@ -91,12 +91,12 @@ def to_cartesian(e: EulerAngles) -> np.ndarray:
 
 
 def _angle_arrays(q):
-    """Vectorized chart inverse over (..., 4): (phi, psi, theta, rx, ry).
+    """Vectorized chart inverse over a float (..., 4) array: (phi, psi, theta, rx, ry).
 
     rx = hypot(x1, x2) and ry = hypot(y1, y2); on a pole circle (either
     below _POLE_EPS) the undefined half-angle sum is set to 0.
     """
-    x1, x2, y1, y2 = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    x1, x2, y1, y2 = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     rx = np.hypot(x1, x2)
     ry = np.hypot(y1, y2)
     alpha = np.where(rx < _POLE_EPS, 0.0, np.arctan2(x2, x1))

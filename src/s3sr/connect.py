@@ -9,7 +9,9 @@ data pin q(0) = tan(psi0), q(1) = tan(psi1) and the integral of q.  A
 cubic Hermite primitive F supplies the unique low-degree q = F' meeting
 all three conditions, and theta has the closed form
 theta(s) = 2 arctan(tan(theta0/2) exp(-k F(s))), exact at s = 1 by the
-choice of the integral.
+choice of the integral.  The leg's safety bounds, max |q| and max
+|log tan(theta/2)| on [0, 1], come from closed-form critical points of
+coefficient tuples; hermite_f and q_with_integral still return Polynomials.
 
 The chart construction needs both endpoints at chart-friendly
 positions: away from the circles theta in {0, pi} and with psi in the
@@ -61,9 +63,14 @@ class ConstructionError(RuntimeError):
         self.endpoint_error = endpoint_error
 
 
+def _hermite_coeffs(alpha, beta, gamma):
+    """Coefficients, lowest degree first, of the cubic f with f(0)=0, f(1)=alpha, f'(0)=beta, f'(1)=gamma."""
+    return (0.0, beta, 3.0 * alpha - 2.0 * beta - gamma, beta + gamma - 2.0 * alpha)
+
+
 def hermite_f(alpha, beta, gamma) -> Polynomial:
     """The unique cubic with f(0)=0, f(1)=alpha, f'(0)=beta, f'(1)=gamma."""
-    return Polynomial([0.0, beta, 3.0 * alpha - 2.0 * beta - gamma, beta + gamma - 2.0 * alpha])
+    return Polynomial(_hermite_coeffs(alpha, beta, gamma))
 
 
 def q_with_integral(q0, q1, integral) -> Polynomial:
@@ -75,11 +82,31 @@ def q_with_integral(q0, q1, integral) -> Polynomial:
     return hermite_f(integral, q0, q1).deriv()
 
 
-def _abs_max(poly) -> float:
-    """Exact max of |poly| on [0, 1], at an endpoint or a critical point."""
-    # real parts of complex critical points are harmless extra samples
-    s = np.clip(np.concatenate([[0.0, 1.0], poly.deriv().roots().real]), 0.0, 1.0)
-    return float(np.max(np.abs(poly(s))))
+def _leg_coeffs(integral, t0, t1, k, l0):
+    """Coefficient tuples of q = F' and log_tan = l0 - k F for F = hermite_f(integral, t0, t1)."""
+    _, f1, f2, f3 = _hermite_coeffs(integral, t0, t1)
+    return (f1, 2.0 * f2, 3.0 * f3), (l0, -k * f1, -k * f2, -k * f3)
+
+
+def _horner(c, s):
+    """The coefficient tuple c (lowest degree first) at s, in numpy polyval's order."""
+    v = c[-1] + s * 0
+    for ci in c[-2::-1]:
+        v = ci + v * s
+    return v
+
+
+def _abs_max(c) -> float:
+    """Exact max of |p| on [0, 1] for coefficients c of degree <= 3: at 0, 1 or a real root of p'."""
+    _, d0, d1, d2 = (j * cj for j, cj in enumerate((*c, 0.0, 0.0, 0.0)[:4]))  # p' = d0 + d1 s + d2 s^2
+    s = [0.0, 1.0]
+    if d2 == 0.0:
+        s += [-d0 / d1] if d1 != 0.0 else []
+    elif (disc := d1 * d1 - 4.0 * d2 * d0) >= 0.0:  # a negative discriminant leaves p monotone
+        # the stable quadratic formula; t = 0 only for a double root at 0
+        t = -0.5 * (d1 + np.copysign(np.sqrt(disc), d1))
+        s += [t / d2, d0 / t] if t != 0.0 else [0.0]
+    return float(max(abs(_horner(c, min(max(x, 0.0), 1.0))) for x in s))
 
 
 # ---------------------------------------------------------------------------
@@ -108,28 +135,24 @@ class _SubgroupLeg:
 
 
 class _ChartLeg:
-    """The angle-chart construction, possibly in a translated gauge.
+    """The chart leg in a translated gauge, from the coefficient tuples of q and log tan(theta/2)."""
 
-    theta comes from the cubic log_tan(s) = log tan(theta(s)/2).
-    """
-
-    def __init__(self, gauge, phi0, k, qpoly, log_tan):
+    def __init__(self, gauge, phi0, k, q, log_tan):
         self.gauge_inv = conj(gauge)    # undoes the right translation
         self.phi0 = phi0
         self.k = k
-        self.qpoly = qpoly
-        self.dqpoly = qpoly.deriv()
+        self.q = q
         self.log_tan = log_tan
 
     def eval(self, s):
         s = np.asarray(s, dtype=float)
-        qv = self.qpoly(s)
-        ell = self.log_tan(s)
+        qv = _horner(self.q, s)
+        ell = _horner(self.log_tan, s)
         theta = 2.0 * np.arctan(np.exp(ell))
         phi = self.phi0 + self.k * s
         psi = np.arctan(qv)
         dphi = np.full_like(s, self.k)
-        dpsi = self.dqpoly(s) / (1.0 + qv * qv)
+        dpsi = _horner((self.q[1], 2.0 * self.q[2]), s) / (1.0 + qv * qv)
         dtheta = -self.k * qv / np.cosh(ell)
         pts = _point_arrays(phi, psi, theta)
         vel = _velocity_arrays(phi, psi, theta, dphi, dpsi, dtheta)
@@ -222,11 +245,9 @@ def _gauge_candidates():
 _GAUGES = _gauge_candidates()
 
 
-def _gauge_scores(qt):
-    """min(sin(theta), cos(psi)) of translated endpoints, row by row; -inf near poles."""
-    x1, x2, y1, y2 = np.moveaxis(qt, -1, 0)
-    rx = np.hypot(x1, x2)
-    ry = np.hypot(y1, y2)
+def _gauge_scores(qt, rx, ry):
+    """min(sin(theta), cos(psi)) row by row, from qt and its _angle_arrays rx, ry; -inf near poles."""
+    x1, x2, y1, y2 = qt[..., 0], qt[..., 1], qt[..., 2], qt[..., 3]
     with np.errstate(divide="ignore", invalid="ignore"):
         cos_psi = (x1 * y1 + x2 * y2) / (rx * ry)
     near_pole = (rx < 1e-12) | (ry < 1e-12)
@@ -238,12 +259,11 @@ def _single_leg(q_from, q_to):
     arc = _single_arc(q_from, rel)
     if arc is not None:
         return arc, {"route": "subgroup-arc", "angle": arc.angle, "axis": tuple(arc.axis3)}
-    qp = qmul(q_from, _GAUGES)
-    qq = qmul(q_to, _GAUGES)
-    margins = np.minimum(_gauge_scores(qp), _gauge_scores(qq))
     # one array pass over the 32 gauges, row 0 for P and row 1 for Q, with
     # psi wrapped into (-pi, pi] and phi shifted to match
-    phi, psi_raw, theta, _, _ = _angle_arrays(np.stack([qp, qq]))
+    qt = np.stack([qmul(q_from, _GAUGES), qmul(q_to, _GAUGES)])
+    phi, psi_raw, theta, rx, ry = _angle_arrays(qt)
+    margins = _gauge_scores(qt, rx, ry).min(axis=0)
     psi = wrap_angle(psi_raw)
     phi = phi + 2.0 * np.pi * np.round((psi - psi_raw) / (2.0 * np.pi))
     k = phi[1] - phi[0]
@@ -266,17 +286,16 @@ def _single_leg(q_from, q_to):
         order = np.concatenate([[0], order[order != 0]])
     for j in order[:6].tolist():
         kj = float(k[j])
-        fpoly = hermite_f(float(integral[j]), tan_psi[0, j], tan_psi[1, j])
-        qpoly = fpoly.deriv()
-        log_tan = float(np.log(half_tan[0, j])) - kj * fpoly
+        q, log_tan = _leg_coeffs(float(integral[j]), float(tan_psi[0, j]), float(tan_psi[1, j]),
+                                 kj, float(np.log(half_tan[0, j])))
         # exact bounds: sin(theta) >= _POLE_MARGIN along the leg iff |log_tan| <= _LOG_TAN_MAX
-        if _abs_max(qpoly) > QMAX or _abs_max(log_tan) > _LOG_TAN_MAX:
+        if _abs_max(q) > QMAX or _abs_max(log_tan) > _LOG_TAN_MAX:
             continue
         gauge = _GAUGES[idx[j]]
         meta = {
             "route": "chart",
             "k": kj,
-            "q_coeffs": tuple(float(c) for c in qpoly.coef),
+            "q_coeffs": q,
             "q_integral": float(integral[j]),
             "theta0": float(theta[0, j]),
             "theta1": float(theta[1, j]),
@@ -284,7 +303,7 @@ def _single_leg(q_from, q_to):
             "psi1": float(psi[1, j]),
             "gauge": tuple(float(g) for g in gauge),
         }
-        return _ChartLeg(gauge, float(phi0[j]), kj, qpoly, log_tan), meta
+        return _ChartLeg(gauge, float(phi0[j]), kj, q, log_tan), meta
     return None, None
 
 

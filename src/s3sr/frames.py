@@ -139,8 +139,8 @@ def omega_eval(q, v):
     """The one-form omega = x1 dy1 - y1 dx1 + x2 dy2 - y2 dx2 applied to v."""
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
-    x1, x2, y1, y2 = np.moveaxis(q, -1, 0)
-    vx1, vx2, vy1, vy2 = np.moveaxis(v, -1, 0)
+    x1, x2, y1, y2 = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    vx1, vx2, vy1, vy2 = v[..., 0], v[..., 1], v[..., 2], v[..., 3]
     return x1 * vy1 - y1 * vx1 + x2 * vy2 - y2 * vx2
 
 

@@ -49,8 +49,8 @@ def qmul(p, q):
     """
     p = np.asarray(p)
     q = np.asarray(q)
-    pw, px, py, pz = np.moveaxis(p, -1, 0)
-    qw, qx, qy, qz = np.moveaxis(q, -1, 0)
+    pw, px, py, pz = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
+    qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     return np.stack(
         [
             pw * qw - px * qx - py * qy - pz * qz,

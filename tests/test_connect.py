@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 from scipy.integrate import solve_ivp
 
-from s3sr.charts import EulerAngles, from_cartesian, to_cartesian, wrap_angle
+from s3sr.charts import EulerAngles, _angle_arrays, from_cartesian, to_cartesian, wrap_angle
 from s3sr.connect import (
     _GAUGES,
     _K_MIN,
@@ -17,6 +17,8 @@ from s3sr.connect import (
     _ChartLeg,
     _gauge_scores,
     _GluedLeg,
+    _horner,
+    _leg_coeffs,
     _two_arc_legs,
     connect,
     connect_constant_psi,
@@ -276,13 +278,82 @@ def test_exact_leg_bounds_match_dense_sampling(rng):
         interior += bool(np.any(np.abs(log_tan(s)) > max(abs(log_tan(0.0)), abs(log_tan(1.0)))))
         # the QMAX bound: max |q| over [0, 1]
         dense = np.max(np.abs(qpoly(s)))
-        exact = _abs_max(qpoly)
+        exact = _abs_max(qpoly.coef)
         assert dense - 1e-12 <= exact <= dense + 1e-7 * (1.0 + dense)
         # the pole margin: min sin(theta) = 1 / cosh(max |log tan(theta/2)|)
         dense = np.min(np.sin(2.0 * np.arctan(np.exp(log_tan(s)))))
-        exact = 1.0 / np.cosh(_abs_max(log_tan))
+        exact = 1.0 / np.cosh(_abs_max(log_tan.coef))
         assert dense - 1e-7 <= exact <= dense + 1e-12
     assert interior >= 20  # extrema at roots of q inside (0, 1) are exercised
+
+
+def _abs_max_roots(poly):
+    """The bound from Polynomial roots: |poly| at 0, 1 and the clipped critical points."""
+    # real parts of complex critical points are harmless extra samples
+    s = np.clip(np.concatenate([[0.0, 1.0], poly.deriv().roots().real]), 0.0, 1.0)
+    return float(np.max(np.abs(poly(s))))
+
+
+def test_leg_coefficient_tuples_match_polynomial_path():
+    rng = np.random.default_rng(77)
+    s = np.linspace(0.0, 1.0, 64)
+    zero_coeffs = 0
+    for n in range(1200):
+        if n % 3 == 0:
+            # entries from a small set, so that Hermite coefficients vanish exactly
+            integral, t0, t1, l0 = rng.choice([0.0, -0.0, 0.5, 1.0, -1.0, 2.0], 4).tolist()
+        else:
+            integral, t0, t1, l0 = rng.uniform(-5.0, 5.0, 4).tolist()
+        k = (-1.0) ** n * 10.0 ** rng.uniform(-7.0, 1.2)
+        q, log_tan = _leg_coeffs(integral, t0, t1, k, l0)
+        fpoly = hermite_f(integral, t0, t1)
+        qpoly, lpoly = fpoly.deriv(), l0 - k * fpoly
+        zero_coeffs += 0.0 in fpoly.coef[1:]
+        assert np.array(q).tobytes() == qpoly.coef.tobytes()
+        # numpy trims trailing zeros and can flip the sign of an exact zero;
+        # log_tan reaches the curve only through exp, cosh and |.|, where that sign is lost
+        assert np.array_equal(log_tan, np.pad(lpoly.coef, (0, 4 - lpoly.coef.size)))
+        assert _horner(q, s).tobytes() == qpoly(s).tobytes()
+        assert _horner((q[1], 2.0 * q[2]), s).tobytes() == qpoly.deriv()(s).tobytes()
+        ell, ell_ref = _horner(log_tan, s), lpoly(s)
+        assert np.exp(ell).tobytes() == np.exp(ell_ref).tobytes()
+        assert np.cosh(ell).tobytes() == np.cosh(ell_ref).tobytes()
+    assert zero_coeffs >= 100
+
+
+@pytest.mark.parametrize(
+    "coef",
+    [
+        (0.0, 1.0, -1.0, 0.0),            # zero leading coefficient: max 1/4 at the root of p' = 1 - 2s
+        (0.0, 1.0, -1.0),                 # the quadratic s - s^2, root -c1/(2 c2) = 1/2
+        (0.3, 0.7, 0.0, 0.0),             # p' constant
+        (0.0, 0.0, 0.0, 0.0),             # all zero
+        (0.0, 0.0, 0.0),
+        (-0.125, 0.75, -1.5, 1.0),        # (s - 1/2)^3: double root of p' at 1/2
+        (0.0, 0.0, 0.0, -2.0),            # -2 s^3: double root at 0
+        (1.0, 2.0, 1.0, 1.0),             # negative discriminant
+        (0.0, 1.0, 0.0, 1.0),
+        (0.0, 4.0, -1.0),                 # critical point 2, outside [0, 1]
+        (0.0, -9.0, -3.0, 1.0),           # critical points -1 and 3
+        (0.2, -0.5, 1e-9, 0.25),          # critical points 0.8165 and ~ -0.8165
+        (0.0, -1.0, 5e7, 1.0 / 3.0),      # b^2 >> 4ac: roots ~ 1e-8 and -1e8
+        (1e-3, 1e-3, -5e7, 1.0 / 3.0),    # roots ~ 1e-11 and 1e8
+        (0.0, 1.0, 2.0, -3.0),            # max at the root t / d2 of the stable formula
+        (0.0, 1.0, -2.0, 1.0),            # s (1 - s)^2: max 4/27 at the root d0 / t = 1/3
+    ],
+)
+def test_closed_form_abs_max_matches_roots_reference(coef):
+    exact = _abs_max(coef)
+    assert type(exact) is float
+    ref = _abs_max_roots(Polynomial(coef))
+    assert abs(exact - ref) <= 1e-14 * ref
+
+
+def test_closed_form_abs_max_matches_roots_reference_random(rng):
+    for n in range(2000):
+        coef = rng.standard_normal(3 + n % 2) * 10.0 ** rng.uniform(-3.0, 3.0, 3 + n % 2)
+        ref = _abs_max_roots(Polynomial(coef))
+        assert abs(_abs_max(tuple(coef.tolist())) - ref) <= 1e-14 * ref
 
 
 def _scalar_gauge_score(qt):
@@ -309,8 +380,9 @@ def test_batched_gauge_scores_match_scalar_scores(rng):
     for p in pts:
         qt = qmul(p, _GAUGES)
         ref = [_scalar_gauge_score(row) for row in qt]
-        assert np.array_equal(_gauge_scores(qt), ref)
-    assert _gauge_scores(qmul(pts[-1], _GAUGES))[0] == -np.inf
+        assert np.array_equal(_gauge_scores(qt, *_angle_arrays(qt)[3:]), ref)
+    qt = qmul(pts[-1], _GAUGES)
+    assert _gauge_scores(qt, *_angle_arrays(qt)[3:])[0] == -np.inf
 
 
 def _principal(e):
@@ -344,7 +416,7 @@ def _chart_data(qp, qq, margin):
 def _reference_leg(p, q):
     """Gauge selection candidate by candidate: (leg, gauge index or None, attempts)."""
     qp, qq = qmul(p, _GAUGES), qmul(q, _GAUGES)
-    margins = np.minimum(_gauge_scores(qp), _gauge_scores(qq))
+    margins = np.minimum([_scalar_gauge_score(r) for r in qp], [_scalar_gauge_score(r) for r in qq])
     candidates = []
     for idx in np.flatnonzero(margins >= _SCORE_MIN).tolist():
         data = _chart_data(qp[idx], qq[idx], float(margins[idx]))
@@ -364,8 +436,8 @@ def _reference_leg(p, q):
         fpoly = hermite_f(d["integral"], d["t0"], d["t1"])
         qpoly = fpoly.deriv()
         log_tan = float(np.log(np.tan(0.5 * d["theta0"]))) - d["k"] * fpoly
-        if _abs_max(qpoly) <= QMAX and _abs_max(log_tan) <= _LOG_TAN_MAX:
-            return _ChartLeg(_GAUGES[idx], d["phi0"], d["k"], qpoly, log_tan), idx, attempts
+        if _abs_max_roots(qpoly) <= QMAX and _abs_max_roots(log_tan) <= _LOG_TAN_MAX:
+            return _ChartLeg(_GAUGES[idx], d["phi0"], d["k"], qpoly.coef, log_tan.coef), idx, attempts
     leg_a, leg_b, _ = _two_arc_legs(p, qmul(conj(p), q))
     return _GluedLeg(leg_a, leg_b), None, attempts
 
@@ -387,6 +459,46 @@ def test_gauge_selection_matches_per_candidate_reference():
     # an identity-kept gauge, a translated one, legs found on attempts 3 and 5,
     # and the two-arc fallback after six failed attempts
     assert {("identity", 1), ("translated", 1), ("translated", 3), ("translated", 5), ("two-arc", 6)} <= seen
+
+
+def _guard_pairs(rng):
+    """Uniform, pole, antipodal, coincident and k ~ 0 endpoint pairs."""
+    pairs = [tuple(random_unit(rng, 2)) for _ in range(80)]
+    for _ in range(40):
+        phi, psi = rng.uniform(-np.pi, np.pi, 2)
+        gap = 10.0 ** rng.uniform(-12.0, -3.0)
+        theta = gap if rng.random() < 0.5 else np.pi - gap
+        pairs.append((random_unit(rng), to_cartesian(EulerAngles(phi, psi, theta))))
+    pairs += [(p, -p) for p in random_unit(rng, 30)]
+    pairs += [(p, p.copy()) for p in random_unit(rng, 30)]
+    for _ in range(40):
+        phi, psi0, psi1 = rng.uniform(-np.pi, np.pi, 3)
+        theta0, theta1 = rng.uniform(0.1, np.pi - 0.1, 2)
+        k = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -7.0)
+        pairs.append((EulerAngles(phi, psi0, theta0), EulerAngles(phi + k, psi1, theta1)))
+    return pairs
+
+
+def test_connect_builds_no_polynomial_and_calls_no_moveaxis(monkeypatch):
+    counts = {"Polynomial": 0, "moveaxis": 0}
+    init, moveaxis = Polynomial.__init__, np.moveaxis
+
+    def counting_init(self, *args, **kwargs):
+        counts["Polynomial"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_moveaxis(*args, **kwargs):
+        counts["moveaxis"] += 1
+        return moveaxis(*args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counting_init)
+    monkeypatch.setattr(np, "moveaxis", counting_moveaxis)
+    routes = {connect(p, q, n=32).meta["route"] for p, q in _guard_pairs(np.random.default_rng(5))}
+    assert routes == {"chart", "two-arc", "subgroup-arc", "constant"}
+    assert counts == {"Polynomial": 0, "moveaxis": 0}
+    # the counters see what they guard against
+    hermite_f(1.0, 0.0, 0.0).deriv()
+    assert counts["Polynomial"] == 2 and counts["moveaxis"] >= 1
 
 
 def test_import_leaves_scipy_integrate_unloaded():

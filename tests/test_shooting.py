@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from s3sr.geodesics import (
     GeodesicParams,
@@ -291,3 +293,28 @@ def test_dense_scan_finds_only_the_returned_geodesic():
         [(lo, hi, branch)] = _scan_roots(qmul(conj(P), Q))
         assert lo - 1e-12 <= sigma <= hi + 1e-12
         assert (rho <= np.pi / 2.0 + 1e-9) if branch == 1 else (rho >= np.pi / 2.0 - 1e-9)
+
+
+_COMPONENT = st.floats(-1.0, 1.0)
+_UNIT = (
+    st.tuples(_COMPONENT, _COMPONENT, _COMPONENT, _COMPONENT)
+    .map(np.array)
+    .filter(lambda v: np.linalg.norm(v) >= 0.1)
+    .map(lambda v: v / np.linalg.norm(v))
+)
+
+
+@given(_UNIT, _UNIT, _UNIT, _UNIT)
+@settings(max_examples=50, derandomize=True, deadline=None)
+def test_shoot_distance_properties(P, Q, R, g):
+    """T(P, Q) is symmetric, left-invariant, at most pi and obeys the triangle inequality."""
+    cheap = ShootingConfig(curve_step=0.5)  # T comes before the curve; the curve is not under test
+
+    def dist(a, b):
+        return shoot(a, b, cheap).T
+
+    T = dist(P, Q)
+    assert T <= np.pi
+    assert abs(dist(Q, P) - T) <= 1e-12
+    assert abs(dist(qmul(g, P), qmul(g, Q)) - T) <= 1e-12
+    assert T <= dist(P, R) + dist(R, Q) + 1e-12
