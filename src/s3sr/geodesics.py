@@ -13,23 +13,28 @@ order to four (pass order=2 for the plain midpoint scheme).  The
 controls do not depend on q, so the exponentials of a block of steps
 come from one vectorized qexp_pure call; the product chain itself runs
 step by step, left to right, on Python floats (a tree-shaped product
-reorders the rounding and drifts |q| further).
+reorders the rounding and drifts |q| further).  Each step is one loop
+body: order 4 writes its three substep products out one after another.
 
 The same flow also arises from the Hamiltonian
 
     H(q, xi) = ( <q I1, xi>^2 + <q I3, xi>^2 ) / 2
 
 integrated here with a classical fourth-order one-step method on the
-pair (q, xi): its right-hand side, the four stage inputs and the update
-are unrolled on eight named Python floats, one row written per step.
-Matching initial data must place -lambda in the <q I2, .> component of
-the costate; the component along q itself is pure gauge.  The checks
-at the bottom verify energy, horizontality and the linear law for the
-angle between the velocity and the frame.
+pair (q, xi): the right-hand side is written out inline for each of the
+four stages, with the stage inputs and the update, on named Python
+floats.  Both integrators collect a block of rows in a list and write
+it to numpy at once, and keep the float operations of a per-substep,
+per-stage loop in their order, so trajectories are bit for bit those
+of that loop.  Matching initial data must place -lambda in the
+<q I2, .> component of the costate; the component along q itself is
+pure gauge.  The checks at the bottom verify energy, horizontality and
+the linear law for the angle between the velocity and the frame.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +61,9 @@ _COMP4_A = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _COMP4_B = 1.0 - 2.0 * _COMP4_A
 _COMP_WEIGHTS = {2: (1.0,), 4: (_COMP4_A, _COMP4_B, _COMP4_A)}
 
-# steps per qexp_pure call in integrate_geodesic; it also bounds the
-# Python lists of exponentials held at once (a whole long horizon would
-# cost several MB)
+# steps per qexp_pure call in integrate_geodesic and per numpy row write
+# in both integrators; it also bounds the Python lists held at once (a
+# whole long horizon would cost several MB)
 _BLOCK = 1024
 
 
@@ -71,6 +76,8 @@ class GeodesicParams:
     lam: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.r, self.theta0, self.lam))):
+            raise ValueError("r, theta0 and lambda must be finite")
         if self.r < 0.0:
             raise ValueError("speed r must be non-negative")
 
@@ -105,6 +112,18 @@ def geodesic_point(q0, params: GeodesicParams, s):
     return qmul(left, qmul(core, right))
 
 
+def _grid(T, h):
+    """(nsteps, dt): the horizon T cut into equal steps of about h."""
+    if not (math.isfinite(T) and math.isfinite(h)):
+        raise ValueError("horizon T and step h must be finite")
+    if h <= 0.0:
+        raise ValueError("step h must be positive")
+    if T < 0.0:
+        raise ValueError("horizon T must be non-negative")
+    nsteps = max(1, int(round(T / h))) if T > 0.0 else 0
+    return nsteps, (T / nsteps if nsteps else 0.0)
+
+
 def integrate_geodesic(q0, params: GeodesicParams, T, h, order=4) -> SampledCurve:
     """Integrate q' = q * (-a(s) i - b(s) k) from q0 over [0, T].
 
@@ -113,17 +132,12 @@ def integrate_geodesic(q0, params: GeodesicParams, T, h, order=4) -> SampledCurv
     stay unit without renormalization and the stored velocities are the
     analytic a(s) X + b(s) Y.
     """
-    if h <= 0.0:
-        raise ValueError("step h must be positive")
-    if T < 0.0:
-        raise ValueError("horizon T must be non-negative")
+    nsteps, dt = _grid(T, h)
     q0 = check_unit(np.asarray(q0, dtype=float), what="initial point")
     weights = _COMP_WEIGHTS.get(order)
     if weights is None:
         raise ValueError("order must be 2 or 4")
 
-    nsteps = max(1, int(round(T / h))) if T > 0.0 else 0
-    dt = T / nsteps if nsteps else 0.0
     pts = np.empty((nsteps + 1, 4))
     pts[0] = q0
     w, x, y, z = q0.tolist()
@@ -138,17 +152,41 @@ def integrate_geodesic(q0, params: GeodesicParams, T, h, order=4) -> SampledCurv
             t += c * dt
         a, b = ab_profile(params, mids)
         v = np.stack([-a * coef * dt, np.zeros_like(a), -b * coef * dt], axis=-1)
-        exps = qexp_pure(v).tolist()
-        rows = []
-        for step in exps:
-            for ew, ex, ey, ez in step:
+        # one row per step: the step's exponentials side by side
+        exps = qexp_pure(v).reshape(-1, 4 * len(weights)).tolist()
+        rows = [None] * len(exps)
+        # q <- q * e written out; ey is 0, but its terms stay so the
+        # rounding (and the sign of zero) is that of a full product
+        if order == 4:
+            for i, (aw, ax, ay, az, bw, bx, by, bz, cw, cx, cy, cz) in enumerate(exps):
+                w, x, y, z = (
+                    w * aw - x * ax - y * ay - z * az,
+                    w * ax + x * aw + y * az - z * ay,
+                    w * ay + y * aw + z * ax - x * az,
+                    w * az + z * aw + x * ay - y * ax,
+                )
+                w, x, y, z = (
+                    w * bw - x * bx - y * by - z * bz,
+                    w * bx + x * bw + y * bz - z * by,
+                    w * by + y * bw + z * bx - x * bz,
+                    w * bz + z * bw + x * by - y * bx,
+                )
+                w, x, y, z = (
+                    w * cw - x * cx - y * cy - z * cz,
+                    w * cx + x * cw + y * cz - z * cy,
+                    w * cy + y * cw + z * cx - x * cz,
+                    w * cz + z * cw + x * cy - y * cx,
+                )
+                rows[i] = (w, x, y, z)
+        else:
+            for i, (ew, ex, ey, ez) in enumerate(exps):
                 w, x, y, z = (
                     w * ew - x * ex - y * ey - z * ez,
                     w * ex + x * ew + y * ez - z * ey,
                     w * ey + y * ew + z * ex - x * ez,
                     w * ez + z * ew + x * ey - y * ex,
                 )
-            rows.append((w, x, y, z))
+                rows[i] = (w, x, y, z)
         pts[start + 1 : stop + 1] = rows
 
     s = np.arange(nsteps + 1) * dt
@@ -200,70 +238,106 @@ def match_costate(q0, params: GeodesicParams):
     return -a0 * (q0 @ I1) - b0 * (q0 @ I3) - params.lam * (q0 @ I2)
 
 
-def _hamiltonian_rhs(w, x, y, z, a, b, c, d):
-    """(q', xi') on floats for q = (w, x, y, z), xi = (a, b, c, d).
-
-    With p1 = <q I1, xi> and p3 = <q I3, xi>: q' = p1 q I1 + p3 q I3 and
-    xi' = p1 xi I1 + p3 xi I3, where q I1 = (-x, w, z, -y) and
-    q I3 = (-z, y, -x, w).
-    """
-    p1 = w * b - x * a + z * c - y * d
-    p3 = w * d - z * a + y * b - x * c
-    return (
-        -p1 * x - p3 * z,
-        p1 * w + p3 * y,
-        p1 * z - p3 * x,
-        -p1 * y + p3 * w,
-        -p1 * b - p3 * d,
-        p1 * a + p3 * c,
-        p1 * d - p3 * b,
-        -p1 * c + p3 * a,
-    )
-
-
 def integrate_hamiltonian(q0, xi0, T, h) -> HamiltonianTrajectory:
-    """Classical 4th-order one-step integration of the Hamiltonian system."""
-    if h <= 0.0:
-        raise ValueError("step h must be positive")
-    if T < 0.0:
-        raise ValueError("horizon T must be non-negative")
+    """Classical 4th-order one-step integration of the Hamiltonian system.
+
+    The right-hand side at (q, xi) = (w, x, y, z, a, b, c, d) is, with
+    p1 = <q I1, xi> and p3 = <q I3, xi>,
+
+        q' = p1 q I1 + p3 q I3,   xi' = p1 xi I1 + p3 xi I3,
+
+    where q I1 = (-x, w, z, -y) and q I3 = (-z, y, -x, w).
+    """
+    nsteps, dt = _grid(T, h)
     q0 = np.asarray(q0, dtype=float)
     xi0 = np.asarray(xi0, dtype=float)
-    nsteps = max(1, int(round(T / h))) if T > 0.0 else 0
-    dt = T / nsteps if nsteps else 0.0
     half = 0.5 * dt
     sixth = dt / 6.0
     ys = np.empty((nsteps + 1, 8))
     ys[0, :4] = q0
     ys[0, 4:] = xi0
     w, x, y, z, a, b, c, d = ys[0].tolist()
-    rhs = _hamiltonian_rhs
-    # the stages are unrolled on named floats (a zip over lists per stage
-    # costs more than the arithmetic); each expression keeps the order of
-    # u + half*k, u + dt*k and u + sixth*(k1 + 2 k2 + 2 k3 + k4)
-    for i in range(nsteps):
-        k1w, k1x, k1y, k1z, k1a, k1b, k1c, k1d = rhs(w, x, y, z, a, b, c, d)
-        k2w, k2x, k2y, k2z, k2a, k2b, k2c, k2d = rhs(
-            w + half * k1w, x + half * k1x, y + half * k1y, z + half * k1z,
-            a + half * k1a, b + half * k1b, c + half * k1c, d + half * k1d,
-        )
-        k3w, k3x, k3y, k3z, k3a, k3b, k3c, k3d = rhs(
-            w + half * k2w, x + half * k2x, y + half * k2y, z + half * k2z,
-            a + half * k2a, b + half * k2b, c + half * k2c, d + half * k2d,
-        )
-        k4w, k4x, k4y, k4z, k4a, k4b, k4c, k4d = rhs(
-            w + dt * k3w, x + dt * k3x, y + dt * k3y, z + dt * k3z,
-            a + dt * k3a, b + dt * k3b, c + dt * k3c, d + dt * k3d,
-        )
-        w = w + sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        z = z + sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-        a = a + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        b = b + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        c = c + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
-        d = d + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        ys[i + 1] = (w, x, y, z, a, b, c, d)
+    # each step is one straight-line block: the four right-hand sides
+    # written out on named floats, with the stage inputs u + half*k,
+    # u + dt*k and the update u + sixth*(k1 + 2 k2 + 2 k3 + k4)
+    for start in range(0, nsteps, _BLOCK):
+        stop = min(start + _BLOCK, nsteps)
+        rows = [None] * (stop - start)
+        for i in range(stop - start):
+            p1 = w * b - x * a + z * c - y * d
+            p3 = w * d - z * a + y * b - x * c
+            k1w = -p1 * x - p3 * z
+            k1x = p1 * w + p3 * y
+            k1y = p1 * z - p3 * x
+            k1z = -p1 * y + p3 * w
+            k1a = -p1 * b - p3 * d
+            k1b = p1 * a + p3 * c
+            k1c = p1 * d - p3 * b
+            k1d = -p1 * c + p3 * a
+            sw = w + half * k1w
+            sx = x + half * k1x
+            sy = y + half * k1y
+            sz = z + half * k1z
+            sa = a + half * k1a
+            sb = b + half * k1b
+            sc = c + half * k1c
+            sd = d + half * k1d
+            p1 = sw * sb - sx * sa + sz * sc - sy * sd
+            p3 = sw * sd - sz * sa + sy * sb - sx * sc
+            k2w = -p1 * sx - p3 * sz
+            k2x = p1 * sw + p3 * sy
+            k2y = p1 * sz - p3 * sx
+            k2z = -p1 * sy + p3 * sw
+            k2a = -p1 * sb - p3 * sd
+            k2b = p1 * sa + p3 * sc
+            k2c = p1 * sd - p3 * sb
+            k2d = -p1 * sc + p3 * sa
+            sw = w + half * k2w
+            sx = x + half * k2x
+            sy = y + half * k2y
+            sz = z + half * k2z
+            sa = a + half * k2a
+            sb = b + half * k2b
+            sc = c + half * k2c
+            sd = d + half * k2d
+            p1 = sw * sb - sx * sa + sz * sc - sy * sd
+            p3 = sw * sd - sz * sa + sy * sb - sx * sc
+            k3w = -p1 * sx - p3 * sz
+            k3x = p1 * sw + p3 * sy
+            k3y = p1 * sz - p3 * sx
+            k3z = -p1 * sy + p3 * sw
+            k3a = -p1 * sb - p3 * sd
+            k3b = p1 * sa + p3 * sc
+            k3c = p1 * sd - p3 * sb
+            k3d = -p1 * sc + p3 * sa
+            sw = w + dt * k3w
+            sx = x + dt * k3x
+            sy = y + dt * k3y
+            sz = z + dt * k3z
+            sa = a + dt * k3a
+            sb = b + dt * k3b
+            sc = c + dt * k3c
+            sd = d + dt * k3d
+            p1 = sw * sb - sx * sa + sz * sc - sy * sd
+            p3 = sw * sd - sz * sa + sy * sb - sx * sc
+            k4w = -p1 * sx - p3 * sz
+            k4x = p1 * sw + p3 * sy
+            k4y = p1 * sz - p3 * sx
+            k4z = -p1 * sy + p3 * sw
+            k4a = -p1 * sb - p3 * sd
+            k4b = p1 * sa + p3 * sc
+            k4c = p1 * sd - p3 * sb
+            k4d = -p1 * sc + p3 * sa
+            w = w + sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+            x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            z = z + sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+            a = a + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+            b = b + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+            c = c + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
+            d = d + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+            rows[i] = (w, x, y, z, a, b, c, d)
+        ys[start + 1 : stop + 1] = rows
     s = np.arange(nsteps + 1) * dt
     return HamiltonianTrajectory(s, ys[:, :4], ys[:, 4:])
 

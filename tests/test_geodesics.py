@@ -1,10 +1,11 @@
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from s3sr.curves import SampledCurve, omega_fd_residuals
-from s3sr.frames import components, frame_at, omega_eval
+from s3sr.frames import I1, I3, components, frame_at, omega_eval
 from s3sr.geodesics import (
     _BLOCK,
     _COMP_WEIGHTS,
@@ -14,6 +15,8 @@ from s3sr.geodesics import (
     angle_profile,
     geodesic_point,
     integrate_geodesic,
+    integrate_hamiltonian,
+    match_costate,
     verify_velocity_energy,
 )
 from s3sr.quaternions import QUAT_J, qexp_pure, qmul
@@ -60,6 +63,13 @@ def test_params_reject_negative_speed():
         GeodesicParams(-1.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_params_reject_non_finite_values(bad):
+    for args in ((bad, 0.0, 0.0), (1.0, bad, 0.0), (1.0, 0.0, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            GeodesicParams(*args)
+
+
 def test_integrator_argument_checks():
     with pytest.raises(ValueError):
         integrate_geodesic(ONE, GeodesicParams(1, 0, 0), 1.0, 0.0)
@@ -69,6 +79,10 @@ def test_integrator_argument_checks():
         integrate_geodesic([1, 1, 0, 0], GeodesicParams(1, 0, 0), 1.0, 0.1)
     with pytest.raises(ValueError):
         integrate_geodesic(ONE, GeodesicParams(1, 0, 0), 1.0, 0.1, order=3)
+    # unchecked, inf / h would overflow int() and a nan horizon would give one sample
+    for T, h in ((np.inf, 1e-3), (np.nan, 1e-3), (1.0, np.inf), (1.0, np.nan), (-np.inf, 1e-3)):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_geodesic(ONE, GeodesicParams(1, 0, 0), T, h)
 
 
 def test_zero_horizon_single_sample():
@@ -142,6 +156,95 @@ def test_blocked_engine_matches_per_step_loop(order, nsteps):
     ref = _reference_geodesic(q0, p, nsteps * h, h, order)
     assert c.points.shape == ref.shape == (nsteps + 1, 4)
     assert np.max(np.abs(c.points - ref)) <= 1e-13
+
+
+def _nested_loop_geodesic(q0, params, T, h, order):
+    """The blocked engine with its substeps chained by a loop nested in the step loop."""
+    weights = _COMP_WEIGHTS[order]
+    nsteps = max(1, int(round(T / h))) if T > 0.0 else 0
+    dt = T / nsteps if nsteps else 0.0
+    pts = np.empty((nsteps + 1, 4))
+    pts[0] = q0
+    w, x, y, z = np.asarray(q0, dtype=float).tolist()
+    coef = np.asarray(weights)
+    for start in range(0, nsteps, _BLOCK):
+        stop = min(start + _BLOCK, nsteps)
+        t = np.arange(start, stop) * dt
+        mids = np.empty((stop - start, len(weights)))
+        for j, c in enumerate(weights):
+            mids[:, j] = t + 0.5 * c * dt
+            t += c * dt
+        a, b = ab_profile(params, mids)
+        v = np.stack([-a * coef * dt, np.zeros_like(a), -b * coef * dt], axis=-1)
+        rows = []
+        for step in qexp_pure(v).tolist():
+            for ew, ex, ey, ez in step:
+                w, x, y, z = (
+                    w * ew - x * ex - y * ey - z * ez,
+                    w * ex + x * ew + y * ez - z * ey,
+                    w * ey + y * ew + z * ex - x * ez,
+                    w * ez + z * ew + x * ey - y * ex,
+                )
+            rows.append((w, x, y, z))
+        pts[start + 1 : stop + 1] = rows
+    a, b = ab_profile(params, np.arange(nsteps + 1) * dt)
+    return pts, a[:, None] * (-(pts @ I1)) + b[:, None] * (-(pts @ I3))
+
+
+def _assert_same_bits(x, y):
+    assert np.array_equal(x, y)
+    assert np.array_equal(np.signbit(x), np.signbit(y))  # array_equal has -0.0 == 0.0
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("nsteps", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 5000])
+def test_unrolled_chain_matches_nested_loop_bit_for_bit(order, nsteps):
+    rng = np.random.default_rng(100 * nsteps + order)
+    # the axis points make exact zeros, whose signs the products must keep too
+    axes = [sign * row for row in np.eye(4) for sign in (1.0, -1.0)]
+    h = 1e-3
+    for q0 in [random_unit(rng), random_unit(rng)] + axes:
+        for r in (0.0, 1.3):
+            p = GeodesicParams(r, rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-1.0, 1.0))
+            c = integrate_geodesic(q0, p, nsteps * h, h, order=order)
+            pts, vel = _nested_loop_geodesic(q0, p, nsteps * h, h, order)
+            assert c.points.shape == (nsteps + 1, 4)
+            _assert_same_bits(c.points, pts)
+            _assert_same_bits(c.velocities, vel)
+
+
+def _profiled_calls(fn, *args, **kwargs):
+    """Python-level and C calls made while fn runs, counted by a profile hook."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(count)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("integrator", ["geodesic-4", "geodesic-2", "hamiltonian"])
+def test_integrator_loops_make_no_per_step_calls(integrator):
+    # T=2 and T=4 at h=1e-3 are 2 and 4 blocks of at most _BLOCK steps.  A call of a
+    # Python function or builtin put back into the step loop adds 2,000 calls; the
+    # numpy work of a block makes about 40.  (Calls of types, such as tuple(), are
+    # not profile events.)
+    p = GeodesicParams(1.0, 0.3, 0.7)
+    h = 1e-3
+
+    def run(T):
+        if integrator == "hamiltonian":
+            return _profiled_calls(integrate_hamiltonian, ONE, match_costate(ONE, p), T, h)
+        return _profiled_calls(integrate_geodesic, ONE, p, T, h, order=int(integrator[-1]))
+
+    extra_blocks = 2
+    assert 0 <= run(4.0) - run(2.0) <= 64 * extra_blocks
 
 
 def test_engine_memory_stays_blocked():

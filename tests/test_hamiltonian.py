@@ -5,8 +5,8 @@ import pytest
 
 from s3sr.frames import I1, I2, I3
 from s3sr.geodesics import (
+    _BLOCK,
     GeodesicParams,
-    _hamiltonian_rhs,
     geodesic_point,
     integrate_geodesic,
     integrate_hamiltonian,
@@ -29,6 +29,9 @@ def test_argument_checks():
         integrate_hamiltonian(ONE, np.zeros(4), 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate_hamiltonian(ONE, np.zeros(4), -1.0, 1e-2)
+    for T, h in ((np.inf, 1e-2), (np.nan, 1e-2), (1.0, np.inf), (1.0, np.nan), (-np.inf, 1e-2)):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_hamiltonian(ONE, np.zeros(4), T, h)
 
 
 def test_match_costate_pairings(rng):
@@ -85,8 +88,30 @@ def test_float_rhs_matches_numpy_reference(rng):
     assert np.array_equal(traj.s, np.arange(5001) * 1e-3)
 
 
+def _hamiltonian_rhs(w, x, y, z, a, b, c, d):
+    """(q', xi') on floats for q = (w, x, y, z), xi = (a, b, c, d).
+
+    With p1 = <q I1, xi> and p3 = <q I3, xi>: q' = p1 q I1 + p3 q I3 and
+    xi' = p1 xi I1 + p3 xi I3, where q I1 = (-x, w, z, -y) and
+    q I3 = (-z, y, -x, w).
+    """
+    p1 = w * b - x * a + z * c - y * d
+    p3 = w * d - z * a + y * b - x * c
+    return (
+        -p1 * x - p3 * z,
+        p1 * w + p3 * y,
+        p1 * z - p3 * x,
+        -p1 * y + p3 * w,
+        -p1 * b - p3 * d,
+        p1 * a + p3 * c,
+        p1 * d - p3 * b,
+        -p1 * c + p3 * a,
+    )
+
+
 def _list_stage_hamiltonian(q0, xi0, T, h):
-    """The float RK4 with its stage inputs and update built by list comprehensions over zip."""
+    """The float RK4 with its right-hand side as a function and its stage inputs and update
+    built by list comprehensions over zip, one row written per step."""
     nsteps = max(1, int(round(T / h))) if T > 0.0 else 0
     dt = T / nsteps if nsteps else 0.0
     half = 0.5 * dt
@@ -105,7 +130,7 @@ def _list_stage_hamiltonian(q0, xi0, T, h):
     return ys
 
 
-@pytest.mark.parametrize("nsteps", [0, 1, 5000])
+@pytest.mark.parametrize("nsteps", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 5000])
 def test_unrolled_stages_match_list_stages_bit_for_bit(nsteps):
     rng = np.random.default_rng(nsteps)
     q0 = random_unit(rng)

@@ -178,6 +178,27 @@ def test_cli_rejects_bad_common_options(tmp_path):
                "--tol", "-1", "--out", out) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["geodesic", "--q0", "1,0,0,0", "--T", "inf"],
+        ["hamiltonian", "--q0", "1,0,0,0", "--T", "inf"],
+        ["geodesic", "--q0", "1,0,0,0", "--T", "nan"],
+        ["geodesic", "--q0", "1,0,0,0", "--T", "1", "--lambda", "nan"],
+        ["hamiltonian", "--q0", "1,0,0,0", "--T", "1", "--r", "inf"],
+        ["geodesic", "--q0", "1,0,0,0", "--T", "1", "--theta0", "nan"],
+    ],
+)
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, argv):
+    # exit 1 is the code of a failed check, and a one-row or all-NaN curve is no result
+    out = tmp_path / "x.csv"
+    assert run(*argv, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "finite" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_geodesic(tmp_path, capsys):
     out = tmp_path / "geo.csv"
     code = run(

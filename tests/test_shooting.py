@@ -227,6 +227,59 @@ def test_near_start_vertical_offsets(rng):
             assert abs(r.T - np.sqrt(2.0 * np.pi * eps - eps * eps)) <= 1e-9
 
 
+_AXES = [sign * row for row in np.eye(4) for sign in (1.0, -1.0)]
+
+
+@given(st.sampled_from(_AXES), st.floats(0.0, np.pi, exclude_min=True))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_vertical_circle_length_closed_form(P, eps):
+    """shoot(P, P exp(eps j)) has T = sqrt(2 pi eps - eps^2) on all of (0, pi].
+
+    From P = +-1, +-i, +-j, +-k the product conj(P) Q is exact, so m = 0
+    and the vertical closed form is taken.  From a generic P the rounding
+    of rel (~1e-16) alone moves T by about pi 1e-16 / T, over 1e-12 for
+    eps below ~1e-7; the sweep below covers generic P away from 0.
+    Targets within 1e-12 of P are coincident by design: T = 0.
+    """
+    Q = qmul(P, qexp_pure([0.0, eps, 0.0]))
+    r = shoot(P, Q, ShootingConfig(curve_step=0.5))
+    if np.linalg.norm(P - Q) < 1e-12:
+        assert r.meta["case"] == "trivial" and r.T == 0.0
+    else:
+        assert r.meta["case"] == "vertical"
+        assert abs(r.T - np.sqrt(2.0 * np.pi * eps - eps * eps)) <= 1e-12
+
+
+def test_vertical_circle_length_rises_with_offset(rng):
+    eps = np.linspace(0.0, np.pi, 1001)[1:]
+    for P in (ONE, random_unit(rng)):
+        T = np.array([shoot(P, qmul(P, qexp_pure([0.0, e, 0.0])), ShootingConfig(curve_step=0.5)).T
+                      for e in eps])
+        assert np.all(np.diff(T) > 0.0)
+        assert np.max(np.abs(T - np.sqrt(2.0 * np.pi * eps - eps * eps))) <= 1e-12
+
+
+def test_zero_z_targets_take_the_m1_closed_form():
+    """|z| = 0, i.e. Q = P (cos chi i + sin chi k): rho = pi/2, lam = 0, no bisection.
+
+    From the axis points rel is exact, and some of its zeros are -0.0:
+    rel = (-0.0, ., 0.0, .) gives arg z = atan2(0.0, -0.0) = pi, not 0, and
+    must still land on T = pi/2.
+    """
+    through_pi = 0
+    for P in _AXES:
+        for chi in (0.0, 0.3, 0.5 * np.pi, 2.0, np.pi, -1.0, -0.5 * np.pi):
+            Q = qmul(P, np.array([0.0, np.cos(chi), 0.0, np.sin(chi)]))
+            rel = qmul(conj(P), Q)
+            through_pi += np.arctan2(rel[2], rel[0]) == np.pi
+            r = shoot(P, Q)
+            _assert_solved(r, Q)
+            assert r.meta["case"] == "m=1" and r.meta["bisections"] == 0
+            assert r.T == np.pi / 2.0
+            assert r.params.lam == 0.0
+    assert through_pi >= 4
+
+
 def test_target_within_1e12_of_start(rng):
     for d in (5e-13, 1e-12, 2e-12):
         P = random_unit(rng)
