@@ -18,8 +18,6 @@ from .connect import (
     ConstructionError,
     connect,
     connect_constant_psi,
-    hermite_f,
-    q_with_integral,
 )
 from .curves import SampledCurve, fd_velocities, omega_fd_residuals
 from .frames import (

@@ -8,15 +8,15 @@ Exit codes: 0 success, 2 usage or parse error, 3 construction failure,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .charts import EulerAngles, from_cartesian, to_cartesian
 from .connect import ConstructionError, connect
-from .curves import SampledCurve, fd_velocities, omega_fd_residuals, unit_norm_error
-from .frames import frame_at
+from .curves import SampledCurve, fd_velocities, unit_norm_error
+from .frames import frame_at, omega_eval
 from .geodesics import (
     GeodesicParams,
     acceleration_T_residual,
@@ -33,35 +33,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CONSTRUCTION = 3
 EXIT_NO_CONVERGENCE = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated common options of a CLI invocation."""
-
-    tol: float = 1e-6
-    step: float = 1e-3
-    samples: int = 256
-    format: str = "csv"
-
-    def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
-        if not self.step > 0.0:
-            raise ValueError("step must be positive")
-        if self.samples < 2:
-            raise ValueError("samples must be at least 2")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.format!r}")
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        return cls(
-            tol=getattr(args, "tol", 1e-6),
-            step=getattr(args, "step", 1e-3),
-            samples=getattr(args, "samples", 256),
-            format=getattr(args, "format", "csv"),
-        )
 
 
 def _floats(text: str) -> list[float]:
@@ -105,10 +76,10 @@ def _parse_q0(text: str) -> np.ndarray:
     return _sanitize_point(np.array(values))
 
 
-def _write_record(curve: SampledCurve, args, cfg: RunConfig, **extra) -> str:
+def _write_record(curve: SampledCurve, args, **extra) -> str:
     record = CurveRecord.from_curve(curve, **extra)
-    out = args.out or f"{args.command}.{cfg.format}"
-    record.write(out, cfg.format)
+    out = args.out or f"{args.command}.{args.format}"
+    record.write(out, args.format)
     return out
 
 
@@ -116,12 +87,11 @@ def _write_record(curve: SampledCurve, args, cfg: RunConfig, **extra) -> str:
 
 
 def _cmd_connect(args) -> int:
-    cfg = RunConfig.from_args(args)
     p = _parse_endpoint(getattr(args, "from"))
     q = _parse_endpoint(args.to)
-    n = 2 if float(np.linalg.norm(p - q)) < 1e-13 else cfg.samples
+    n = 2 if float(np.linalg.norm(p - q)) < 1e-13 else args.samples
     curve = connect(p, q, n=n)
-    out = _write_record(curve, args, cfg)
+    out = _write_record(curve, args)
     print(f"endpoint_error={curve.meta['endpoint_error']:.17g}")
     print(f"max_omega_residual={curve.meta['max_omega_fd']:.17g}")
     print(f"wrote {out}")
@@ -129,11 +99,10 @@ def _cmd_connect(args) -> int:
 
 
 def _cmd_geodesic(args) -> int:
-    cfg = RunConfig.from_args(args)
     q0 = _parse_q0(args.q0)
     params = GeodesicParams(args.r, args.theta0, getattr(args, "lambda"))
-    curve = integrate_geodesic(q0, params, args.T, cfg.step)
-    out = _write_record(curve, args, cfg)
+    curve = integrate_geodesic(q0, params, args.T, args.step)
+    out = _write_record(curve, args)
     end = curve.end
     print("endpoint=" + ",".join(format(v, ".17g") for v in end))
     print(f"wrote {out}")
@@ -141,10 +110,9 @@ def _cmd_geodesic(args) -> int:
 
 
 def _cmd_hamiltonian(args) -> int:
-    cfg = RunConfig.from_args(args)
     q0 = _parse_q0(args.q0)
     params = GeodesicParams(args.r, args.theta0, getattr(args, "lambda"))
-    meta = {"tag": "hamiltonian", "T": args.T, "h": cfg.step}
+    meta = {"tag": "hamiltonian", "T": args.T, "h": args.step}
     if args.xi0:
         xi0 = np.array(_floats(args.xi0))
         if len(xi0) != 4:
@@ -153,9 +121,9 @@ def _cmd_hamiltonian(args) -> int:
         xi0 = match_costate(q0, params)
         # the control profile below is only valid for matched costates
         meta.update({"r": params.r, "theta0": params.theta0, "lambda": params.lam})
-    traj = integrate_hamiltonian(q0, xi0, args.T, cfg.step)
+    traj = integrate_hamiltonian(q0, xi0, args.T, args.step)
     curve = SampledCurve(traj.s, traj.q, traj.qdot(), meta)
-    out = _write_record(curve, args, cfg)
+    out = _write_record(curve, args)
     energy = traj.energy()
     print(f"H_drift={float(np.max(np.abs(energy - energy[0]))):.17g}")
     print(f"norm_drift={unit_norm_error(curve):.17g}")
@@ -164,11 +132,10 @@ def _cmd_hamiltonian(args) -> int:
 
 
 def _cmd_shoot(args) -> int:
-    cfg = RunConfig.from_args(args)
     p = _parse_endpoint(getattr(args, "from"))
     q = _parse_endpoint(args.to)
-    result = shoot(p, q, ShootingConfig(tol=cfg.tol, curve_step=cfg.step))
-    out = _write_record(result.curve, args, cfg, endpoint_error=result.endpoint_error)
+    result = shoot(p, q, ShootingConfig(tol=args.tol, curve_step=args.step))
+    out = _write_record(result.curve, args, endpoint_error=result.endpoint_error)
     print(f"theta0={result.params.theta0:.17g}")
     print(f"lambda={result.params.lam:.17g}")
     print(f"T={result.T:.17g}")
@@ -187,7 +154,8 @@ def _cmd_check(args) -> int:
 
     if curve.n >= 2:
         curve.velocities = fd_velocities(curve)
-        results.append(("horizontality", float(np.max(omega_fd_residuals(curve))), tol))
+        residuals = np.abs(omega_eval(curve.points, curve.velocities))
+        results.append(("horizontality", float(np.max(residuals)), tol))
         if curve.n >= 3:
             # interior only: the one-sided end estimates are first order.  Where
             # the +-2h stencil fits, (4 D_h - D_2h) / 3 cancels the h^2 term of
@@ -301,6 +269,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_options(args):
+    """Reject --tol or --step that is not finite and > 0, and --samples below 2."""
+    opts = vars(args)
+    for name in ("tol", "step"):
+        if name in opts and not (math.isfinite(opts[name]) and opts[name] > 0.0):
+            raise ValueError(f"--{name} must be finite and > 0, got {opts[name]}")
+    if opts.get("samples", 2) < 2:
+        raise ValueError(f"--samples must be at least 2, got {opts['samples']}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -308,6 +286,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_options(args)
         return args.func(args)
     except ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ all three conditions, and theta has the closed form
 theta(s) = 2 arctan(tan(theta0/2) exp(-k F(s))), exact at s = 1 by the
 choice of the integral.  The leg's safety bounds, max |q| and max
 |log tan(theta/2)| on [0, 1], come from closed-form critical points of
-coefficient tuples; hermite_f and q_with_integral still return Polynomials.
+coefficient tuples.
 
 The chart construction needs both endpoints at chart-friendly
 positions: away from the circles theta in {0, pi} and with psi in the
@@ -31,7 +31,6 @@ time warp whose first and second derivatives vanish at the junction.
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .charts import EulerAngles, _angle_arrays, _point_arrays, _velocity_arrays, to_cartesian, wrap_angle
 from .curves import SampledCurve, omega_fd_residuals
@@ -39,8 +38,6 @@ from .quaternions import check_unit, conj, qexp_pure, qmul
 
 __all__ = [
     "ConstructionError",
-    "hermite_f",
-    "q_with_integral",
     "connect",
     "connect_constant_psi",
     "QMAX",
@@ -68,22 +65,8 @@ def _hermite_coeffs(alpha, beta, gamma):
     return (0.0, beta, 3.0 * alpha - 2.0 * beta - gamma, beta + gamma - 2.0 * alpha)
 
 
-def hermite_f(alpha, beta, gamma) -> Polynomial:
-    """The unique cubic with f(0)=0, f(1)=alpha, f'(0)=beta, f'(1)=gamma."""
-    return Polynomial(_hermite_coeffs(alpha, beta, gamma))
-
-
-def q_with_integral(q0, q1, integral) -> Polynomial:
-    """Quadratic q with q(0)=q0, q(1)=q1 and exact unit-interval integral.
-
-    Constructed as the derivative of the Hermite cubic, so the integral
-    condition holds identically in the coefficients.
-    """
-    return hermite_f(integral, q0, q1).deriv()
-
-
 def _leg_coeffs(integral, t0, t1, k, l0):
-    """Coefficient tuples of q = F' and log_tan = l0 - k F for F = hermite_f(integral, t0, t1)."""
+    """Coefficient tuples of q = F' and log_tan = l0 - k F for the Hermite cubic F of (integral, t0, t1)."""
     _, f1, f2, f3 = _hermite_coeffs(integral, t0, t1)
     return (f1, 2.0 * f2, 3.0 * f3), (l0, -k * f1, -k * f2, -k * f3)
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .curves import SampledCurve, fd_velocities, omega_fd_residuals
+from .curves import SampledCurve, fd_velocities, omega_fd_residuals, unit_norm_error
 from .frames import frame_ab
 from .geodesics import GeodesicParams, ab_profile
 
@@ -87,8 +87,7 @@ class CurveRecord:
         s = self.data[:, 0]
         if len(s) > 1 and np.any(np.diff(s) <= 0.0):
             raise ValueError("s column must be strictly increasing")
-        norms = np.linalg.norm(self.data[:, 1:5], axis=1)
-        dev = float(np.max(np.abs(norms - 1.0)))
+        dev = unit_norm_error(self.to_sampled_curve())
         if dev > unit_tol:
             raise ValueError(f"curve points leave the sphere by {dev:.3e}")
 

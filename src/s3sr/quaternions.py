@@ -88,7 +88,7 @@ def inverse(q):
     n2 = norm2(q)
     if np.any(n2 == 0.0):
         raise ValueError("zero quaternion has no inverse")
-    return conj(q) / n2[..., np.newaxis] if q.ndim > 1 else conj(q) / n2
+    return conj(q) / n2[..., np.newaxis]
 
 
 def normalize(q):
@@ -97,7 +97,7 @@ def normalize(q):
     n = norm(q)
     if np.any(n == 0.0):
         raise ValueError("cannot normalize the zero quaternion")
-    return q / (n[..., np.newaxis] if q.ndim > 1 else n)
+    return q / n[..., np.newaxis]
 
 
 def qexp_pure(v):

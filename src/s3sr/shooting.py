@@ -61,21 +61,13 @@ class ShootingConfig:
     """Solver settings.
 
     tol bounds the endpoint error of the returned curve, T_max its
-    length and curve_step its integrator step.  The exact solver reads
-    no other field: n_theta0, n_lambda, n_T, lambda_max, max_iter, seed,
-    jitter and polish_limit are accepted and ignored.
+    length and curve_step its integrator step.  seed is accepted and
+    ignored: the exact solver has no random choices.
     """
 
     tol: float = 1e-6
-    n_theta0: int = 8
-    n_lambda: int = 9
-    n_T: int = 6
-    lambda_max: float = 8.0
     T_max: float = 2.0 * np.pi
-    max_iter: int = 60
     seed: int = 0
-    jitter: float = 0.05
-    polish_limit: int = 40
     curve_step: float = 1e-3    # step of the returned integrator curve
 
 
@@ -83,7 +75,6 @@ class ShootingConfig:
 class ShootingResult:
     """The shortest geodesic from P to Q and how it was found.
 
-    starts_tried is the number of geodesics evaluated: 1, or 0 for Q = P.
     meta records the "case" (trivial, vertical, m=1 or generic), the
     number of "geodesics" with rho <= pi reaching Q (1, or inf on the
     vertical circle, where theta0 is free), the "bisections" spent and
@@ -94,7 +85,6 @@ class ShootingResult:
     T: float
     endpoint_error: float
     curve: SampledCurve
-    starts_tried: int = 0
     converged: bool = False
     meta: dict = field(default_factory=dict)
 
@@ -157,7 +147,7 @@ def shoot(P, Q, cfg: ShootingConfig | None = None) -> ShootingResult:
         curve = integrate_geodesic(P, params, 0.0, cfg.curve_step)
         err = float(np.linalg.norm(curve.end - Q))
         meta = {"case": "trivial", "geodesics": 1, "bisections": 0, "closed_form_error": err}
-        return ShootingResult(params, 0.0, err, curve, 0, True, meta)
+        return ShootingResult(params, 0.0, err, curve, True, meta)
 
     rw, rx, ry, rz = qmul(conj(P), Q).tolist()
     m = math.hypot(rx, rz)
@@ -190,7 +180,6 @@ def shoot(P, Q, cfg: ShootingConfig | None = None) -> ShootingResult:
         T=T,
         endpoint_error=endpoint_error,
         curve=curve,
-        starts_tried=1,
         converged=bool(endpoint_error <= cfg.tol and not cut),
         meta={
             "case": case,

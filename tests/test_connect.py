@@ -17,13 +17,12 @@ from s3sr.connect import (
     _ChartLeg,
     _gauge_scores,
     _GluedLeg,
+    _hermite_coeffs,
     _horner,
     _leg_coeffs,
     _two_arc_legs,
     connect,
     connect_constant_psi,
-    hermite_f,
-    q_with_integral,
 )
 from s3sr.curves import fd_velocities, omega_fd_residuals, unit_norm_error
 from s3sr.frames import omega_eval
@@ -32,6 +31,21 @@ from conftest import _loaded_by_fresh_import, random_unit
 
 
 # -- the polynomial building blocks -----------------------------------------
+# numpy Polynomial is the reference that the coefficient tuples are checked against
+
+
+def hermite_f(alpha, beta, gamma) -> Polynomial:
+    """The unique cubic with f(0)=0, f(1)=alpha, f'(0)=beta, f'(1)=gamma."""
+    return Polynomial(_hermite_coeffs(alpha, beta, gamma))
+
+
+def q_with_integral(q0, q1, integral) -> Polynomial:
+    """Quadratic q with q(0)=q0, q(1)=q1 and exact unit-interval integral.
+
+    Constructed as the derivative of the Hermite cubic, so the integral
+    condition holds identically in the coefficients.
+    """
+    return hermite_f(integral, q0, q1).deriv()
 
 
 def test_hermite_zero():
@@ -499,6 +513,11 @@ def test_connect_builds_no_polynomial_and_calls_no_moveaxis(monkeypatch):
     # the counters see what they guard against
     hermite_f(1.0, 0.0, 0.0).deriv()
     assert counts["Polynomial"] == 2 and counts["moveaxis"] >= 1
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    assert not _loaded_by_fresh_import("numpy.polynomial")
+    assert not _loaded_by_fresh_import("numpy.polynomial", "import s3sr.cli")
 
 
 def test_import_leaves_scipy_integrate_unloaded():

@@ -199,6 +199,28 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{curve}", "--tol", "nan"],
+        ["check", "{curve}", "--tol", "-1"],
+        ["check", "{curve}", "--tol", "0"],
+        ["check", "{curve}", "--tol", "inf"],
+        ["shoot", "--from", "1,0,0,0", "--to", "0,1,0,0", "--tol", "inf", "--out", "{out}"],
+    ],
+)
+def test_cli_rejects_tol_not_finite_and_positive(tmp_path, capsys, argv):
+    # a nan, negative or zero tol FAILs every toleranced check, and inf passes any curve
+    curve, out = tmp_path / "geo.csv", tmp_path / "x.csv"
+    assert run("geodesic", "--q0", "1,0,0,0", "--lambda", "0.5", "--T", "1", "--out", str(curve)) == 0
+    capsys.readouterr()
+    assert run(*(a.format(curve=curve, out=out) for a in argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --tol must be finite and > 0")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_geodesic(tmp_path, capsys):
     out = tmp_path / "geo.csv"
     code = run(

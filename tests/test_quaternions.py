@@ -78,6 +78,15 @@ def test_inverse_of_zero_raises():
         inverse([0.0, 0.0, 0.0, 0.0])
 
 
+def test_inverse_and_normalize_same_bytes_for_one_and_stacked(rng):
+    qs = 3.0 * rng.standard_normal((50, 4))
+    for q, inv, unit in zip(qs, inverse(qs), normalize(qs)):
+        # a (4,) input divides by its scalar modulus, bit for bit as a row of a stack
+        assert inverse(q).shape == normalize(q).shape == (4,)
+        assert inverse(q).tobytes() == (conj(q) / norm2(q)).tobytes() == inv.tobytes()
+        assert normalize(q).tobytes() == (q / norm(q)).tobytes() == unit.tobytes()
+
+
 @given(quat, quat)
 @settings(max_examples=200)
 def test_modulus_multiplicative(p, q):

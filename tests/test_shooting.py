@@ -91,10 +91,7 @@ def test_determinism_same_seed(rng):
 
 def test_nonconvergence_reports_best_effort():
     target = np.array([0.0, 0.0, 1.0, 0.0])
-    cfg = ShootingConfig(
-        tol=1e-6, n_theta0=2, n_lambda=1, n_T=1, T_max=0.05, lambda_max=0.0,
-        max_iter=1, polish_limit=2, jitter=0.0,
-    )
+    cfg = ShootingConfig(tol=1e-6, T_max=0.05)
     r = shoot(ONE, target, cfg)
     assert not r.converged
     assert r.endpoint_error > 1e-6
