@@ -16,9 +16,10 @@ phi and psi are stored unnormalized (curves may wind); the chart is
 singular on the circles theta = 0 and theta = pi, where one of alpha,
 beta is undefined.
 
-The chart map _point_arrays and its inverse _angle_arrays are the
-vectorized kernels over (..., 4) arrays; to_cartesian and from_cartesian
-are their checked single-point forms.
+The chart map _chart_columns (points and velocities from one trig pass)
+and its inverse _angle_arrays are the vectorized kernels;
+to_cartesian, chart_velocity and from_cartesian are their single-point
+forms.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quaternions import UNIT_TOL, check_unit
+from .quaternions import UNIT_TOL, unit_point
 
 __all__ = [
     "EulerAngles",
@@ -71,23 +72,36 @@ def wrap_angle(x):
     return np.pi - np.mod(np.pi - np.asarray(x), 2.0 * np.pi)
 
 
-def _point_arrays(phi, psi, theta):
-    """Vectorized chart map; returns an (..., 4) array."""
-    alpha = 0.5 * (np.asarray(phi) + np.asarray(psi))
-    beta = 0.5 * (np.asarray(phi) - np.asarray(psi))
-    c = np.cos(0.5 * np.asarray(theta))
-    s = np.sin(0.5 * np.asarray(theta))
-    return np.stack(
-        [np.cos(alpha) * c, np.sin(alpha) * c, np.cos(beta) * s, np.sin(beta) * s],
-        axis=-1,
+def _chart_columns(phi, psi, theta, dphi=0.0, dpsi=0.0, dtheta=0.0):
+    """Vectorized chart map and pushforward of chart rates, in one trig pass.
+
+    Returns the point components (x1, x2, y1, y2) and the velocity
+    components (x1', x2', y1', y2'), each broadcast over the inputs.
+    """
+    alpha = 0.5 * (phi + psi)
+    beta = 0.5 * (phi - psi)
+    c = np.cos(0.5 * theta)
+    s = np.sin(0.5 * theta)
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    cb, sb = np.cos(beta), np.sin(beta)
+    da = 0.5 * (dphi + dpsi)
+    db = 0.5 * (dphi - dpsi)
+    dt = 0.5 * dtheta
+    points = (ca * c, sa * c, cb * s, sb * s)
+    velocities = (
+        -sa * c * da - ca * s * dt,
+        ca * c * da - sa * s * dt,
+        -sb * s * db + cb * c * dt,
+        cb * s * db + sb * c * dt,
     )
+    return points, velocities
 
 
 def to_cartesian(e: EulerAngles) -> np.ndarray:
     """Cartesian point of the chart triple.  theta must lie in [0, pi]."""
     if not 0.0 <= e.theta <= np.pi:
         raise ValueError(f"theta must lie in [0, pi], got {e.theta}")
-    return _point_arrays(e.phi, e.psi, e.theta)
+    return np.stack(_chart_columns(e.phi, e.psi, e.theta)[0], axis=-1)
 
 
 def _angle_arrays(q):
@@ -111,38 +125,16 @@ def from_cartesian(q, tol=UNIT_TOL) -> EulerAngles:
     at theta in {0, pi} one of the half-angle sums is undefined and is
     set to 0, with ``pole`` marking which circle was hit.
     """
-    q = check_unit(np.asarray(q, dtype=float), tol, "chart point")
+    q = unit_point(q, tol, "chart point q")
     phi, psi, theta, rx, ry = _angle_arrays(q)
     pole = "theta=0" if ry < _POLE_EPS else "theta=pi" if rx < _POLE_EPS else None
     return EulerAngles(phi=float(phi), psi=float(psi), theta=float(theta), pole=pole)
 
 
-def _velocity_arrays(phi, psi, theta, dphi, dpsi, dtheta):
-    """Vectorized pushforward of chart rates; returns (..., 4)."""
-    alpha = 0.5 * (np.asarray(phi) + np.asarray(psi))
-    beta = 0.5 * (np.asarray(phi) - np.asarray(psi))
-    c = np.cos(0.5 * np.asarray(theta))
-    s = np.sin(0.5 * np.asarray(theta))
-    da = 0.5 * (np.asarray(dphi) + np.asarray(dpsi))
-    db = 0.5 * (np.asarray(dphi) - np.asarray(dpsi))
-    dt = 0.5 * np.asarray(dtheta)
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    cb, sb = np.cos(beta), np.sin(beta)
-    return np.stack(
-        [
-            -sa * c * da - ca * s * dt,
-            ca * c * da - sa * s * dt,
-            -sb * s * db + cb * c * dt,
-            cb * s * db + sb * c * dt,
-        ],
-        axis=-1,
-    )
-
-
 def chart_velocity(e: EulerAngles, rates) -> np.ndarray:
     """Cartesian velocity of a chart curve with rates (phi', psi', theta')."""
     dphi, dpsi, dtheta = rates
-    return _velocity_arrays(e.phi, e.psi, e.theta, dphi, dpsi, dtheta)
+    return np.stack(_chart_columns(e.phi, e.psi, e.theta, dphi, dpsi, dtheta)[1], axis=-1)
 
 
 def omega_euler(e: EulerAngles, rates) -> float:

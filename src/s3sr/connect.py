@@ -20,9 +20,16 @@ of the form exp(chi*j), or those times i, preserves the horizontal
 distribution, so the construction is run in a translated gauge chosen
 by a deterministic score and mapped back afterwards.  The boundary data
 of all 32 candidate gauges come from one array pass of the chart
-inverse.  A gauge is kept only when min(sin(theta), cos(psi)) >= 0.02 at
-both translated endpoints, which already puts them off the poles and
-psi in the principal branch.  Pairs that no gauge makes chart-friendly
+inverse, on the 64 translated endpoints of one broadcast product.  A
+gauge is kept only when min(sin(theta), cos(psi)) >= 0.02 at both
+translated endpoints, which already puts them off the poles and psi in
+the principal branch.  The leg is evaluated in one pass of the chart
+kernel, which shares its trigonometry between points and velocities,
+and the gauge g is undone inside that pass: conj(g) has two nonzero
+components, so each component of the right product by conj(g) is a
+sum of two terms, written straight into the output arrays.  That
+equals the full quaternion product bit for bit, except that an exact
+zero can come out as -0.0 where the full product gives +0.0.  Pairs that no gauge makes chart-friendly
 (and degenerate data such as k ~ 0) fall back to a waypoint route: two
 one-parameter-subgroup arcs with horizontal axes, glued with a smooth
 time warp whose first and second derivatives vanish at the junction.
@@ -30,11 +37,14 @@ time warp whose first and second derivatives vanish at the junction.
 
 from __future__ import annotations
 
+import math
+import operator
+
 import numpy as np
 
-from .charts import EulerAngles, _angle_arrays, _point_arrays, _velocity_arrays, to_cartesian, wrap_angle
+from .charts import EulerAngles, _angle_arrays, _chart_columns, to_cartesian, wrap_angle
 from .curves import SampledCurve, omega_fd_residuals
-from .quaternions import check_unit, conj, qexp_pure, qmul
+from .quaternions import _conj_mul_floats, _qmul_terms, _right_terms, conj, qexp_pure, qmul, unit_point
 
 __all__ = [
     "ConstructionError",
@@ -87,7 +97,7 @@ def _abs_max(c) -> float:
         s += [-d0 / d1] if d1 != 0.0 else []
     elif (disc := d1 * d1 - 4.0 * d2 * d0) >= 0.0:  # a negative discriminant leaves p monotone
         # the stable quadratic formula; t = 0 only for a double root at 0
-        t = -0.5 * (d1 + np.copysign(np.sqrt(disc), d1))
+        t = -0.5 * (d1 + math.copysign(math.sqrt(disc), d1))
         s += [t / d2, d0 / t] if t != 0.0 else [0.0]
     return float(max(abs(_horner(c, min(max(x, 0.0), 1.0))) for x in s))
 
@@ -121,7 +131,7 @@ class _ChartLeg:
     """The chart leg in a translated gauge, from the coefficient tuples of q and log tan(theta/2)."""
 
     def __init__(self, gauge, phi0, k, q, log_tan):
-        self.gauge_inv = conj(gauge)    # undoes the right translation
+        self.undo = _right_terms(conj(gauge))    # conj(gauge) undoes the right translation
         self.phi0 = phi0
         self.k = k
         self.q = q
@@ -134,12 +144,11 @@ class _ChartLeg:
         theta = 2.0 * np.arctan(np.exp(ell))
         phi = self.phi0 + self.k * s
         psi = np.arctan(qv)
-        dphi = np.full_like(s, self.k)
         dpsi = _horner((self.q[1], 2.0 * self.q[2]), s) / (1.0 + qv * qv)
         dtheta = -self.k * qv / np.cosh(ell)
-        pts = _point_arrays(phi, psi, theta)
-        vel = _velocity_arrays(phi, psi, theta, dphi, dpsi, dtheta)
-        return qmul(pts, self.gauge_inv), qmul(vel, self.gauge_inv)
+        pts, vel = _chart_columns(phi, psi, theta, self.k, dpsi, dtheta)
+        shape = s.shape + (4,)
+        return _qmul_terms(pts, self.undo, np.empty(shape)), _qmul_terms(vel, self.undo, np.empty(shape))
 
 
 def _smoothstep(u):
@@ -176,10 +185,21 @@ class _GluedLeg:
 # route selection
 
 
-def _as_point(p):
+def _as_point(p, name):
     if isinstance(p, EulerAngles):
         return to_cartesian(p)
-    return check_unit(np.asarray(p, dtype=float), what="endpoint")
+    return unit_point(p, what=f"endpoint {name}")
+
+
+def _sample_count(n):
+    """n as an int of at least 2; ValueError otherwise."""
+    try:
+        count = operator.index(n)
+    except TypeError:
+        count = None
+    if count is None or count < 2:
+        raise ValueError(f"n must be an integer of at least 2 samples, got {n!r}")
+    return count
 
 
 def _single_arc(q_from, rel):
@@ -237,14 +257,13 @@ def _gauge_scores(qt, rx, ry):
     return np.where(near_pole, -np.inf, np.minimum(2.0 * rx * ry, cos_psi))
 
 
-def _single_leg(q_from, q_to):
-    rel = qmul(conj(q_from), q_to)
+def _single_leg(q_from, q_to, rel):
     arc = _single_arc(q_from, rel)
     if arc is not None:
         return arc, {"route": "subgroup-arc", "angle": arc.angle, "axis": tuple(arc.axis3)}
     # one array pass over the 32 gauges, row 0 for P and row 1 for Q, with
     # psi wrapped into (-pi, pi] and phi shifted to match
-    qt = np.stack([qmul(q_from, _GAUGES), qmul(q_to, _GAUGES)])
+    qt = qmul(np.stack([q_from, q_to])[:, None], _GAUGES)
     phi, psi_raw, theta, rx, ry = _angle_arrays(qt)
     margins = _gauge_scores(qt, rx, ry).min(axis=0)
     psi = wrap_angle(psi_raw)
@@ -300,10 +319,9 @@ def connect(P, Q, n=256) -> SampledCurve:
     Raises ConstructionError if the endpoints cannot be met to 1e-8
     (not observed for unit inputs; the waypoint route is total).
     """
-    if n < 2:
-        raise ValueError("need at least 2 samples")
-    q_from = _as_point(P)
-    q_to = _as_point(Q)
+    n = _sample_count(n)
+    q_from = _as_point(P, "P")
+    q_to = _as_point(Q, "Q")
     s = np.linspace(0.0, 1.0, n)
 
     if float(np.linalg.norm(q_from - q_to)) < 1e-13:
@@ -314,9 +332,10 @@ def connect(P, Q, n=256) -> SampledCurve:
         curve.meta["max_omega_fd"] = 0.0
         return curve
 
-    leg, meta = _single_leg(q_from, q_to)
+    rel = _conj_mul_floats(q_from, q_to)
+    leg, meta = _single_leg(q_from, q_to, rel)
     if leg is None:
-        leg_a, leg_b, arcs = _two_arc_legs(q_from, qmul(conj(q_from), q_to))
+        leg_a, leg_b, arcs = _two_arc_legs(q_from, rel)
         leg = _GluedLeg(leg_a, leg_b)
         meta = {"route": "two-arc", "arcs": arcs}
 
@@ -324,7 +343,7 @@ def connect(P, Q, n=256) -> SampledCurve:
     endpoint_error = max(
         float(np.linalg.norm(pts[0] - q_from)), float(np.linalg.norm(pts[-1] - q_to))
     )
-    if endpoint_error > _ENDPOINT_TOL:
+    if not endpoint_error <= _ENDPOINT_TOL:  # NaN fails too
         raise ConstructionError(
             f"constructed curve misses the endpoints by {endpoint_error:.3e}",
             endpoint_error,
@@ -347,8 +366,7 @@ def connect_constant_psi(phi0, theta0, phi1, theta1, n=256):
     degenerates to psi = 0 with phi interpolated linearly at fixed
     theta, which is horizontal because sin(psi) = 0.
     """
-    if n < 2:
-        raise ValueError("need at least 2 samples")
+    n = _sample_count(n)
     for th in (theta0, theta1):
         if not 0.0 < th < np.pi:
             raise ValueError(f"theta must lie strictly inside (0, pi), got {th}")
@@ -381,8 +399,7 @@ def connect_constant_psi(phi0, theta0, phi1, theta1, n=256):
 
     psi_arr = np.full_like(t, psi)
     dpsi = np.zeros_like(t)
-    pts = _point_arrays(phi, psi_arr, theta)
-    vel = _velocity_arrays(phi, psi_arr, theta, dphi, dpsi, dtheta)
+    pts, vel = (np.stack(cols, axis=-1) for cols in _chart_columns(phi, psi_arr, theta, dphi, dpsi, dtheta))
     residual = float(
         np.max(np.abs(np.sin(theta) * np.sin(psi) * dphi + np.cos(psi) * dtheta))
     )

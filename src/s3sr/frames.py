@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quaternions import UNIT_TOL, check_unit
+from .quaternions import UNIT_TOL, unit_point
 
 __all__ = [
     "I1",
@@ -102,7 +102,7 @@ def frame_at(q, tol=UNIT_TOL):
     """
     q = np.asarray(q, dtype=float)
     if tol is not None:
-        check_unit(q, tol, "frame base point")
+        unit_point(q, tol, "frame base point q")
     return Frame(X=-(q @ I1), Y=-(q @ I3), T=-(q @ I2), N=q.copy())
 
 

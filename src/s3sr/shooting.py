@@ -43,7 +43,7 @@ import numpy as np
 
 from .curves import SampledCurve
 from .geodesics import GeodesicParams, geodesic_point, integrate_geodesic
-from .quaternions import check_unit, conj, qmul
+from .quaternions import _conj_mul_floats, unit_point
 
 __all__ = ["ShootingConfig", "ShootingResult", "shoot"]
 
@@ -139,8 +139,8 @@ def shoot(P, Q, cfg: ShootingConfig | None = None) -> ShootingResult:
     The solver has no random choices, so results are reproducible.
     """
     cfg = cfg or ShootingConfig()
-    P = check_unit(np.asarray(P, dtype=float), what="shoot start")
-    Q = check_unit(np.asarray(Q, dtype=float), what="shoot target")
+    P = unit_point(P, what="shoot start P")
+    Q = unit_point(Q, what="shoot target Q")
 
     if float(np.linalg.norm(P - Q)) < 1e-12:
         params = GeodesicParams(1.0, 0.0, 0.0)
@@ -149,7 +149,7 @@ def shoot(P, Q, cfg: ShootingConfig | None = None) -> ShootingResult:
         meta = {"case": "trivial", "geodesics": 1, "bisections": 0, "closed_form_error": err}
         return ShootingResult(params, 0.0, err, curve, True, meta)
 
-    rw, rx, ry, rz = qmul(conj(P), Q).tolist()
+    rw, rx, ry, rz = _conj_mul_floats(P, Q)
     m = math.hypot(rx, rz)
     r0 = math.hypot(rw, ry)
     psi = math.atan2(ry, rw)

@@ -32,3 +32,41 @@ def _loaded_by_fresh_import(module, then=""):
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
     return out.stdout.splitlines()[-1] == "True"
+
+
+# The chart map and its pushforward as two separate passes, each with its own
+# trigonometry: the reference for the fused kernel charts._chart_columns.
+
+
+def point_arrays_ref(phi, psi, theta):
+    """Chart map; returns an (..., 4) array."""
+    alpha = 0.5 * (np.asarray(phi) + np.asarray(psi))
+    beta = 0.5 * (np.asarray(phi) - np.asarray(psi))
+    c = np.cos(0.5 * np.asarray(theta))
+    s = np.sin(0.5 * np.asarray(theta))
+    return np.stack(
+        [np.cos(alpha) * c, np.sin(alpha) * c, np.cos(beta) * s, np.sin(beta) * s],
+        axis=-1,
+    )
+
+
+def velocity_arrays_ref(phi, psi, theta, dphi, dpsi, dtheta):
+    """Pushforward of chart rates; returns (..., 4)."""
+    alpha = 0.5 * (np.asarray(phi) + np.asarray(psi))
+    beta = 0.5 * (np.asarray(phi) - np.asarray(psi))
+    c = np.cos(0.5 * np.asarray(theta))
+    s = np.sin(0.5 * np.asarray(theta))
+    da = 0.5 * (np.asarray(dphi) + np.asarray(dpsi))
+    db = 0.5 * (np.asarray(dphi) - np.asarray(dpsi))
+    dt = 0.5 * np.asarray(dtheta)
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    cb, sb = np.cos(beta), np.sin(beta)
+    return np.stack(
+        [
+            -sa * c * da - ca * s * dt,
+            ca * c * da - sa * s * dt,
+            -sb * s * db + cb * c * dt,
+            cb * s * db + sb * c * dt,
+        ],
+        axis=-1,
+    )

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from s3sr.charts import (
     EulerAngles,
+    _chart_columns,
     chart_velocity,
     euler_ab,
     from_cartesian,
@@ -13,7 +14,7 @@ from s3sr.charts import (
     to_cartesian,
 )
 from s3sr.frames import components, omega_eval
-from conftest import random_unit
+from conftest import point_arrays_ref, random_unit, velocity_arrays_ref
 
 
 def test_to_cartesian_examples():
@@ -155,3 +156,27 @@ def test_euler_ab_matches_frame_components(rng):
         a2, b2 = euler_ab(e, de)
         assert abs(a - a2) <= 1e-12
         assert abs(b - b2) <= 1e-12
+
+
+def test_chart_columns_match_separate_point_and_velocity_passes(rng):
+    n = 400
+    phi, psi = rng.uniform(-9.0, 9.0, (2, n))
+    theta = rng.uniform(0.0, np.pi, n)
+    rates = rng.standard_normal((3, n))
+    # exact zeros and the pole circles, where products vanish and signs of zero matter
+    phi[:40], psi[:20], psi[20:40] = 0.0, 0.0, -0.0
+    theta[:10], theta[10:20], theta[20:30] = 0.0, np.pi, -0.0
+    rates[:, 30:60] = rng.choice([0.0, -0.0], (3, 30))
+    pts, vel = _chart_columns(phi, psi, theta, *rates)
+    assert np.stack(pts, axis=-1).tobytes() == point_arrays_ref(phi, psi, theta).tobytes()
+    assert np.stack(vel, axis=-1).tobytes() == velocity_arrays_ref(phi, psi, theta, *rates).tobytes()
+    # a scalar phi' (connect passes k) gives the bytes of the full array
+    _, vel_k = _chart_columns(phi, psi, theta, -0.7, rates[1], rates[2])
+    ref = velocity_arrays_ref(phi, psi, theta, np.full(n, -0.7), rates[1], rates[2])
+    assert np.stack(vel_k, axis=-1).tobytes() == ref.tobytes()
+    # the single-point forms
+    for j in range(0, n, 7):
+        e = EulerAngles(float(phi[j]), float(psi[j]), float(theta[j]))
+        assert to_cartesian(e).tobytes() == point_arrays_ref(e.phi, e.psi, e.theta).tobytes()
+        r = rates[:, j].tolist()
+        assert chart_velocity(e, r).tobytes() == velocity_arrays_ref(e.phi, e.psi, e.theta, *r).tobytes()

@@ -1,3 +1,6 @@
+import importlib
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,13 +24,16 @@ from s3sr.connect import (
     _horner,
     _leg_coeffs,
     _two_arc_legs,
+    ConstructionError,
     connect,
     connect_constant_psi,
 )
 from s3sr.curves import fd_velocities, omega_fd_residuals, unit_norm_error
 from s3sr.frames import omega_eval
-from s3sr.quaternions import conj, qmul
-from conftest import _loaded_by_fresh_import, random_unit
+from s3sr.quaternions import _qmul_terms, _right_terms, conj, qmul
+from conftest import _loaded_by_fresh_import, point_arrays_ref, random_unit, velocity_arrays_ref
+
+connect_module = importlib.import_module("s3sr.connect")
 
 
 # -- the polynomial building blocks -----------------------------------------
@@ -354,6 +360,7 @@ def test_leg_coefficient_tuples_match_polynomial_path():
         (1e-3, 1e-3, -5e7, 1.0 / 3.0),    # roots ~ 1e-11 and 1e8
         (0.0, 1.0, 2.0, -3.0),            # max at the root t / d2 of the stable formula
         (0.0, 1.0, -2.0, 1.0),            # s (1 - s)^2: max 4/27 at the root d0 / t = 1/3
+        (0.0, 1.0, -1.0, 1e-15 / 3.0),    # d1 < 0 and d1^2 >> 4 d2 d0: max ~1/4 at the root d0 / t ~ 1/2
     ],
 )
 def test_closed_form_abs_max_matches_roots_reference(coef):
@@ -496,6 +503,7 @@ def _guard_pairs(rng):
 def test_connect_builds_no_polynomial_and_calls_no_moveaxis(monkeypatch):
     counts = {"Polynomial": 0, "moveaxis": 0}
     init, moveaxis = Polynomial.__init__, np.moveaxis
+    qmul_shapes = []
 
     def counting_init(self, *args, **kwargs):
         counts["Polynomial"] += 1
@@ -505,14 +513,99 @@ def test_connect_builds_no_polynomial_and_calls_no_moveaxis(monkeypatch):
         counts["moveaxis"] += 1
         return moveaxis(*args, **kwargs)
 
+    def recording_qmul(p, q):
+        out = qmul(p, q)
+        qmul_shapes[-1].append(out.shape)
+        return out
+
     monkeypatch.setattr(Polynomial, "__init__", counting_init)
     monkeypatch.setattr(np, "moveaxis", counting_moveaxis)
-    routes = {connect(p, q, n=32).meta["route"] for p, q in _guard_pairs(np.random.default_rng(5))}
-    assert routes == {"chart", "two-arc", "subgroup-arc", "constant"}
+    monkeypatch.setattr(connect_module, "qmul", recording_qmul)
+    routes = {}
+    for p, q in _guard_pairs(np.random.default_rng(5)):
+        qmul_shapes.append([])
+        route = connect(p, q, n=40).meta["route"]
+        routes.setdefault(route, []).append(qmul_shapes[-1])
+    assert set(routes) == {"chart", "two-arc", "subgroup-arc", "constant"}
     assert counts == {"Polynomial": 0, "moveaxis": 0}
-    # the counters see what they guard against
+    # a chart-route connect makes one qmul, the gauge batch, and none on the
+    # (n, 4) leg arrays: the gauge is undone inside the leg's own pass
+    assert all(shapes == [(2, len(_GAUGES), 4)] for shapes in routes["chart"])
+    assert all(shapes == [] for shapes in routes["constant"])
+    # the counters see what they guard against: the subgroup arcs map their
+    # (m, 4) samples with qmul
+    assert all(any(len(shape) == 2 for shape in shapes) for shapes in routes["two-arc"] + routes["subgroup-arc"])
     hermite_f(1.0, 0.0, 0.0).deriv()
     assert counts["Polynomial"] == 2 and counts["moveaxis"] >= 1
+
+
+def test_gauge_undo_matches_qmul_bit_for_bit(rng):
+    points = random_unit(rng, 300)
+    vectors = rng.standard_normal((300, 4)) * 10.0 ** rng.uniform(-3.0, 3.0, (300, 1))
+    for g in _GAUGES:
+        ginv = conj(g)
+        terms = _right_terms(ginv)
+        for p in (points, vectors):
+            out = _qmul_terms(tuple(p.T), terms, np.empty_like(p))
+            assert out.tobytes() == qmul(p, ginv).tobytes()
+
+
+def test_gauge_undo_sign_of_zero_on_exact_zero_inputs():
+    # every row with components in {+-0, +-0.5, +-1}: products vanish exactly
+    p = np.array(list(itertools.product([0.0, -0.0, 0.5, -0.5, 1.0, -1.0], repeat=4)))
+    flips = 0
+    for g in _GAUGES:
+        ginv = conj(g)
+        ref = qmul(p, ginv)
+        out = _qmul_terms(tuple(p.T), _right_terms(ginv), np.empty_like(p))
+        assert np.array_equal(out, ref)
+        # two terms sum to -0.0 when both are -0.0; qmul's four only when all
+        # four are, so where the two disagree, out is -0.0 and qmul +0.0
+        differ = np.signbit(out) != np.signbit(ref)
+        assert np.all(out[differ] == 0.0) and np.all(np.signbit(out[differ]))
+        flips += int(differ.sum())
+    assert flips > 0
+
+
+def _chart_leg_eval_ref(gauge, phi0, k, q, log_tan, s):
+    """A chart leg evaluated as two chart passes and two qmul calls that undo the gauge."""
+    qv = _horner(q, s)
+    ell = _horner(log_tan, s)
+    theta = 2.0 * np.arctan(np.exp(ell))
+    phi = phi0 + k * s
+    psi = np.arctan(qv)
+    dphi = np.full_like(s, k)
+    dpsi = _horner((q[1], 2.0 * q[2]), s) / (1.0 + qv * qv)
+    dtheta = -k * qv / np.cosh(ell)
+    pts = point_arrays_ref(phi, psi, theta)
+    vel = velocity_arrays_ref(phi, psi, theta, dphi, dpsi, dtheta)
+    return qmul(pts, conj(gauge)), qmul(vel, conj(gauge))
+
+
+def test_chart_leg_eval_matches_two_pass_reference_on_all_gauges(rng):
+    s = np.linspace(0.0, 1.0, 97)
+    for g in _GAUGES:
+        for _ in range(8):
+            integral, t0, t1, l0 = rng.uniform(-3.0, 3.0, 4).tolist()
+            phi0 = float(rng.uniform(-6.0, 6.0))
+            k = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 1.0))
+            q, log_tan = _leg_coeffs(integral, t0, t1, k, l0)
+            pts, vel = _ChartLeg(g, phi0, k, q, log_tan).eval(s)
+            pts_ref, vel_ref = _chart_leg_eval_ref(g, phi0, k, q, log_tan, s)
+            assert pts.tobytes() == pts_ref.tobytes()
+            assert vel.tobytes() == vel_ref.tobytes()
+
+
+def test_connect_rejects_a_nan_curve(monkeypatch):
+    class NanLeg:
+        def eval(self, s):
+            nan = np.full(s.shape + (4,), np.nan)
+            return nan, nan
+
+    monkeypatch.setattr(connect_module, "_single_leg", lambda *args: (NanLeg(), {"route": "chart"}))
+    with pytest.raises(ConstructionError) as info:
+        connect(P_EX, Q_EX)
+    assert np.isnan(info.value.endpoint_error)
 
 
 def test_import_leaves_numpy_polynomial_unloaded():

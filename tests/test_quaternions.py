@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,14 @@ from s3sr.quaternions import (
     normalize,
     qexp_pure,
     qmul,
+    unit_point,
 )
+from s3sr.charts import from_cartesian
+from s3sr.connect import connect
+from s3sr.frames import frame_at
+from s3sr.geodesics import GeodesicParams, integrate_geodesic
+from s3sr.quaternions import _conj_mul_floats
+from s3sr.shooting import shoot
 from conftest import random_unit
 
 component = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
@@ -160,3 +169,77 @@ def test_batched_operations(rng):
     batch = qmul(ps, qs)
     single = np.stack([qmul(p, q) for p, q in zip(ps, qs)])
     assert np.array_equal(batch, single)
+
+
+def test_check_unit_and_unit_point_reject_nan_and_inf(rng):
+    u = random_unit(rng)
+    for bad in ([np.nan, 0.0, 0.0, 0.0], [1.0, 0.0, np.nan, 0.0], [np.inf, 0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="not unit"):
+            check_unit(bad)
+        with pytest.raises(ValueError, match="not unit"):
+            unit_point(bad)
+    with pytest.raises(ValueError, match="not unit"):
+        check_unit(np.stack([u, [0.0, np.nan, 0.0, 0.0]]))
+    assert unit_point(u).tobytes() == u.tobytes()
+    assert unit_point(list(u)).tobytes() == u.tobytes()
+
+
+def test_unit_point_rejects_other_shapes(rng):
+    u = random_unit(rng)
+    for bad in (u[None], np.stack([u, u]), u[:3], 1.0, np.zeros((0, 4))):
+        message = f"q must be one quaternion of shape (4,), got shape {np.shape(bad)}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            unit_point(bad, what="q")
+
+
+def test_unit_point_tolerance_edge_is_that_of_check_unit(rng):
+    # the float sum of unit_point is norm2's, so both accept and reject at the same tol
+    for q in rng.standard_normal((500, 4)) * rng.uniform(0.5, 1.5, (500, 1)):
+        dev = float(abs(norm2(q) - 1.0))
+        unit_point(q, tol=dev)
+        check_unit(q, tol=dev)
+        below = np.nextafter(dev, 0.0)
+        with pytest.raises(ValueError):
+            unit_point(q, tol=below)
+        with pytest.raises(ValueError):
+            check_unit(q, tol=below)
+
+
+def test_conj_mul_floats_is_qmul_of_conj_bit_for_bit(rng):
+    # exact zeros and signed zeros from the axis points, plus generic pairs
+    axes = [s * e for e in np.eye(4) for s in (1.0, -1.0)] + [np.array([0.0, -0.0, 0.6, -0.8])]
+    pairs = [(p, q) for p in axes for q in axes] + [tuple(random_unit(rng, 2)) for _ in range(500)]
+    for p, q in pairs:
+        rel = _conj_mul_floats(p, q)
+        assert all(type(c) is float for c in rel)
+        assert np.array(rel).tobytes() == qmul(conj(p), q).tobytes()
+
+
+_NAN = [np.nan, 0.0, 0.0, 0.0]
+_ONE = [1.0, 0.0, 0.0, 0.0]
+_J = [0.0, 0.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: connect(_NAN, _J), "endpoint P is not unit"),
+        (lambda: connect(_ONE, _NAN), "endpoint Q is not unit"),
+        (lambda: connect([_ONE], _J), r"endpoint P must be one quaternion of shape \(4,\), got shape \(1, 4\)"),
+        (lambda: connect(_ONE, [_J, _J]), r"endpoint Q must be one quaternion of shape \(4,\), got shape \(2, 4\)"),
+        (lambda: connect(_ONE, _J, n=256.0), "n must be an integer of at least 2 samples, got 256.0"),
+        (lambda: connect(_ONE, _J, n=1), "n must be an integer of at least 2 samples, got 1"),
+        (lambda: shoot(_NAN, _J), "shoot start P is not unit"),
+        (lambda: shoot(_ONE, _NAN), "shoot target Q is not unit"),
+        (lambda: shoot([_ONE], _J), r"shoot start P must be one quaternion of shape \(4,\), got shape \(1, 4\)"),
+        (lambda: shoot(_ONE, [_J, _J]), r"shoot target Q must be one quaternion of shape \(4,\), got shape \(2, 4\)"),
+        (lambda: from_cartesian(_NAN), "chart point q is not unit"),
+        (lambda: from_cartesian([_ONE, _J]), r"chart point q must be one quaternion of shape \(4,\), got shape \(2, 4\)"),
+        (lambda: from_cartesian([_ONE]), r"chart point q must be one quaternion of shape \(4,\), got shape \(1, 4\)"),
+        (lambda: integrate_geodesic(_NAN, GeodesicParams(1.0, 0.0, 0.5), 1.0, 0.01), "initial point q0 is not unit"),
+        (lambda: frame_at(_NAN), "frame base point q is not unit"),
+    ],
+)
+def test_single_point_entry_points_name_the_bad_argument(call, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()
