@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quaternions import UNIT_TOL, unit_point
+from .quaternions import UNIT_TOL, check_unit
 
 __all__ = [
     "EulerAngles",
@@ -125,7 +125,7 @@ def from_cartesian(q, tol=UNIT_TOL) -> EulerAngles:
     at theta in {0, pi} one of the half-angle sums is undefined and is
     set to 0, with ``pole`` marking which circle was hit.
     """
-    q = unit_point(q, tol, "chart point q")
+    q = check_unit(q, tol, "chart point q")
     phi, psi, theta, rx, ry = _angle_arrays(q)
     pole = "theta=0" if ry < _POLE_EPS else "theta=pi" if rx < _POLE_EPS else None
     return EulerAngles(phi=float(phi), psi=float(psi), theta=float(theta), pole=pole)

@@ -27,10 +27,11 @@ the principal branch.  The leg is evaluated in one pass of the chart
 kernel, which shares its trigonometry between points and velocities,
 and the gauge g is undone inside that pass: conj(g) has two nonzero
 components, so each component of the right product by conj(g) is a
-sum of two terms, written straight into the output arrays.  That
-equals the full quaternion product bit for bit, except that an exact
-zero can come out as -0.0 where the full product gives +0.0.  Pairs that no gauge makes chart-friendly
-(and degenerate data such as k ~ 0) fall back to a waypoint route: two
+sum of two terms, written straight into the output arrays.  When an
+output holds an exact zero, the two zero terms are added as well, so
+the sign of that zero, like every other bit, equals the full
+quaternion product.  Pairs that no gauge makes chart-friendly (and
+degenerate data such as k ~ 0) fall back to a waypoint route: two
 one-parameter-subgroup arcs with horizontal axes, glued with a smooth
 time warp whose first and second derivatives vanish at the junction.
 """
@@ -44,7 +45,7 @@ import numpy as np
 
 from .charts import EulerAngles, _angle_arrays, _chart_columns, to_cartesian, wrap_angle
 from .curves import SampledCurve, omega_fd_residuals
-from .quaternions import _conj_mul_floats, _qmul_terms, _right_terms, conj, qexp_pure, qmul, unit_point
+from .quaternions import _conj_mul_floats, _qmul_terms, _right_terms, check_unit, conj, qexp_pure, qmul
 
 __all__ = [
     "ConstructionError",
@@ -188,7 +189,7 @@ class _GluedLeg:
 def _as_point(p, name):
     if isinstance(p, EulerAngles):
         return to_cartesian(p)
-    return unit_point(p, what=f"endpoint {name}")
+    return check_unit(p, what=f"endpoint {name}")
 
 
 def _sample_count(n):

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quaternions import UNIT_TOL, unit_point
+from .quaternions import UNIT_TOL, is_unit, norm2
 
 __all__ = [
     "I1",
@@ -95,14 +95,15 @@ class FrameComponents(NamedTuple):
 
 
 def frame_at(q, tol=UNIT_TOL):
-    """Orthonormal frame (X, Y, T, N) at a unit point q.
+    """Orthonormal frame (X, Y, T, N) at a unit point q, or row by row at stacked points.
 
     Pass tol=None to skip the unit check (used by diagnostics that
-    probe behaviour off the sphere).
+    probe behaviour off the sphere).  A NaN component fails the check.
     """
     q = np.asarray(q, dtype=float)
-    if tol is not None:
-        unit_point(q, tol, "frame base point q")
+    if tol is not None and not is_unit(q, tol):
+        dev = np.max(np.abs(norm2(q) - 1.0))
+        raise ValueError(f"frame base point q is not unit: max | |q|^2 - 1 | = {dev:.3e} > {tol:.1e}")
     return Frame(X=-(q @ I1), Y=-(q @ I3), T=-(q @ I2), N=q.copy())
 
 

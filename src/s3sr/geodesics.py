@@ -41,7 +41,7 @@ import numpy as np
 
 from .curves import SampledCurve, unit_norm_error
 from .frames import I1, I2, I3, frame_ab
-from .quaternions import qexp_pure, qmul, unit_point
+from .quaternions import check_unit, qexp_pure, qmul
 
 __all__ = [
     "GeodesicParams",
@@ -133,7 +133,7 @@ def integrate_geodesic(q0, params: GeodesicParams, T, h, order=4) -> SampledCurv
     analytic a(s) X + b(s) Y.
     """
     nsteps, dt = _grid(T, h)
-    q0 = unit_point(q0, what="initial point q0")
+    q0 = check_unit(q0, what="initial point q0")
     weights = _COMP_WEIGHTS.get(order)
     if weights is None:
         raise ValueError("order must be 2 or 4")

@@ -4,7 +4,7 @@ Components are stored in the order (w, x, y, z) for w + x*i + y*j + z*k.
 The sphere code reads the same four numbers as coordinates
 (x1, x2, y1, y2), so a point of S^3 is simply a unit quaternion.
 
-All operations but unit_point, which checks a single point, broadcast
+All operations but check_unit, which checks a single point, broadcast
 over a trailing axis of length 4, so they work on single quaternions of
 shape (4,) as well as on stacks (n, 4).
 """
@@ -28,7 +28,6 @@ __all__ = [
     "qexp_pure",
     "is_unit",
     "check_unit",
-    "unit_point",
 ]
 
 QUAT_ONE = np.array([1.0, 0.0, 0.0, 0.0])
@@ -127,30 +126,18 @@ def is_unit(q, tol=UNIT_TOL):
 
 
 def check_unit(q, tol=UNIT_TOL, what="quaternion"):
-    """Raise ValueError unless q is unit to the given tolerance."""
-    q = np.asarray(q, dtype=float)
-    if q.shape[-1] != 4:
-        raise ValueError(f"{what} must have 4 components, got shape {q.shape}")
-    dev = np.max(np.abs(norm2(q) - 1.0))
-    if not dev <= tol:  # NaN fails too
-        raise ValueError(f"{what} is not unit: | |q|^2 - 1 | = {dev:.3e} > {tol:.1e}")
-    return q
-
-
-def unit_point(q, tol=UNIT_TOL, what="quaternion"):
     """One point of the sphere as a float array of shape (4,).
 
-    The single-point form of check_unit, on Python floats: |q|^2 is
-    summed in norm2's order.  Any other shape, a deviation | |q|^2 - 1 |
-    above tol and a NaN or infinite component raise ValueError naming
-    what.
+    |q|^2 is summed on Python floats in norm2's order.  Any other shape,
+    a deviation | |q|^2 - 1 | above tol and a NaN or infinite component
+    raise ValueError naming what.
     """
     q = np.asarray(q, dtype=float)
     if q.shape != (4,):
         raise ValueError(f"{what} must be one quaternion of shape (4,), got shape {q.shape}")
     w, x, y, z = q.tolist()
     dev = abs(w * w + x * x + y * y + z * z - 1.0)
-    if not dev <= tol:
+    if not dev <= tol:  # NaN fails too
         raise ValueError(f"{what} is not unit: | |q|^2 - 1 | = {dev:.3e} > {tol:.1e}")
     return q
 
@@ -179,29 +166,35 @@ _RIGHT_BASIS = (
 
 
 def _right_terms(g):
-    """Right multiplication by g as two terms per component.
+    """Right multiplication by g as four terms per component.
 
-    g may have at most two nonzero components.  Returns, for m = 0..3,
-    (a, ca, b, cb) with (p*g)[m] = p[a]*ca + p[b]*cb.  Each term is
-    the one qmul forms, with its sign moved into the coefficient, so
-    _qmul_terms equals qmul bit for bit wherever the product component
-    is nonzero.  qmul also adds the terms with a zero factor of g; they
-    decide only the sign of a component that is exactly zero, which
-    _qmul_terms can give as -0.0 where qmul gives +0.0.
+    Returns, for m = 0..3, ((a, ca), (b, cb), (c, cc), (d, cd)) with
+    (p*g)[m] = p[a]*ca + p[b]*cb + p[c]*cc + p[d]*cd, each term the one
+    qmul forms with its sign moved into the coefficient.  g may have at
+    most two nonzero components, and they come first, so cc and cd are
+    signed zeros.
     """
     g = [float(c) for c in g]
     support = [e for e in range(4) if g[e] != 0.0]
     if len(support) > 2:
         raise ValueError(f"right factor has more than two nonzero components: {g}")
-    e1, e2 = (support + [e for e in range(4) if e not in support])[:2]
+    order = support + [e for e in range(4) if e not in support]
     return tuple(
-        (a, sa * g[e1], b, sb * g[e2])
-        for (a, sa), (b, sb) in zip(_RIGHT_BASIS[e1], _RIGHT_BASIS[e2])
+        tuple((_RIGHT_BASIS[e][m][0], _RIGHT_BASIS[e][m][1] * g[e]) for e in order) for m in range(4)
     )
 
 
 def _qmul_terms(cols, terms, out):
-    """Write p*g into out[..., m] from p's component arrays cols and terms = _right_terms(g)."""
-    for m, (a, ca, b, cb) in enumerate(terms):
+    """Write p*g into out[..., m] from p's component arrays cols and terms = _right_terms(g).
+
+    Equal to qmul bit for bit.  The two zero terms change only the sign
+    of an exact zero: a sum is -0.0 only when all its terms are, so they
+    are added only when out holds a zero.
+    """
+    for m, ((a, ca), (b, cb), _, _) in enumerate(terms):
         np.add(cols[a] * ca, cols[b] * cb, out=out[..., m])
+    if not out.all():
+        for m, (_, _, (c, cc), (d, cd)) in enumerate(terms):
+            out[..., m] += cols[c] * cc
+            out[..., m] += cols[d] * cd
     return out

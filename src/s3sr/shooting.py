@@ -43,7 +43,7 @@ import numpy as np
 
 from .curves import SampledCurve
 from .geodesics import GeodesicParams, geodesic_point, integrate_geodesic
-from .quaternions import _conj_mul_floats, unit_point
+from .quaternions import _conj_mul_floats, check_unit
 
 __all__ = ["ShootingConfig", "ShootingResult", "shoot"]
 
@@ -139,8 +139,8 @@ def shoot(P, Q, cfg: ShootingConfig | None = None) -> ShootingResult:
     The solver has no random choices, so results are reproducible.
     """
     cfg = cfg or ShootingConfig()
-    P = unit_point(P, what="shoot start P")
-    Q = unit_point(Q, what="shoot target Q")
+    P = check_unit(P, what="shoot start P")
+    Q = check_unit(Q, what="shoot target Q")
 
     if float(np.linalg.norm(P - Q)) < 1e-12:
         params = GeodesicParams(1.0, 0.0, 0.0)

@@ -553,18 +553,19 @@ def test_gauge_undo_matches_qmul_bit_for_bit(rng):
 def test_gauge_undo_sign_of_zero_on_exact_zero_inputs():
     # every row with components in {+-0, +-0.5, +-1}: products vanish exactly
     p = np.array(list(itertools.product([0.0, -0.0, 0.5, -0.5, 1.0, -1.0], repeat=4)))
-    flips = 0
+    negative_zeros = flips = 0
     for g in _GAUGES:
         ginv = conj(g)
+        terms = _right_terms(ginv)
         ref = qmul(p, ginv)
-        out = _qmul_terms(tuple(p.T), _right_terms(ginv), np.empty_like(p))
-        assert np.array_equal(out, ref)
-        # two terms sum to -0.0 when both are -0.0; qmul's four only when all
-        # four are, so where the two disagree, out is -0.0 and qmul +0.0
-        differ = np.signbit(out) != np.signbit(ref)
-        assert np.all(out[differ] == 0.0) and np.all(np.signbit(out[differ]))
-        flips += int(differ.sum())
-    assert flips > 0
+        out = _qmul_terms(tuple(p.T), terms, np.empty_like(p))
+        assert out.tobytes() == ref.tobytes()
+        negative_zeros += int(np.sum((ref == 0.0) & np.signbit(ref)))
+        # qmul's sum is -0.0 only when all four terms are; the two support
+        # terms alone give -0.0 also where qmul gives +0.0
+        two = np.stack([p[:, a] * ca + p[:, b] * cb for (a, ca), (b, cb), _, _ in terms], axis=-1)
+        flips += int(np.sum(np.signbit(two) != np.signbit(ref)))
+    assert negative_zeros > 0 and flips > 0
 
 
 def _chart_leg_eval_ref(gauge, phi0, k, q, log_tan, s):

@@ -64,6 +64,16 @@ def test_frame_rejects_nonunit():
         frame_at([1.0, 1.0, 0.0, 0.0])
 
 
+def test_frame_at_stacked_points_and_a_nan_row(rng):
+    qs = random_unit(rng, 5)
+    f = frame_at(qs)
+    for n, q in enumerate(qs):
+        assert all(np.array_equal(stacked[n], single) for stacked, single in zip(f, frame_at(q)))
+    qs[2, 1] = np.nan
+    with pytest.raises(ValueError, match="frame base point q is not unit"):
+        frame_at(qs)
+
+
 def test_components_examples(rng):
     q = random_unit(rng)
     f = frame_at(q)

@@ -19,7 +19,6 @@ from s3sr.quaternions import (
     normalize,
     qexp_pure,
     qmul,
-    unit_point,
 )
 from s3sr.charts import from_cartesian
 from s3sr.connect import connect
@@ -171,38 +170,30 @@ def test_batched_operations(rng):
     assert np.array_equal(batch, single)
 
 
-def test_check_unit_and_unit_point_reject_nan_and_inf(rng):
+def test_check_unit_rejects_nan_and_inf(rng):
     u = random_unit(rng)
     for bad in ([np.nan, 0.0, 0.0, 0.0], [1.0, 0.0, np.nan, 0.0], [np.inf, 0.0, 0.0, 0.0]):
         with pytest.raises(ValueError, match="not unit"):
             check_unit(bad)
-        with pytest.raises(ValueError, match="not unit"):
-            unit_point(bad)
-    with pytest.raises(ValueError, match="not unit"):
-        check_unit(np.stack([u, [0.0, np.nan, 0.0, 0.0]]))
-    assert unit_point(u).tobytes() == u.tobytes()
-    assert unit_point(list(u)).tobytes() == u.tobytes()
+    assert check_unit(u).tobytes() == u.tobytes()
+    assert check_unit(list(u)).tobytes() == u.tobytes()
 
 
-def test_unit_point_rejects_other_shapes(rng):
+def test_check_unit_rejects_other_shapes(rng):
     u = random_unit(rng)
     for bad in (u[None], np.stack([u, u]), u[:3], 1.0, np.zeros((0, 4))):
         message = f"q must be one quaternion of shape (4,), got shape {np.shape(bad)}"
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-            unit_point(bad, what="q")
+            check_unit(bad, what="q")
 
 
-def test_unit_point_tolerance_edge_is_that_of_check_unit(rng):
-    # the float sum of unit_point is norm2's, so both accept and reject at the same tol
+def test_check_unit_tolerance_edge_is_that_of_norm2(rng):
+    # check_unit sums |q|^2 on floats in norm2's order, so it accepts exactly up to norm2's deviation
     for q in rng.standard_normal((500, 4)) * rng.uniform(0.5, 1.5, (500, 1)):
         dev = float(abs(norm2(q) - 1.0))
-        unit_point(q, tol=dev)
         check_unit(q, tol=dev)
-        below = np.nextafter(dev, 0.0)
         with pytest.raises(ValueError):
-            unit_point(q, tol=below)
-        with pytest.raises(ValueError):
-            check_unit(q, tol=below)
+            check_unit(q, tol=np.nextafter(dev, 0.0))
 
 
 def test_conj_mul_floats_is_qmul_of_conj_bit_for_bit(rng):
