@@ -13,8 +13,6 @@ import sys
 
 import numpy as np
 
-from .charts import EulerAngles, from_cartesian, to_cartesian
-from .connect import ConstructionError, connect
 from .curves import SampledCurve, fd_velocities, unit_norm_error
 from .frames import frame_at, omega_eval
 from .geodesics import (
@@ -27,7 +25,8 @@ from .geodesics import (
 )
 from .io import CurveRecord
 from .quaternions import normalize
-from .shooting import ShootingConfig, shoot
+
+# charts, connect and shooting are imported by the commands that use them, so the others start faster
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -49,6 +48,7 @@ def _parse_endpoint(text: str):
     """Either 'phi,psi,theta' angles or a 'w,x,y,z' quaternion."""
     values = _floats(text)
     if len(values) == 3:
+        from .charts import EulerAngles, to_cartesian
         return to_cartesian(EulerAngles(*values))
     if len(values) == 4:
         return _sanitize_point(np.array(values))
@@ -77,20 +77,30 @@ def _parse_q0(text: str) -> np.ndarray:
 
 
 def _write_record(curve: SampledCurve, args, **extra) -> str:
-    record = CurveRecord.from_curve(curve, **extra)
     out = args.out or f"{args.command}.{args.format}"
-    record.write(out, args.format)
+    CurveRecord.from_curve(curve, **extra).write(out, args.format)
     return out
 
 
 # ---------------------------------------------------------------------------
 
 
+def connect(p, q, n):
+    """s3sr.connect.connect, imported on the first call."""
+    from .connect import connect
+    return connect(p, q, n=n)
+
+
 def _cmd_connect(args) -> int:
+    from .connect import ConstructionError
     p = _parse_endpoint(getattr(args, "from"))
     q = _parse_endpoint(args.to)
     n = 2 if float(np.linalg.norm(p - q)) < 1e-13 else args.samples
-    curve = connect(p, q, n=n)
+    try:
+        curve = connect(p, q, n=n)
+    except ConstructionError as exc:
+        print(f"construction failed: {exc}", file=sys.stderr)
+        return EXIT_CONSTRUCTION
     out = _write_record(curve, args)
     print(f"endpoint_error={curve.meta['endpoint_error']:.17g}")
     print(f"max_omega_residual={curve.meta['max_omega_fd']:.17g}")
@@ -132,6 +142,7 @@ def _cmd_hamiltonian(args) -> int:
 
 
 def _cmd_shoot(args) -> int:
+    from .shooting import ShootingConfig, shoot
     p = _parse_endpoint(getattr(args, "from"))
     q = _parse_endpoint(args.to)
     result = shoot(p, q, ShootingConfig(tol=args.tol, curve_step=args.step))
@@ -197,6 +208,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_frames(args) -> int:
+    from .charts import from_cartesian
     q = _parse_endpoint(args.at)
     f = frame_at(q)
     for name, vec in zip("XYTN", f):
@@ -288,9 +300,6 @@ def main(argv=None) -> int:
     try:
         _check_options(args)
         return args.func(args)
-    except ConstructionError as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -249,8 +249,10 @@ def integrate_hamiltonian(q0, xi0, T, h) -> HamiltonianTrajectory:
     where q I1 = (-x, w, z, -y) and q I3 = (-z, y, -x, w).
     """
     nsteps, dt = _grid(T, h)
-    q0 = np.asarray(q0, dtype=float)
+    q0 = check_unit(q0, what="initial point q0")
     xi0 = np.asarray(xi0, dtype=float)
+    if xi0.shape != (4,) or not np.isfinite(xi0).all():
+        raise ValueError(f"initial costate xi0 must be one finite 4-vector, got {xi0.tolist()}")
     half = 0.5 * dt
     sixth = dt / 6.0
     ys = np.empty((nsteps + 1, 8))

@@ -4,16 +4,15 @@ CSV layout is bit-stable: '#'-prefixed header lines (a format marker,
 sorted key=value metadata, the column list), then comma-separated rows
 rendered with 17 significant digits and LF line endings.  Column order
 is fixed: s, x1, x2, y1, y2, a, b, omega_res.  Rows are written and
-parsed in blocks of 1024 (one '%.17g' row template per row, one numpy
-conversion per block), with the same bytes and values as a per-value
-writer and reader; a block holding a blank, comment or malformed line
-is parsed line by line, so errors still name their line.
+parsed in blocks of 1024 (one '%.17g' block template per block, one
+numpy conversion per block), with the same bytes and values as a
+per-value writer and reader; a block holding a blank, comment or
+malformed line is parsed line by line, so errors still name their line.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,14 +27,10 @@ COLUMNS = ("s", "x1", "x2", "y1", "y2", "a", "b", "omega_res")
 FORMAT_MARKER = "s3sr-curve v1"
 
 
-# rows per tolist() call when writing and per np.array call when parsing;
-# it also bounds the Python objects held at once
+# rows per tolist() call and '%' format when writing and per np.array call
+# when parsing; it also bounds the Python objects held at once
 _BLOCK = 1024
 _ROW = ",".join(["%.17g"] * len(COLUMNS))
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 @dataclass
@@ -99,7 +94,8 @@ class CurveRecord:
             lines.append(f"# {key}={_header_str(self.header[key])}")
         lines.append("# columns: " + ",".join(COLUMNS))
         for start in range(0, len(self.data), _BLOCK):
-            lines.extend(_ROW % tuple(row) for row in self.data[start : start + _BLOCK].tolist())
+            block = self.data[start : start + _BLOCK]
+            lines.append("\n".join([_ROW] * len(block)) % tuple(block.ravel().tolist()))
         Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
     @classmethod
@@ -130,6 +126,7 @@ class CurveRecord:
     # -- JSON ----------------------------------------------------------
 
     def to_json(self, path):
+        import json
         payload = {
             "format": FORMAT_MARKER,
             "header": self.header,
@@ -144,6 +141,7 @@ class CurveRecord:
 
     @classmethod
     def _from_json_text(cls, text) -> "CurveRecord":
+        import json
         payload = json.loads(text)
         if payload.get("format") != FORMAT_MARKER or "rows" not in payload:
             raise ValueError("not a curve file")
@@ -173,7 +171,7 @@ def _scalarish(v) -> bool:
 
 def _header_str(v) -> str:
     if isinstance(v, (float, np.floating)):
-        return _fmt(v)
+        return format(float(v), ".17g")
     return str(v)
 
 

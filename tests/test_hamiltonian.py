@@ -34,6 +34,21 @@ def test_argument_checks():
             integrate_hamiltonian(ONE, np.zeros(4), T, h)
 
 
+@pytest.mark.parametrize(
+    "q0,xi0,message",
+    [
+        ([np.nan, 0.0, 0.0, 0.0], (0.0, 1.0, 0.0, 0.0), "initial point q0 is not unit"),
+        ([2.0, 0.0, 0.0, 0.0], (0.0, 1.0, 0.0, 0.0), "initial point q0 is not unit"),
+        (np.tile(ONE, (2, 1)), (0.0, 1.0, 0.0, 0.0), r"initial point q0 must be .* shape \(2, 4\)"),
+        (ONE, (0.0, 1.0, 0.0), "xi0 must be one finite 4-vector"),
+        (ONE, (0.0, np.nan, 0.0, 0.0), "xi0 must be one finite 4-vector"),
+    ],
+)
+def test_initial_data_checks(q0, xi0, message):
+    with pytest.raises(ValueError, match=message):
+        integrate_hamiltonian(q0, xi0, 0.01, 1e-3)
+
+
 def test_match_costate_pairings(rng):
     q0 = random_unit(rng)
     p = GeodesicParams(1.0, 0.8, -0.6)
