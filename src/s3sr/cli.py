@@ -86,7 +86,7 @@ def _write_record(curve: SampledCurve, args, **extra) -> str:
 
 
 def connect(p, q, n):
-    """s3sr.connect.connect, imported on the first call."""
+    """s3sr.connect.connect under a module name tests can patch (_cmd_connect imports it)."""
     from .connect import connect
     return connect(p, q, n=n)
 

@@ -610,16 +610,16 @@ def test_connect_rejects_a_nan_curve(monkeypatch):
 
 
 def test_import_leaves_numpy_polynomial_unloaded():
-    assert not _loaded_by_fresh_import("numpy.polynomial")
+    assert not _loaded_by_fresh_import("numpy.polynomial", "from s3sr import *")
     assert not _loaded_by_fresh_import("numpy.polynomial", "import s3sr.cli")
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    assert not _loaded_by_fresh_import("scipy.integrate")
+    assert not _loaded_by_fresh_import("scipy.integrate", "from s3sr import *")
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    assert not _loaded_by_fresh_import("scipy.optimize")
+    assert not _loaded_by_fresh_import("scipy.optimize", "from s3sr import *")
 
 
 # -- constant-psi curves -------------------------------------------------------
