@@ -3,9 +3,19 @@
 Subcommands: connect, geodesic, hamiltonian, shoot, check, frames.
 Exit codes: 0 success, 2 usage or parse error, 3 construction failure,
 4 shooting did not converge (the best-effort curve is still written).
+
+Run as `python -m s3sr.cli`, the cyclic garbage collector stays off while
+the modules load and is kept off their objects afterwards; see `run`, which
+the installed `s3sr` script also calls.
 """
 
 from __future__ import annotations
+
+import gc
+
+if __name__ == "__main__":
+    # what the imports below create lives until exit, so collecting it is wasted work
+    gc.disable()
 
 import argparse
 import math
@@ -122,7 +132,7 @@ def _cmd_geodesic(args) -> int:
 def _cmd_hamiltonian(args) -> int:
     q0 = _parse_q0(args.q0)
     params = GeodesicParams(args.r, args.theta0, getattr(args, "lambda"))
-    meta = {"tag": "hamiltonian", "T": args.T, "h": args.step}
+    meta = {"tag": "hamiltonian", "T": args.T}
     if args.xi0:
         xi0 = np.array(_floats(args.xi0))
         if len(xi0) != 4:
@@ -132,6 +142,9 @@ def _cmd_hamiltonian(args) -> int:
         # the control profile below is only valid for matched costates
         meta.update({"r": params.r, "theta0": params.theta0, "lambda": params.lam})
     traj = integrate_hamiltonian(q0, xi0, args.T, args.step)
+    nsteps = len(traj.s) - 1
+    # the grid step used, T / nsteps, as integrate_geodesic records it; T = 0 keeps --step
+    meta["h"] = args.T / nsteps if nsteps else args.step
     curve = SampledCurve(traj.s, traj.q, traj.qdot(), meta)
     out = _write_record(curve, args)
     energy = traj.energy()
@@ -305,5 +318,25 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run() -> int:
+    """Process entry point: `main()` without collections over the import-time heap.
+
+    The first `gc.freeze()` moves every object alive after the imports into
+    the permanent generation, and collection is enabled again: cycles made by
+    the command are still freed, but no collection walks that heap.  The last
+    freeze spares interpreter shutdown its full collections over it.
+    `main()` itself leaves the collector as it finds it.
+
+    Under `python -m s3sr.cli` the collector is also off while the modules
+    load.  The installed `s3sr` script imports this module by name, so it
+    gets the two freezes but not that import phase.
+    """
+    gc.freeze()
+    gc.enable()
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

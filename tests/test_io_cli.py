@@ -187,6 +187,7 @@ def test_cli_rejects_bad_common_options(tmp_path):
         ["geodesic", "--q0", "1,0,0,0", "--T", "1", "--lambda", "nan"],
         ["hamiltonian", "--q0", "1,0,0,0", "--T", "1", "--r", "inf"],
         ["geodesic", "--q0", "1,0,0,0", "--T", "1", "--theta0", "nan"],
+        ["hamiltonian", "--q0", "1,0,0,0", "--T", "1", "--xi0", "0.1,nan,0.2,0.3"],
     ],
 )
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys, argv):
@@ -326,6 +327,36 @@ def test_cli_hamiltonian(tmp_path, capsys):
     assert code == 0
     assert "H_drift=" in captured
     assert run("check", str(out)) == 0
+
+
+@pytest.mark.parametrize("command", ["geodesic", "hamiltonian"])
+def test_cli_header_records_the_grid_step(tmp_path, command):
+    # T / h = 1000.5 is cut into 1000 steps of 1.0005e-3, not the requested 1e-3
+    out = tmp_path / "c.csv"
+    assert run(command, "--q0", "1,0,0,0", "--lambda", "0.5", "--T", "1.0005",
+               "--step", "0.001", "--out", str(out)) == 0
+    rec = CurveRecord.from_csv(out)
+    assert rec.header["h"] == rec.data[1, 0] - rec.data[0, 0]
+
+
+def test_cli_hamiltonian_explicit_costate(tmp_path, capsys):
+    out = tmp_path / "ham.csv"
+    assert run("hamiltonian", "--q0", "1,0,0,0", "--xi0", "0.1,-0.9,0.2,0.3",
+               "--T", "2", "--out", str(out)) == 0
+    header = CurveRecord.from_csv(out).header
+    assert header["tag"] == "hamiltonian"
+    # no profile parameters: r, theta0 and lambda describe only a matched costate
+    assert not {"r", "theta0", "lambda"} & header.keys()
+    capsys.readouterr()
+    assert run("check", str(out)) == 0
+    assert "SKIP angle-linearity" in capsys.readouterr().out
+
+
+def test_cli_hamiltonian_rejects_short_costate(tmp_path, capsys):
+    out = tmp_path / "ham.csv"
+    assert run("hamiltonian", "--q0", "1,0,0,0", "--xi0", "0.1,-0.9,0.2", "--T", "2", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: --xi0 needs 4 components\n"
+    assert not out.exists()
 
 
 def test_cli_shoot_trivial(tmp_path, capsys):
