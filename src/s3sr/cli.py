@@ -143,8 +143,8 @@ def _cmd_hamiltonian(args) -> int:
         meta.update({"r": params.r, "theta0": params.theta0, "lambda": params.lam})
     traj = integrate_hamiltonian(q0, xi0, args.T, args.step)
     nsteps = len(traj.s) - 1
-    # the grid step used, T / nsteps, as integrate_geodesic records it; T = 0 keeps --step
-    meta["h"] = args.T / nsteps if nsteps else args.step
+    # the grid step used, T / nsteps, as integrate_geodesic records it
+    meta["h"] = args.T / nsteps if nsteps else 0.0
     curve = SampledCurve(traj.s, traj.q, traj.qdot(), meta)
     out = _write_record(curve, args)
     energy = traj.energy()

@@ -11,10 +11,12 @@ exponentials of midpoint-sampled controls, which keeps |q| = 1 to
 rounding; a triple-jump composition of that symmetric step raises the
 order to four (pass order=2 for the plain midpoint scheme).  The
 controls do not depend on q, so the exponentials of a block of steps
-come from one vectorized qexp_pure call; the product chain itself runs
-step by step, left to right, on Python floats (a tree-shaped product
-reorders the rounding and drifts |q| further).  Each step is one loop
-body: order 4 writes its three substep products out one after another.
+come from one vectorized qexp_pure call, read back as floats straight
+from its buffer; the product chain itself runs step by step, left to
+right, on Python floats (a tree-shaped product reorders the rounding
+and drifts |q| further).  Each step is one loop body: order 4 writes
+its three substep products out one after another, through named
+temporaries.
 
 The same flow also arises from the Hamiltonian
 
@@ -23,13 +25,14 @@ The same flow also arises from the Hamiltonian
 integrated here with a classical fourth-order one-step method on the
 pair (q, xi): the right-hand side is written out inline for each of the
 four stages, with the stage inputs and the update, on named Python
-floats.  Both integrators collect a block of rows in a list and write
-it to numpy at once, and keep the float operations of a per-substep,
-per-stage loop in their order, so trajectories are bit for bit those
-of that loop.  Matching initial data must place -lambda in the
-<q I2, .> component of the costate; the component along q itself is
-pure gauge.  The checks at the bottom verify energy, horizontality and
-the linear law for the angle between the velocity and the frame.
+floats.  Both integrators extend one flat list of floats by each
+step's row and write a block of rows to numpy with one np.fromiter
+call, and keep the float operations of a per-substep, per-stage loop
+in their order, so trajectories are bit for bit those of that loop.
+Matching initial data must place -lambda in the <q I2, .> component
+of the costate; the component along q itself is pure gauge.  The
+checks at the bottom verify energy, horizontality and the linear law
+for the angle between the velocity and the frame.
 """
 
 from __future__ import annotations
@@ -62,8 +65,8 @@ _COMP4_B = 1.0 - 2.0 * _COMP4_A
 _COMP_WEIGHTS = {2: (1.0,), 4: (_COMP4_A, _COMP4_B, _COMP4_A)}
 
 # steps per qexp_pure call in integrate_geodesic and per numpy row write
-# in both integrators; it also bounds the Python lists held at once (a
-# whole long horizon would cost several MB)
+# in both integrators; it also bounds the flat list of row floats held
+# at once (a whole long horizon would cost several MB)
 _BLOCK = 1024
 
 
@@ -152,42 +155,38 @@ def integrate_geodesic(q0, params: GeodesicParams, T, h, order=4) -> SampledCurv
             t += c * dt
         a, b = ab_profile(params, mids)
         v = np.stack([-a * coef * dt, np.zeros_like(a), -b * coef * dt], axis=-1)
-        # one row per step: the step's exponentials side by side
-        exps = qexp_pure(v).reshape(-1, 4 * len(weights)).tolist()
-        rows = [None] * len(exps)
+        # one tuple per step: its exponentials' components, read as floats
+        # straight from the array's buffer by one iterator zipped with itself
+        comps = iter(memoryview(qexp_pure(v).ravel()))
+        steps = zip(*[comps] * (4 * len(weights)))
+        rows = []
         # q <- q * e written out; ey is 0, but its terms stay so the
         # rounding (and the sign of zero) is that of a full product
         if order == 4:
-            for i, (aw, ax, ay, az, bw, bx, by, bz, cw, cx, cy, cz) in enumerate(exps):
-                w, x, y, z = (
-                    w * aw - x * ax - y * ay - z * az,
-                    w * ax + x * aw + y * az - z * ay,
-                    w * ay + y * aw + z * ax - x * az,
-                    w * az + z * aw + x * ay - y * ax,
-                )
-                w, x, y, z = (
-                    w * bw - x * bx - y * by - z * bz,
-                    w * bx + x * bw + y * bz - z * by,
-                    w * by + y * bw + z * bx - x * bz,
-                    w * bz + z * bw + x * by - y * bx,
-                )
-                w, x, y, z = (
-                    w * cw - x * cx - y * cy - z * cz,
-                    w * cx + x * cw + y * cz - z * cy,
-                    w * cy + y * cw + z * cx - x * cz,
-                    w * cz + z * cw + x * cy - y * cx,
-                )
-                rows[i] = (w, x, y, z)
+            for aw, ax, ay, az, bw, bx, by, bz, cw, cx, cy, cz in steps:
+                w1 = w * aw - x * ax - y * ay - z * az
+                x1 = w * ax + x * aw + y * az - z * ay
+                y1 = w * ay + y * aw + z * ax - x * az
+                z1 = w * az + z * aw + x * ay - y * ax
+                w2 = w1 * bw - x1 * bx - y1 * by - z1 * bz
+                x2 = w1 * bx + x1 * bw + y1 * bz - z1 * by
+                y2 = w1 * by + y1 * bw + z1 * bx - x1 * bz
+                z2 = w1 * bz + z1 * bw + x1 * by - y1 * bx
+                w = w2 * cw - x2 * cx - y2 * cy - z2 * cz
+                x = w2 * cx + x2 * cw + y2 * cz - z2 * cy
+                y = w2 * cy + y2 * cw + z2 * cx - x2 * cz
+                z = w2 * cz + z2 * cw + x2 * cy - y2 * cx
+                rows += (w, x, y, z)
         else:
-            for i, (ew, ex, ey, ez) in enumerate(exps):
+            for ew, ex, ey, ez in steps:
                 w, x, y, z = (
                     w * ew - x * ex - y * ey - z * ez,
                     w * ex + x * ew + y * ez - z * ey,
                     w * ey + y * ew + z * ex - x * ez,
                     w * ez + z * ew + x * ey - y * ex,
                 )
-                rows[i] = (w, x, y, z)
-        pts[start + 1 : stop + 1] = rows
+                rows += (w, x, y, z)
+        pts[start + 1 : stop + 1] = np.fromiter(rows, float, len(rows)).reshape(-1, 4)
 
     s = np.arange(nsteps + 1) * dt
     a, b = ab_profile(params, s)
@@ -261,21 +260,23 @@ def integrate_hamiltonian(q0, xi0, T, h) -> HamiltonianTrajectory:
     w, x, y, z, a, b, c, d = ys[0].tolist()
     # each step is one straight-line block: the four right-hand sides
     # written out on named floats, with the stage inputs u + half*k,
-    # u + dt*k and the update u + sixth*(k1 + 2 k2 + 2 k3 + k4)
+    # u + dt*k and the update u + sixth*(k1 + 2 k2 + 2 k3 + k4); a stage
+    # negates p1 once into n1, and n1 * u is the float -p1 * u
     for start in range(0, nsteps, _BLOCK):
         stop = min(start + _BLOCK, nsteps)
-        rows = [None] * (stop - start)
-        for i in range(stop - start):
+        rows = []
+        for _ in range(stop - start):
             p1 = w * b - x * a + z * c - y * d
             p3 = w * d - z * a + y * b - x * c
-            k1w = -p1 * x - p3 * z
+            n1 = -p1
+            k1w = n1 * x - p3 * z
             k1x = p1 * w + p3 * y
             k1y = p1 * z - p3 * x
-            k1z = -p1 * y + p3 * w
-            k1a = -p1 * b - p3 * d
+            k1z = n1 * y + p3 * w
+            k1a = n1 * b - p3 * d
             k1b = p1 * a + p3 * c
             k1c = p1 * d - p3 * b
-            k1d = -p1 * c + p3 * a
+            k1d = n1 * c + p3 * a
             sw = w + half * k1w
             sx = x + half * k1x
             sy = y + half * k1y
@@ -286,14 +287,15 @@ def integrate_hamiltonian(q0, xi0, T, h) -> HamiltonianTrajectory:
             sd = d + half * k1d
             p1 = sw * sb - sx * sa + sz * sc - sy * sd
             p3 = sw * sd - sz * sa + sy * sb - sx * sc
-            k2w = -p1 * sx - p3 * sz
+            n1 = -p1
+            k2w = n1 * sx - p3 * sz
             k2x = p1 * sw + p3 * sy
             k2y = p1 * sz - p3 * sx
-            k2z = -p1 * sy + p3 * sw
-            k2a = -p1 * sb - p3 * sd
+            k2z = n1 * sy + p3 * sw
+            k2a = n1 * sb - p3 * sd
             k2b = p1 * sa + p3 * sc
             k2c = p1 * sd - p3 * sb
-            k2d = -p1 * sc + p3 * sa
+            k2d = n1 * sc + p3 * sa
             sw = w + half * k2w
             sx = x + half * k2x
             sy = y + half * k2y
@@ -304,14 +306,15 @@ def integrate_hamiltonian(q0, xi0, T, h) -> HamiltonianTrajectory:
             sd = d + half * k2d
             p1 = sw * sb - sx * sa + sz * sc - sy * sd
             p3 = sw * sd - sz * sa + sy * sb - sx * sc
-            k3w = -p1 * sx - p3 * sz
+            n1 = -p1
+            k3w = n1 * sx - p3 * sz
             k3x = p1 * sw + p3 * sy
             k3y = p1 * sz - p3 * sx
-            k3z = -p1 * sy + p3 * sw
-            k3a = -p1 * sb - p3 * sd
+            k3z = n1 * sy + p3 * sw
+            k3a = n1 * sb - p3 * sd
             k3b = p1 * sa + p3 * sc
             k3c = p1 * sd - p3 * sb
-            k3d = -p1 * sc + p3 * sa
+            k3d = n1 * sc + p3 * sa
             sw = w + dt * k3w
             sx = x + dt * k3x
             sy = y + dt * k3y
@@ -322,14 +325,15 @@ def integrate_hamiltonian(q0, xi0, T, h) -> HamiltonianTrajectory:
             sd = d + dt * k3d
             p1 = sw * sb - sx * sa + sz * sc - sy * sd
             p3 = sw * sd - sz * sa + sy * sb - sx * sc
-            k4w = -p1 * sx - p3 * sz
+            n1 = -p1
+            k4w = n1 * sx - p3 * sz
             k4x = p1 * sw + p3 * sy
             k4y = p1 * sz - p3 * sx
-            k4z = -p1 * sy + p3 * sw
-            k4a = -p1 * sb - p3 * sd
+            k4z = n1 * sy + p3 * sw
+            k4a = n1 * sb - p3 * sd
             k4b = p1 * sa + p3 * sc
             k4c = p1 * sd - p3 * sb
-            k4d = -p1 * sc + p3 * sa
+            k4d = n1 * sc + p3 * sa
             w = w + sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
             x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
             y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
@@ -338,8 +342,8 @@ def integrate_hamiltonian(q0, xi0, T, h) -> HamiltonianTrajectory:
             b = b + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
             c = c + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
             d = d + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-            rows[i] = (w, x, y, z, a, b, c, d)
-        ys[start + 1 : stop + 1] = rows
+            rows += (w, x, y, z, a, b, c, d)
+        ys[start + 1 : stop + 1] = np.fromiter(rows, float, len(rows)).reshape(-1, 8)
     s = np.arange(nsteps + 1) * dt
     return HamiltonianTrajectory(s, ys[:, :4], ys[:, 4:])
 

@@ -20,7 +20,7 @@ from s3sr.geodesics import (
     verify_velocity_energy,
 )
 from s3sr.quaternions import QUAT_J, qexp_pure, qmul
-from conftest import random_unit
+from conftest import _assert_same_bits, random_unit
 
 ONE = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -191,11 +191,6 @@ def _nested_loop_geodesic(q0, params, T, h, order):
     return pts, a[:, None] * (-(pts @ I1)) + b[:, None] * (-(pts @ I3))
 
 
-def _assert_same_bits(x, y):
-    assert np.array_equal(x, y)
-    assert np.array_equal(np.signbit(x), np.signbit(y))  # array_equal has -0.0 == 0.0
-
-
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("nsteps", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 5000])
 def test_unrolled_chain_matches_nested_loop_bit_for_bit(order, nsteps):
@@ -203,14 +198,24 @@ def test_unrolled_chain_matches_nested_loop_bit_for_bit(order, nsteps):
     # the axis points make exact zeros, whose signs the products must keep too
     axes = [sign * row for row in np.eye(4) for sign in (1.0, -1.0)]
     h = 1e-3
-    for q0 in [random_unit(rng), random_unit(rng)] + axes:
-        for r in (0.0, 1.3):
-            p = GeodesicParams(r, rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-1.0, 1.0))
-            c = integrate_geodesic(q0, p, nsteps * h, h, order=order)
-            pts, vel = _nested_loop_geodesic(q0, p, nsteps * h, h, order)
-            assert c.points.shape == (nsteps + 1, 4)
-            _assert_same_bits(c.points, pts)
-            _assert_same_bits(c.velocities, vel)
+    starts = [random_unit(rng), random_unit(rng)] + axes
+    cases = [
+        (q0, GeodesicParams(r, rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-1.0, 1.0)))
+        for q0 in starts
+        for r in (0.0, 1.3)
+    ]
+    # at this speed every substep has |v| > pi (3.4 and 4.3 at order 4, 4.0 at
+    # order 2), so sin|v|/|v| < 0 and the exponentials' zero j slot is -0.0; with
+    # theta0 = lambda = 0, b is 0 too, so from an axis point q keeps exact zeros
+    # whose signs only the products' ey terms decide
+    fast = {2: 4000.0, 4: 2500.0}[order]
+    cases += [(q0, GeodesicParams(fast, 0.0, 0.0)) for q0 in starts]
+    for q0, p in cases:
+        c = integrate_geodesic(q0, p, nsteps * h, h, order=order)
+        pts, vel = _nested_loop_geodesic(q0, p, nsteps * h, h, order)
+        assert c.points.shape == (nsteps + 1, 4)
+        _assert_same_bits(c.points, pts)
+        _assert_same_bits(c.velocities, vel)
 
 
 def _profiled_calls(fn, *args, **kwargs):

@@ -12,7 +12,7 @@ from s3sr.geodesics import (
     integrate_hamiltonian,
     match_costate,
 )
-from conftest import random_unit
+from conftest import _assert_same_bits, random_unit
 
 ONE = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -149,13 +149,19 @@ def _list_stage_hamiltonian(q0, xi0, T, h):
 def test_unrolled_stages_match_list_stages_bit_for_bit(nsteps):
     rng = np.random.default_rng(nsteps)
     q0 = random_unit(rng)
-    xi0 = match_costate(q0, GeodesicParams(1.2, 0.4, 0.9)) - 0.2 * q0
+    params = GeodesicParams(1.2, 0.4, 0.9)
+    cases = [(q0, match_costate(q0, params) - 0.2 * q0)]
+    # the axis points make exact zeros, whose signs the stages must keep too
+    for axis in [sign * row for row in np.eye(4) for sign in (1.0, -1.0)]:
+        for xi0 in (match_costate(axis, params), np.zeros(4), np.array([0.0, 1.0, 0.0, 0.0])):
+            cases.append((axis, xi0))
     h = 1e-3
-    traj = integrate_hamiltonian(q0, xi0, nsteps * h, h)
-    ref = _list_stage_hamiltonian(q0, xi0, nsteps * h, h)
-    assert traj.q.shape == (nsteps + 1, 4)
-    assert np.array_equal(traj.q, ref[:, :4])
-    assert np.array_equal(traj.xi, ref[:, 4:])
+    for q0, xi0 in cases:
+        traj = integrate_hamiltonian(q0, xi0, nsteps * h, h)
+        ref = _list_stage_hamiltonian(q0, xi0, nsteps * h, h)
+        assert traj.q.shape == (nsteps + 1, 4)
+        _assert_same_bits(traj.q, ref[:, :4])
+        _assert_same_bits(traj.xi, ref[:, 4:])
 
 
 def test_hamiltonian_memory_is_one_table():

@@ -339,6 +339,17 @@ def test_cli_header_records_the_grid_step(tmp_path, command):
     assert rec.header["h"] == rec.data[1, 0] - rec.data[0, 0]
 
 
+@pytest.mark.parametrize("command", ["geodesic", "hamiltonian"])
+def test_cli_header_records_no_step_at_zero_horizon(tmp_path, command):
+    # T = 0 is no step at all, whatever --step asks for
+    out = tmp_path / "c.csv"
+    assert run(command, "--q0", "1,0,0,0", "--T", "0", "--step", "0.25", "--out", str(out)) == 0
+    rec = CurveRecord.from_csv(out)
+    assert rec.data.shape[0] == 1
+    assert rec.header["h"] == 0
+    assert "# h=0\n" in out.read_text()
+
+
 def test_cli_hamiltonian_explicit_costate(tmp_path, capsys):
     out = tmp_path / "ham.csv"
     assert run("hamiltonian", "--q0", "1,0,0,0", "--xi0", "0.1,-0.9,0.2,0.3",
