@@ -24,7 +24,7 @@ forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,7 @@ __all__ = [
 _POLE_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class EulerAngles:
+class EulerAngles(NamedTuple):
     """Chart coordinates (phi, psi, theta), radians.
 
     ``pole`` is set by :func:`from_cartesian` when the input sits on a

@@ -134,9 +134,7 @@ def _cmd_hamiltonian(args) -> int:
     params = GeodesicParams(args.r, args.theta0, getattr(args, "lambda"))
     meta = {"tag": "hamiltonian", "T": args.T}
     if args.xi0:
-        xi0 = np.array(_floats(args.xi0))
-        if len(xi0) != 4:
-            raise ValueError("--xi0 needs 4 components")
+        xi0 = _floats(args.xi0)  # integrate_hamiltonian checks the count
     else:
         xi0 = match_costate(q0, params)
         # the control profile below is only valid for matched costates
@@ -244,7 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, samples=False, step=False):
         p.add_argument("--out", default=None, help="output file (default <command>.<format>)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--seed", type=int, default=0)
         if samples:
             p.add_argument("--samples", type=int, default=256)
@@ -279,6 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shoot", help="solve the two-point geodesic problem")
     p.add_argument("--from", required=True)
     p.add_argument("--to", required=True)
+    p.add_argument("--tol", type=float, default=1e-6)
     common(p, step=True)
     p.set_defaults(func=_cmd_shoot)
 

@@ -328,10 +328,8 @@ def connect(P, Q, n=256) -> SampledCurve:
     if float(np.linalg.norm(q_from - q_to)) < 1e-13:
         pts = np.tile(q_from, (n, 1))
         vel = np.zeros_like(pts)
-        curve = SampledCurve(s, pts, vel, {"tag": "connect", "route": "constant"})
-        curve.meta["endpoint_error"] = 0.0
-        curve.meta["max_omega_fd"] = 0.0
-        return curve
+        meta = {"tag": "connect", "route": "constant", "endpoint_error": 0.0, "max_omega_fd": 0.0}
+        return SampledCurve(s, pts, vel, meta)
 
     rel = _conj_mul_floats(q_from, q_to)
     leg, meta = _single_leg(q_from, q_to, rel)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .frames import omega_eval
@@ -17,26 +15,20 @@ __all__ = [
 ]
 
 
-@dataclass
 class SampledCurve:
     """A sampled path on the sphere.
 
     s           : (n,) non-decreasing parameter grid
     points      : (n, 4) samples, each unit to curve tolerance
     velocities  : optional (n, 4) tangent vectors at the samples
-    meta        : construction tag and parameters
+    meta        : construction tag and parameters (a new dict if None)
     """
 
-    s: np.ndarray
-    points: np.ndarray
-    velocities: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.s = np.atleast_1d(np.asarray(self.s, dtype=float))
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if self.velocities is not None:
-            self.velocities = np.atleast_2d(np.asarray(self.velocities, dtype=float))
+    def __init__(self, s, points, velocities=None, meta=None):
+        self.s = np.atleast_1d(np.asarray(s, dtype=float))
+        self.points = np.atleast_2d(np.asarray(points, dtype=float))
+        self.velocities = None if velocities is None else np.atleast_2d(np.asarray(velocities, dtype=float))
+        self.meta = {} if meta is None else meta
         if self.points.shape != (len(self.s), 4):
             raise ValueError("points must have shape (len(s), 4)")
         if self.velocities is not None and self.velocities.shape != self.points.shape:

@@ -24,7 +24,6 @@ skew-orthogonal with Im @ Im = -U.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -153,8 +152,7 @@ def is_horizontal(q, v, tol):
     return np.abs(omega_eval(q, v)) <= tol
 
 
-@dataclass(frozen=True)
-class LinearField:
+class LinearField(NamedTuple):
     """Vector field of the form q -> q @ matrix (linear in q)."""
 
     matrix: np.ndarray

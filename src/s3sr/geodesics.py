@@ -38,7 +38,7 @@ for the angle between the velocity and the frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,19 +70,21 @@ _COMP_WEIGHTS = {2: (1.0,), 4: (_COMP4_A, _COMP4_B, _COMP4_A)}
 _BLOCK = 1024
 
 
-@dataclass(frozen=True)
-class GeodesicParams:
+class GeodesicParams(NamedTuple("GeodesicParams", [("r", float), ("theta0", float), ("lam", float)])):
     """Speed r >= 0, initial frame angle theta0 and multiplier lam."""
 
-    r: float
-    theta0: float
-    lam: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.r, self.theta0, self.lam))):
+    def __new__(cls, r, theta0, lam):
+        if not all(map(math.isfinite, (r, theta0, lam))):
             raise ValueError("r, theta0 and lambda must be finite")
-        if self.r < 0.0:
+        if r < 0.0:
             raise ValueError("speed r must be non-negative")
+        return super().__new__(cls, r, theta0, lam)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace calls it: both go through the checks
+        return cls(*iterable)
 
 
 def ab_profile(params: GeodesicParams, s):
@@ -203,8 +205,7 @@ def integrate_geodesic(q0, params: GeodesicParams, T, h, order=4) -> SampledCurv
     return SampledCurve(s, pts, vel, meta)
 
 
-@dataclass
-class HamiltonianTrajectory:
+class HamiltonianTrajectory(NamedTuple):
     """Phase-space samples of the Hamiltonian flow."""
 
     s: np.ndarray

@@ -3,16 +3,16 @@
 CSV layout is bit-stable: '#'-prefixed header lines (a format marker,
 sorted key=value metadata, the column list), then comma-separated rows
 rendered with 17 significant digits and LF line endings.  Column order
-is fixed: s, x1, x2, y1, y2, a, b, omega_res.  Rows are written and
-parsed in blocks of 1024 (one '%.17g' block template per block, one
-numpy conversion per block), with the same bytes and values as a
-per-value writer and reader; a block holding a blank, comment or
-malformed line is parsed line by line, so errors still name their line.
+is fixed: s, x1, x2, y1, y2, a, b, omega_res.  Rows are written in
+blocks of 1024 (one '%.17g' block template per block), with the same
+bytes as a per-value writer.  The reader makes one pass over the lines,
+collecting every data field in one flat list that one numpy conversion
+turns into floats, with the values float() gives; blank and '#' lines
+may appear anywhere, and a malformed line is named by its number.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,21 +27,18 @@ COLUMNS = ("s", "x1", "x2", "y1", "y2", "a", "b", "omega_res")
 FORMAT_MARKER = "s3sr-curve v1"
 
 
-# rows per tolist() call and '%' format when writing and per np.array call
-# when parsing; it also bounds the Python objects held at once
+# rows per tolist() call and '%' format when writing; it also bounds the
+# Python objects held at once
 _BLOCK = 1024
 _ROW = ",".join(["%.17g"] * len(COLUMNS))
 
 
-@dataclass
 class CurveRecord:
     """Header metadata plus an (n, 8) table in COLUMNS order."""
 
-    header: dict
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.atleast_2d(np.asarray(self.data, dtype=float))
+    def __init__(self, header: dict, data):
+        self.header = header
+        self.data = np.atleast_2d(np.asarray(data, dtype=float))
         if self.data.shape[1] != len(COLUMNS):
             raise ValueError(f"curve table needs {len(COLUMNS)} columns")
 
@@ -105,23 +102,24 @@ class CurveRecord:
     @classmethod
     def _from_csv_text(cls, text) -> "CurveRecord":
         header: dict = {}
-        lines = text.splitlines()
-        # the header lines above the first data line go line by line
-        body = next((i for i, line in enumerate(lines) if line.strip()[:1] not in ("", "#")), len(lines))
-        _parse_lines(lines[:body], 1, header)
-        blocks = []
-        for start in range(body, len(lines), _BLOCK):
-            block = lines[start : start + _BLOCK]
-            try:
-                rows = np.array([line.split(",") for line in block], dtype=float)
-                if rows.shape[1] != len(COLUMNS):
-                    raise ValueError
-            except ValueError:  # a blank, comment or malformed line: parse line by line
-                rows = np.array(_parse_lines(block, start + 1, header), dtype=float).reshape(-1, len(COLUMNS))
-            blocks.append(rows)
-        if not sum(len(rows) for rows in blocks):
+        fields: list = []  # the data lines' fields, flat and in order
+        linenos: list = []  # the line number of each data line
+        for lineno, line in enumerate(text.splitlines(), 1):
+            line = line.strip()
+            if line[:1] == "#":
+                key, eq, value = line[1:].partition("=")
+                if eq and not key.strip().startswith("columns:"):
+                    header[key.strip()] = _parse_value(value.strip())
+            elif line:
+                parts = line.split(",")
+                if len(parts) != len(COLUMNS):
+                    _as_floats(fields, linenos)  # a bad value on an earlier line is named first
+                    raise ValueError(f"line {lineno}: expected {len(COLUMNS)} fields, got {len(parts)}")
+                fields += parts
+                linenos.append(lineno)
+        if not linenos:
             raise ValueError("no data rows found")
-        return cls(header, np.concatenate(blocks))
+        return cls(header, _as_floats(fields, linenos).reshape(-1, len(COLUMNS)))
 
     # -- JSON ----------------------------------------------------------
 
@@ -175,29 +173,17 @@ def _header_str(v) -> str:
     return str(v)
 
 
-def _parse_lines(lines, first, header) -> list:
-    """Rows of CSV lines numbered from `first`; '#' lines fill `header`."""
-    rows = []
-    for lineno, line in enumerate(lines, first):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body == FORMAT_MARKER or body.startswith("columns:"):
-                continue
-            if "=" in body:
-                key, value = body.split("=", 1)
-                header[key.strip()] = _parse_value(value.strip())
-            continue
-        parts = line.split(",")
-        if len(parts) != len(COLUMNS):
-            raise ValueError(f"line {lineno}: expected {len(COLUMNS)} fields, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return rows
+def _as_floats(fields, linenos) -> np.ndarray:
+    """The CSV fields as floats; the first one float() rejects is named by its line."""
+    try:
+        return np.array(fields, dtype=float)
+    except ValueError:
+        for i, field in enumerate(fields):
+            try:
+                float(field)
+            except ValueError as exc:
+                raise ValueError(f"line {linenos[i // len(COLUMNS)]}: {exc}") from None
+        raise
 
 
 def _parse_value(v: str):

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ _TURN = 0.1
 _M_MIN = sys.float_info.min
 
 
-@dataclass(frozen=True)
-class ShootingConfig:
+class ShootingConfig(NamedTuple):
     """Solver settings.
 
     tol bounds the endpoint error of the returned curve, T_max its
@@ -71,8 +70,7 @@ class ShootingConfig:
     curve_step: float = 1e-3    # step of the returned integrator curve
 
 
-@dataclass
-class ShootingResult:
+class ShootingResult(NamedTuple):
     """The shortest geodesic from P to Q and how it was found.
 
     meta records the "case" (trivial, vertical, m=1 or generic), the
@@ -85,8 +83,8 @@ class ShootingResult:
     T: float
     endpoint_error: float
     curve: SampledCurve
-    converged: bool = False
-    meta: dict = field(default_factory=dict)
+    converged: bool
+    meta: dict
 
 
 def _loop_point(m, r0, v, top):

@@ -79,10 +79,11 @@ def test_process_collects_only_during_the_command_and_freezes_before_exit(tmp_pa
     (tmp_path / "sitecustomize.py").write_text(SITECUSTOMIZE)
     report = tmp_path / "gc.json"
     env = dict(os.environ, S3SR_GC_REPORT=str(report))
-    # `check` splits each block of CSV lines into a list of row lists, enough live
-    # containers to start collections; the integrators behind `shoot` start none
-    assert main(["shoot", "--from", "1,0,0,0", "--to", "0,0,1,0", "--out", str(tmp_path / "s.csv")]) == 0
-    proc = _cli_process(["check", "s.csv"], tmp_path, str(tmp_path), env=env)
+    # `check` on a JSON curve holds one list per row, enough live containers to
+    # start collections; the integrators behind `shoot` start none
+    assert main(["shoot", "--from", "1,0,0,0", "--to", "0,0,1,0", "--format", "json",
+                 "--out", str(tmp_path / "s.json")]) == 0
+    proc = _cli_process(["check", "s.json"], tmp_path, str(tmp_path), env=env)
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(report.read_text())
     # no collection while numpy and s3sr load

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -119,6 +120,68 @@ def test_csv_reader_names_the_bad_line(tmp_path, bad, message):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"^line 1500: {message}"):
         CurveRecord.from_csv(path)
+
+
+@pytest.mark.parametrize(
+    "first,second,message",
+    [
+        ("1,2,3,4,5,6,7,x", "1,2,3,4,5,6,7,y", "could not convert string to float: 'x'"),
+        ("1,2,3,4,5,6,7,x", "1,2,3", "could not convert string to float: 'x'"),
+        ("1,2,3", "1,2,3,4,5,6,7,x", "expected 8 fields, got 3"),
+    ],
+)
+def test_csv_reader_names_the_first_of_two_bad_lines(tmp_path, first, second, message):
+    rec = CurveRecord({"tag": "x"}, _table(3000, 9))
+    path = tmp_path / "t.csv"
+    rec.to_csv(path)
+    lines = path.read_text().splitlines()
+    lines[1499], lines[2599] = first, second
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^line 1500: {message}$"):
+        CurveRecord.from_csv(path)
+
+
+def test_csv_reader_names_a_bad_value_among_the_first_rows(tmp_path):
+    rec = CurveRecord({"tag": "x"}, _table(3000, 10))
+    path = tmp_path / "t.csv"
+    rec.to_csv(path)
+    lines = path.read_text().splitlines()
+    assert lines[2].startswith("# columns:")
+    lines[9] = lines[9].replace(",", ",1.2.3,", 1).rsplit(",", 1)[0]  # 8 fields, the second bad
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^line 10: could not convert string to float: '1.2.3'$"):
+        CurveRecord.from_csv(path)
+
+
+def test_csv_reader_needs_a_data_row(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("# s3sr-curve v1\n# tag=x\n# columns: " + ",".join(COLUMNS) + "\n\n")
+    with pytest.raises(ValueError, match="^no data rows found$"):
+        CurveRecord.from_csv(path)
+
+
+def test_csv_reader_starts_no_cyclic_collection(tmp_path):
+    # the README's geodesic: 6,281 rows
+    path = tmp_path / "geodesic.csv"
+    assert run("geodesic", "--q0", "1,0,0,0", "--lambda", "0.5", "--T", "6.28", "--out", str(path)) == 0
+    starts = []
+
+    def on_gc(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(on_gc)
+    try:
+        record = CurveRecord.read(path)
+    finally:
+        gc.callbacks.remove(on_gc)
+        if not was_enabled:
+            gc.disable()
+    assert record.data.shape == (6281, len(COLUMNS))
+    assert starts == []
 
 
 # -- CLI contract -------------------------------------------------------------
@@ -366,8 +429,34 @@ def test_cli_hamiltonian_explicit_costate(tmp_path, capsys):
 def test_cli_hamiltonian_rejects_short_costate(tmp_path, capsys):
     out = tmp_path / "ham.csv"
     assert run("hamiltonian", "--q0", "1,0,0,0", "--xi0", "0.1,-0.9,0.2", "--T", "2", "--out", str(out)) == 2
-    assert capsys.readouterr().err == "error: --xi0 needs 4 components\n"
+    assert capsys.readouterr().err == "error: initial costate xi0 must be one finite 4-vector, got [0.1, -0.9, 0.2]\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("xi0", ["0.1,0.2,0.3", "0.1,0.2,0.3,0.4,0.5"])
+def test_cli_hamiltonian_xi0_count_is_checked_by_the_integrator(tmp_path, capsys, xi0):
+    out = tmp_path / "ham.csv"
+    assert run("hamiltonian", "--q0", "1,0,0,0", "--xi0", xi0, "--T", "2", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "xi0" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["connect", "--from", "0,0.5,1.0", "--to", "1,0.8,1.6"],
+        ["geodesic", "--q0", "1,0,0,0", "--T", "1"],
+        ["hamiltonian", "--q0", "1,0,0,0", "--T", "1"],
+    ],
+)
+def test_cli_takes_tol_only_where_it_is_read(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert run(*argv, "--tol", "1e-6", "--out", str(out)) == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(*argv, "--out", str(out)) == 0
 
 
 def test_cli_shoot_trivial(tmp_path, capsys):
