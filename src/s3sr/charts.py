@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quaternions import UNIT_TOL, check_unit
+from .quaternions import check_unit
 
 __all__ = [
     "EulerAngles",
@@ -117,14 +117,14 @@ def _angle_arrays(q):
     return alpha + beta, alpha - beta, 2.0 * np.arctan2(ry, rx), rx, ry
 
 
-def from_cartesian(q, tol=UNIT_TOL) -> EulerAngles:
-    """Invert the chart at a unit point.
+def from_cartesian(q) -> EulerAngles:
+    """Invert the chart at a unit point, | |q|^2 - 1 | <= UNIT_TOL = 1e-8.
 
     theta = 2*atan2(hypot(y1,y2), hypot(x1,x2)) is always well defined;
     at theta in {0, pi} one of the half-angle sums is undefined and is
     set to 0, with ``pole`` marking which circle was hit.
     """
-    q = check_unit(q, tol, "chart point q")
+    q = check_unit(q, what="chart point q")
     phi, psi, theta, rx, ry = _angle_arrays(q)
     pole = "theta=0" if ry < _POLE_EPS else "theta=pi" if rx < _POLE_EPS else None
     return EulerAngles(phi=float(phi), psi=float(psi), theta=float(theta), pole=pole)

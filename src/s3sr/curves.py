@@ -48,14 +48,14 @@ class SampledCurve:
     def end(self) -> np.ndarray:
         return self.points[-1]
 
-    def validate(self, unit_tol=1e-10, tangent_tol=1e-8):
-        """Enforce the curve invariants; raises ValueError on violation."""
+    def validate(self):
+        """Enforce | |p| - 1 | <= 1e-10 and |<v, p>| <= 1e-8; raises ValueError on violation."""
         dev = unit_norm_error(self)
-        if dev > unit_tol:
+        if dev > 1e-10:
             raise ValueError(f"curve points leave the sphere by {dev:.3e}")
         if self.velocities is not None:
             dev = tangency_error(self)
-            if dev > tangent_tol:
+            if dev > 1e-8:
                 raise ValueError(f"curve velocities are not tangent by {dev:.3e}")
         return self
 

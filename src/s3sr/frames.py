@@ -106,19 +106,19 @@ def frame_at(q, tol=UNIT_TOL):
     return Frame(X=-(q @ I1), Y=-(q @ I3), T=-(q @ I2), N=q.copy())
 
 
-def components(q, v, tol=TANGENT_TOL):
+def components(q, v):
     """Frame components (a, b, c) = (<v,X>, <v,Y>, <v,T>) of a tangent vector.
 
     (a, b) come from frame_ab and c = <v, T> = -omega(v).
 
-    Raises ValueError when v is not tangent at q (|<v, q>| beyond tol,
-    scaled by |v| for large vectors).
+    Raises ValueError when v is not tangent at q (|<v, q>| beyond
+    TANGENT_TOL = 1e-10, scaled by |v| for large vectors).
     """
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     radial = abs(float(np.dot(v, q)))
     scale = max(1.0, float(np.linalg.norm(v)))
-    if radial > tol * scale:
+    if radial > TANGENT_TOL * scale:
         raise ValueError(f"vector is not tangent: |<v, q>| = {radial:.3e}")
     a, b = frame_ab(q, v)
     return FrameComponents(float(a), float(b), -float(omega_eval(q, v)))

@@ -349,25 +349,25 @@ def integrate_hamiltonian(q0, xi0, T, h) -> HamiltonianTrajectory:
     return HamiltonianTrajectory(s, ys[:, :4], ys[:, 4:])
 
 
-def verify_velocity_energy(curve: SampledCurve, m_tol=1e-12, tangent_tol=1e-6):
+def verify_velocity_energy(curve: SampledCurve):
     """max | |v|^2 - (a^2 + b^2) | with (a, b) recomputed from the frame.
 
     The frame matrix with rows (X, Y, T, N) satisfies M M^T = |q|^2 I, so
-    it is checked through | |q| - 1 | <= max(m_tol, 2 n eps) over the n
+    it is checked through | |q| - 1 | <= max(1e-12, 2 n eps) over the n
     samples: the engine's rounding drift grows with the step count (about
     0.5 eps per step on long runs), so the bound does too.  That and
-    velocities off the tangent space beyond tangent_tol raise, indicating
-    off-sphere samples.
+    velocities off the tangent space by more than 1e-6 max(1, |v|) raise,
+    indicating off-sphere samples.
     """
     if curve.velocities is None:
         raise ValueError("curve carries no velocities")
     q = curve.points
     v = curve.velocities
     norm_dev = unit_norm_error(curve)
-    if norm_dev > max(m_tol, 2.0 * curve.n * np.finfo(float).eps):
+    if norm_dev > max(1e-12, 2.0 * curve.n * np.finfo(float).eps):
         raise ValueError(f"frame matrix degenerate: | |q| - 1 | = {norm_dev:.3e}")
     radial = np.abs(np.sum(v * q, axis=1))
-    if np.any(radial > tangent_tol * np.maximum(1.0, np.linalg.norm(v, axis=1))):
+    if np.any(radial > 1e-6 * np.maximum(1.0, np.linalg.norm(v, axis=1))):
         raise ValueError(f"vector is not tangent: |<v, q>| = {float(np.max(radial)):.3e}")
     a, b = frame_ab(q, v)
     return float(np.max(np.abs(np.sum(v * v, axis=1) - (a * a + b * b))))

@@ -75,12 +75,12 @@ class CurveRecord:
 
     # -- validation ----------------------------------------------------
 
-    def validate(self, unit_tol=1e-8):
+    def validate(self):
         s = self.data[:, 0]
         if len(s) > 1 and np.any(np.diff(s) <= 0.0):
             raise ValueError("s column must be strictly increasing")
         dev = unit_norm_error(self.to_sampled_curve())
-        if dev > unit_tol:
+        if dev > 1e-8:
             raise ValueError(f"curve points leave the sphere by {dev:.3e}")
 
     # -- CSV -----------------------------------------------------------

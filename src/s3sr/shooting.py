@@ -59,13 +59,12 @@ _M_MIN = sys.float_info.min
 class ShootingConfig(NamedTuple):
     """Solver settings.
 
-    tol bounds the endpoint error of the returned curve, T_max its
-    length and curve_step its integrator step.  seed is accepted and
-    ignored: the exact solver has no random choices.
+    tol bounds the endpoint error of the returned curve and curve_step
+    its integrator step; its length T needs no bound, as T <= pi.  seed
+    is accepted and ignored: the exact solver has no random choices.
     """
 
     tol: float = 1e-6
-    T_max: float = 2.0 * np.pi
     seed: int = 0
     curve_step: float = 1e-3    # step of the returned integrator curve
 
@@ -131,10 +130,10 @@ def _solve_loop(m, r0, psi):
 def shoot(P, Q, cfg: ShootingConfig | None = None) -> ShootingResult:
     """Find the shortest unit-speed geodesic from P to Q.
 
-    Never raises on non-convergence: if the shortest length exceeds
-    T_max, that geodesic is returned cut at T_max with converged=False,
-    and a missed tolerance is reported with the achieved endpoint error.
-    The solver has no random choices, so results are reproducible.
+    Never raises on non-convergence: when the returned curve misses Q by
+    more than cfg.tol, it comes back with converged=False and the achieved
+    endpoint error.  T <= pi always, as rho <= pi.  The solver has no
+    random choices, so results are reproducible.
     """
     cfg = cfg or ShootingConfig()
     P = check_unit(P, what="shoot start P")
@@ -168,8 +167,6 @@ def shoot(P, Q, cfg: ShootingConfig | None = None) -> ShootingResult:
     params = GeodesicParams(1.0, theta0, lam)
     closed_form_error = float(np.linalg.norm(geodesic_point(P, params, T) - Q))
 
-    cut = T > cfg.T_max
-    T = min(T, cfg.T_max)
     h = min(cfg.curve_step, _TURN / (2.0 * abs(lam))) if lam else cfg.curve_step
     curve = integrate_geodesic(P, params, T, h)
     endpoint_error = float(np.linalg.norm(curve.end - Q))
@@ -178,7 +175,7 @@ def shoot(P, Q, cfg: ShootingConfig | None = None) -> ShootingResult:
         T=T,
         endpoint_error=endpoint_error,
         curve=curve,
-        converged=bool(endpoint_error <= cfg.tol and not cut),
+        converged=bool(endpoint_error <= cfg.tol),
         meta={
             "case": case,
             "geodesics": geodesics,

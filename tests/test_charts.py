@@ -152,7 +152,7 @@ def test_euler_ab_matches_frame_components(rng):
         de = rng.uniform(-1, 1, 3)
         q = to_cartesian(e)
         v = chart_velocity(e, de)
-        a, b, _ = components(q, v, tol=1e-9)
+        a, b, _ = components(q, v)
         a2, b2 = euler_ab(e, de)
         assert abs(a - a2) <= 1e-12
         assert abs(b - b2) <= 1e-12

@@ -380,6 +380,20 @@ def test_cli_check_malformed_file(tmp_path):
     assert run("check", str(bad)) == 2
 
 
+@pytest.mark.parametrize("case", ["repeated", "decreasing"])
+def test_cli_check_rejects_a_non_increasing_s(tmp_path, capsys, case):
+    out = tmp_path / "geo.csv"
+    assert run("geodesic", "--q0", "1,0,0,0", "--lambda", "0.3", "--T", "1", "--step", "0.01", "--out", str(out)) == 0
+    rec = CurveRecord.from_csv(out)
+    rec.data[4, 0] = rec.data[3 if case == "repeated" else 2, 0]
+    rec.to_csv(out)
+    capsys.readouterr()
+    assert run("check", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+
 def test_cli_hamiltonian(tmp_path, capsys):
     out = tmp_path / "ham.csv"
     code = run(
@@ -443,18 +457,23 @@ def test_cli_hamiltonian_xi0_count_is_checked_by_the_integrator(tmp_path, capsys
     assert not out.exists()
 
 
+_NO_TOL_OR_SEED = [
+    ["connect", "--from", "0,0.5,1.0", "--to", "1,0.8,1.6"],
+    ["geodesic", "--q0", "1,0,0,0", "--T", "1"],
+    ["hamiltonian", "--q0", "1,0,0,0", "--T", "1"],
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["connect", "--from", "0,0.5,1.0", "--to", "1,0.8,1.6"],
-        ["geodesic", "--q0", "1,0,0,0", "--T", "1"],
-        ["hamiltonian", "--q0", "1,0,0,0", "--T", "1"],
-    ],
+    ("argv", "option"),
+    [(argv, ["--tol", "1e-6"]) for argv in _NO_TOL_OR_SEED] + [(argv, ["--seed", "7"]) for argv in _NO_TOL_OR_SEED],
+    ids=[f"argv{i}" for i in range(3)] + [f"seed-argv{i}" for i in range(3)],
 )
-def test_cli_takes_tol_only_where_it_is_read(tmp_path, capsys, argv):
+def test_cli_takes_tol_only_where_it_is_read(tmp_path, capsys, argv, option):
+    """--tol, and --seed too, only on the commands that take them (shoot, and check for --tol)."""
     out = tmp_path / "x.csv"
-    assert run(*argv, "--tol", "1e-6", "--out", str(out)) == 2
-    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    assert run(*argv, *option, "--out", str(out)) == 2
+    assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
     assert not out.exists()
     assert run(*argv, "--out", str(out)) == 0
 
