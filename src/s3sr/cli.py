@@ -35,7 +35,7 @@ from .geodesics import (
     match_costate,
 )
 from .io import CurveRecord
-from .quaternions import normalize
+from .quaternions import norm2, normalize
 
 # charts, connect and shooting are imported by the commands that use them, so the others start faster
 
@@ -189,7 +189,7 @@ def _cmd_check(args) -> int:
             vel = vel[inner]
             a_col, b_col = record.data[inner, 5], record.data[inner, 6]
             energy_res = float(
-                np.max(np.abs(np.sum(vel * vel, axis=1) - (a_col**2 + b_col**2)))
+                np.max(np.abs(norm2(vel) - (a_col**2 + b_col**2)))
             )
             results.append(("velocity-energy", energy_res, tol))
     if curve.n >= 3:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .frames import omega_eval
+from .quaternions import _row_sum, norm
 
 __all__ = [
     "SampledCurve",
@@ -86,11 +87,11 @@ def omega_fd_residuals(curve: SampledCurve) -> np.ndarray:
 
 def unit_norm_error(curve: SampledCurve) -> float:
     """max | |point| - 1 | over the samples."""
-    return float(np.max(np.abs(np.linalg.norm(curve.points, axis=1) - 1.0)))
+    return float(np.max(np.abs(norm(curve.points) - 1.0)))
 
 
 def tangency_error(curve: SampledCurve) -> float:
     """max |<velocity, point>| over the samples (0 when no velocities)."""
     if curve.velocities is None:
         return 0.0
-    return float(np.max(np.abs(np.sum(curve.velocities * curve.points, axis=1))))
+    return float(np.max(np.abs(_row_sum(curve.velocities * curve.points))))

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quaternions import UNIT_TOL, is_unit, norm2
+from .quaternions import UNIT_TOL, _row_sum, is_unit, norm2
 
 __all__ = [
     "I1",
@@ -128,11 +128,12 @@ def frame_ab(points, velocities):
     """Horizontal frame components (a, b) = (<v, X>, <v, Y>), row by row.
 
     No tangency check: unlike components, this is the bare pairing on
-    stacked points and velocities.
+    stacked points and velocities.  The frame vectors come from BLAS
+    products p @ I*, which decide the signs of their zeros.
     """
     p = np.asarray(points, dtype=float)
     v = np.asarray(velocities, dtype=float)
-    return np.sum(v * (-(p @ I1)), axis=-1), np.sum(v * (-(p @ I3)), axis=-1)
+    return _row_sum(v * (-(p @ I1))), _row_sum(v * (-(p @ I3)))
 
 
 def omega_eval(q, v):

@@ -16,7 +16,9 @@ from its buffer; the product chain itself runs step by step, left to
 right, on Python floats (a tree-shaped product reorders the rounding
 and drifts |q| further).  Each step is one loop body: order 4 writes
 its three substep products out one after another, through named
-temporaries.
+temporaries, and leaves out the terms of the exponentials' j slots,
+which are signed zeros as the controls have no j part (_chain4 says
+why that is exact).
 
 The same flow also arises from the Hamiltonian
 
@@ -44,7 +46,7 @@ import numpy as np
 
 from .curves import SampledCurve, unit_norm_error
 from .frames import I1, I2, I3, frame_ab
-from .quaternions import check_unit, qexp_pure, qmul
+from .quaternions import _row_sum, check_unit, norm, norm2, qexp_pure, qmul
 
 __all__ = [
     "GeodesicParams",
@@ -68,6 +70,9 @@ _COMP_WEIGHTS = {2: (1.0,), 4: (_COMP4_A, _COMP4_B, _COMP4_A)}
 # in both integrators; it also bounds the flat list of row floats held
 # at once (a whole long horizon would cost several MB)
 _BLOCK = 1024
+
+# the w, x, z slots of an exponential of a control with no j part
+_NO_J = [0, 1, 3]
 
 
 class GeodesicParams(NamedTuple("GeodesicParams", [("r", float), ("theta0", float), ("lam", float)])):
@@ -129,6 +134,61 @@ def _grid(T, h):
     return nsteps, (T / nsteps if nsteps else 0.0)
 
 
+def _chain(q, e):
+    """Rows q * e[0], q * e[0] * e[1], ... for exponentials e of shape (m, 4), as an (m, 4) array.
+
+    Each product is written out with all 16 terms, so the rounding and
+    the signs of zero are those of qmul.  The components of e are read
+    as floats straight from its buffer by one iterator zipped with itself.
+    """
+    w, x, y, z = q.tolist()
+    comps = iter(memoryview(e.ravel()))
+    rows = []
+    for ew, ex, ey, ez in zip(comps, comps, comps, comps):
+        w, x, y, z = (
+            w * ew - x * ex - y * ey - z * ez,
+            w * ex + x * ew + y * ez - z * ey,
+            w * ey + y * ew + z * ex - x * ez,
+            w * ez + z * ew + x * ey - y * ex,
+        )
+        rows += (w, x, y, z)
+    return np.fromiter(rows, float, len(rows)).reshape(-1, 4)
+
+
+def _chain4(q, e):
+    """q chained through order-4 steps e of shape (m, 3, 4): the (m, 4) rows _chain gives after each step.
+
+    The controls have no j part, so e's j slots are signed zeros, and the
+    three substep products leave out their terms (60 float operations a
+    step instead of 84).  Leaving a +-0 term out of a left-to-right sum of
+    finite terms can change only the sign of a sum that is exactly 0, and
+    such a sign reaches only other exact zeros.  So rows with no zero
+    equal the full products bit for bit; if any row has a zero, the
+    block is recomputed from q by _chain.
+    """
+    w, x, y, z = q.tolist()
+    comps = iter(memoryview(e[..., _NO_J].ravel()))
+    rows = []
+    for aw, ax, az, bw, bx, bz, cw, cx, cz in zip(*[comps] * 9):
+        w1 = w * aw - x * ax - z * az
+        x1 = w * ax + x * aw + y * az
+        y1 = y * aw + z * ax - x * az
+        z1 = w * az + z * aw - y * ax
+        w2 = w1 * bw - x1 * bx - z1 * bz
+        x2 = w1 * bx + x1 * bw + y1 * bz
+        y2 = y1 * bw + z1 * bx - x1 * bz
+        z2 = w1 * bz + z1 * bw - y1 * bx
+        w = w2 * cw - x2 * cx - z2 * cz
+        x = w2 * cx + x2 * cw + y2 * cz
+        y = y2 * cw + z2 * cx - x2 * cz
+        z = w2 * cz + z2 * cw - y2 * cx
+        rows += (w, x, y, z)
+    out = np.fromiter(rows, float, len(rows)).reshape(-1, 4)
+    if out.all():
+        return out
+    return _chain(q, e.reshape(-1, 4))[2::3]
+
+
 def integrate_geodesic(q0, params: GeodesicParams, T, h, order=4) -> SampledCurve:
     """Integrate q' = q * (-a(s) i - b(s) k) from q0 over [0, T].
 
@@ -145,7 +205,6 @@ def integrate_geodesic(q0, params: GeodesicParams, T, h, order=4) -> SampledCurv
 
     pts = np.empty((nsteps + 1, 4))
     pts[0] = q0
-    w, x, y, z = q0.tolist()
     coef = np.asarray(weights)
     for start in range(0, nsteps, _BLOCK):
         stop = min(start + _BLOCK, nsteps)
@@ -157,38 +216,10 @@ def integrate_geodesic(q0, params: GeodesicParams, T, h, order=4) -> SampledCurv
             t += c * dt
         a, b = ab_profile(params, mids)
         v = np.stack([-a * coef * dt, np.zeros_like(a), -b * coef * dt], axis=-1)
-        # one tuple per step: its exponentials' components, read as floats
-        # straight from the array's buffer by one iterator zipped with itself
-        comps = iter(memoryview(qexp_pure(v).ravel()))
-        steps = zip(*[comps] * (4 * len(weights)))
-        rows = []
-        # q <- q * e written out; ey is 0, but its terms stay so the
-        # rounding (and the sign of zero) is that of a full product
-        if order == 4:
-            for aw, ax, ay, az, bw, bx, by, bz, cw, cx, cy, cz in steps:
-                w1 = w * aw - x * ax - y * ay - z * az
-                x1 = w * ax + x * aw + y * az - z * ay
-                y1 = w * ay + y * aw + z * ax - x * az
-                z1 = w * az + z * aw + x * ay - y * ax
-                w2 = w1 * bw - x1 * bx - y1 * by - z1 * bz
-                x2 = w1 * bx + x1 * bw + y1 * bz - z1 * by
-                y2 = w1 * by + y1 * bw + z1 * bx - x1 * bz
-                z2 = w1 * bz + z1 * bw + x1 * by - y1 * bx
-                w = w2 * cw - x2 * cx - y2 * cy - z2 * cz
-                x = w2 * cx + x2 * cw + y2 * cz - z2 * cy
-                y = w2 * cy + y2 * cw + z2 * cx - x2 * cz
-                z = w2 * cz + z2 * cw + x2 * cy - y2 * cx
-                rows += (w, x, y, z)
-        else:
-            for ew, ex, ey, ez in steps:
-                w, x, y, z = (
-                    w * ew - x * ex - y * ey - z * ez,
-                    w * ex + x * ew + y * ez - z * ey,
-                    w * ey + y * ew + z * ex - x * ez,
-                    w * ez + z * ew + x * ey - y * ex,
-                )
-                rows += (w, x, y, z)
-        pts[start + 1 : stop + 1] = np.fromiter(rows, float, len(rows)).reshape(-1, 4)
+        e = qexp_pure(v)
+        pts[start + 1 : stop + 1] = (
+            _chain4(pts[start], e) if order == 4 else _chain(pts[start], e.reshape(-1, 4))
+        )
 
     s = np.arange(nsteps + 1) * dt
     a, b = ab_profile(params, s)
@@ -366,11 +397,12 @@ def verify_velocity_energy(curve: SampledCurve):
     norm_dev = unit_norm_error(curve)
     if norm_dev > max(1e-12, 2.0 * curve.n * np.finfo(float).eps):
         raise ValueError(f"frame matrix degenerate: | |q| - 1 | = {norm_dev:.3e}")
-    radial = np.abs(np.sum(v * q, axis=1))
-    if np.any(radial > 1e-6 * np.maximum(1.0, np.linalg.norm(v, axis=1))):
+    radial = np.abs(_row_sum(v * q))
+    vv = norm2(v)
+    if np.any(radial > 1e-6 * np.maximum(1.0, np.sqrt(vv))):
         raise ValueError(f"vector is not tangent: |<v, q>| = {float(np.max(radial)):.3e}")
     a, b = frame_ab(q, v)
-    return float(np.max(np.abs(np.sum(v * v, axis=1) - (a * a + b * b))))
+    return float(np.max(np.abs(vv - (a * a + b * b))))
 
 
 def acceleration_T_residual(curve: SampledCurve) -> float:
@@ -384,7 +416,7 @@ def acceleration_T_residual(curve: SampledCurve) -> float:
     p = curve.points
     acc = (p[2:] - 2.0 * p[1:-1] + p[:-2]) / (h * h)
     t_vec = -(p[1:-1] @ I2)
-    return float(np.max(np.abs(np.sum(acc * t_vec, axis=1))))
+    return float(np.max(np.abs(_row_sum(acc * t_vec))))
 
 
 def angle_profile(curve: SampledCurve) -> np.ndarray:
@@ -396,7 +428,7 @@ def angle_profile(curve: SampledCurve) -> np.ndarray:
     if curve.velocities is None:
         raise ValueError("curve carries no velocities")
     v = curve.velocities
-    if np.any(np.linalg.norm(v, axis=1) < 1e-15):
+    if np.any(norm(v) < 1e-15):
         raise ValueError("zero velocity has no direction")
     va, vb = frame_ab(curve.points, v)
     return np.unwrap(np.arctan2(vb, va))

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .curves import SampledCurve, fd_velocities, omega_fd_residuals, unit_norm_error
+from .curves import SampledCurve, fd_velocities, omega_fd_residuals
 from .frames import frame_ab
 from .geodesics import GeodesicParams, ab_profile
 
@@ -72,16 +72,6 @@ class CurveRecord:
     def to_sampled_curve(self) -> SampledCurve:
         """Points-only curve (velocities are not stored in files)."""
         return SampledCurve(self.data[:, 0], self.data[:, 1:5], None, dict(self.header))
-
-    # -- validation ----------------------------------------------------
-
-    def validate(self):
-        s = self.data[:, 0]
-        if len(s) > 1 and np.any(np.diff(s) <= 0.0):
-            raise ValueError("s column must be strictly increasing")
-        dev = unit_norm_error(self.to_sampled_curve())
-        if dev > 1e-8:
-            raise ValueError(f"curve points leave the sphere by {dev:.3e}")
 
     # -- CSV -----------------------------------------------------------
 

@@ -7,6 +7,9 @@ The sphere code reads the same four numbers as coordinates
 All operations but check_unit, which checks a single point, broadcast
 over a trailing axis of length 4, so they work on single quaternions of
 shape (4,) as well as on stacks (n, 4).
+
+Sums over a short last axis, here and in frames, curves and geodesics,
+go through _row_sum: np.sum(x, axis=-1) bit for bit, a column at a time.
 """
 
 from __future__ import annotations
@@ -69,10 +72,24 @@ def conj(q):
     return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
+def _row_sum(x):
+    """np.sum(x, axis=-1) for a last axis of length 3 or 4, bit for bit.
+
+    numpy sums such an axis one row at a time, from +0.0 and in column
+    order; adding whole columns in that order gives the same floats,
+    signs of zero, infinities and NaNs included (the + 0 is that +0.0
+    start, and keeps integer input integer as np.sum does).
+    """
+    total = x[..., 0] + 0
+    for m in range(1, x.shape[-1]):
+        total += x[..., m]
+    return total
+
+
 def norm2(q):
     """Squared modulus w^2 + x^2 + y^2 + z^2."""
     q = np.asarray(q)
-    return np.sum(q * q, axis=-1)
+    return _row_sum(q * q)
 
 
 def norm(q):
@@ -109,7 +126,7 @@ def qexp_pure(v):
     rounding.  Output is unit to ~1e-16.
     """
     v = np.asarray(v, dtype=float)
-    n = np.sqrt(np.sum(v * v, axis=-1))
+    n = np.sqrt(_row_sum(v * v))
     small = n < _EXP_TAYLOR_CUT
     n_safe = np.where(small, 1.0, n)
     fac = np.where(small, 1.0, np.sin(n_safe) / n_safe)

@@ -4,11 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from s3sr import geodesics
 from s3sr.curves import SampledCurve, omega_fd_residuals
 from s3sr.frames import I1, I3, components, frame_at, omega_eval
 from s3sr.geodesics import (
     _BLOCK,
     _COMP_WEIGHTS,
+    _chain4,
     GeodesicParams,
     ab_profile,
     acceleration_T_residual,
@@ -158,15 +160,29 @@ def test_blocked_engine_matches_per_step_loop(order, nsteps):
     assert np.max(np.abs(c.points - ref)) <= 1e-13
 
 
+def _nested_loop_chain(q0, e):
+    """Rows of q0 chained through steps e, shape (n, k, 4), each substep a full-term product."""
+    w, x, y, z = np.asarray(q0, dtype=float).tolist()
+    rows = [(w, x, y, z)]
+    for step in e.tolist():
+        for ew, ex, ey, ez in step:
+            w, x, y, z = (
+                w * ew - x * ex - y * ey - z * ez,
+                w * ex + x * ew + y * ez - z * ey,
+                w * ey + y * ew + z * ex - x * ez,
+                w * ez + z * ew + x * ey - y * ex,
+            )
+        rows.append((w, x, y, z))
+    return np.array(rows)
+
+
 def _nested_loop_geodesic(q0, params, T, h, order):
     """The blocked engine with its substeps chained by a loop nested in the step loop."""
     weights = _COMP_WEIGHTS[order]
     nsteps = max(1, int(round(T / h))) if T > 0.0 else 0
     dt = T / nsteps if nsteps else 0.0
-    pts = np.empty((nsteps + 1, 4))
-    pts[0] = q0
-    w, x, y, z = np.asarray(q0, dtype=float).tolist()
     coef = np.asarray(weights)
+    exps = [np.empty((0, len(weights), 4))]
     for start in range(0, nsteps, _BLOCK):
         stop = min(start + _BLOCK, nsteps)
         t = np.arange(start, stop) * dt
@@ -175,25 +191,28 @@ def _nested_loop_geodesic(q0, params, T, h, order):
             mids[:, j] = t + 0.5 * c * dt
             t += c * dt
         a, b = ab_profile(params, mids)
-        v = np.stack([-a * coef * dt, np.zeros_like(a), -b * coef * dt], axis=-1)
-        rows = []
-        for step in qexp_pure(v).tolist():
-            for ew, ex, ey, ez in step:
-                w, x, y, z = (
-                    w * ew - x * ex - y * ey - z * ez,
-                    w * ex + x * ew + y * ez - z * ey,
-                    w * ey + y * ew + z * ex - x * ez,
-                    w * ez + z * ew + x * ey - y * ex,
-                )
-            rows.append((w, x, y, z))
-        pts[start + 1 : stop + 1] = rows
+        exps.append(qexp_pure(np.stack([-a * coef * dt, np.zeros_like(a), -b * coef * dt], axis=-1)))
+    pts = _nested_loop_chain(q0, np.concatenate(exps))
     a, b = ab_profile(params, np.arange(nsteps + 1) * dt)
     return pts, a[:, None] * (-(pts @ I1)) + b[:, None] * (-(pts @ I3))
 
 
+def _count_full_chains(monkeypatch):
+    """Count the calls of geodesics._chain, the full-term chain that order 4 falls back to."""
+    calls = []
+    full = geodesics._chain
+
+    def counted(q, e):
+        calls.append(q.copy())
+        return full(q, e)
+
+    monkeypatch.setattr(geodesics, "_chain", counted)
+    return calls
+
+
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("nsteps", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 5000])
-def test_unrolled_chain_matches_nested_loop_bit_for_bit(order, nsteps):
+def test_unrolled_chain_matches_nested_loop_bit_for_bit(order, nsteps, monkeypatch):
     rng = np.random.default_rng(100 * nsteps + order)
     # the axis points make exact zeros, whose signs the products must keep too
     axes = [sign * row for row in np.eye(4) for sign in (1.0, -1.0)]
@@ -210,12 +229,41 @@ def test_unrolled_chain_matches_nested_loop_bit_for_bit(order, nsteps):
     # whose signs only the products' ey terms decide
     fast = {2: 4000.0, 4: 2500.0}[order]
     cases += [(q0, GeodesicParams(fast, 0.0, 0.0)) for q0 in starts]
+    full_chains = _count_full_chains(monkeypatch)
     for q0, p in cases:
+        del full_chains[:]
         c = integrate_geodesic(q0, p, nsteps * h, h, order=order)
         pts, vel = _nested_loop_geodesic(q0, p, nsteps * h, h, order)
         assert c.points.shape == (nsteps + 1, 4)
         _assert_same_bits(c.points, pts)
         _assert_same_bits(c.velocities, vel)
+        if order == 4 and not any(q0 == 0.0):
+            # random starts keep every component nonzero: order 4 never falls back
+            assert full_chains == []
+
+
+def test_order4_chain_falls_back_from_the_first_row_of_a_later_block(monkeypatch):
+    # identity steps from (1/2, 1/2, 1/2, 1/2), then a step whose first substep
+    # makes w exactly 0 and whose second, k with -0.0 in its w and j slots, keeps
+    # it +0.0 only through the j term the fast products leave out
+    n = 1600
+    e = np.zeros((n, 3, 4))
+    e[..., 0] = 1.0
+    r = np.sqrt(0.5)
+    e[1500, 0] = (r, r, 0.0, 0.0)
+    e[1500, 1] = (-0.0, 0.0, -0.0, 1.0)
+    q0 = np.full(4, 0.5)
+    full_chains = _count_full_chains(monkeypatch)
+    pts = np.empty((n + 1, 4))
+    pts[0] = q0
+    for start in range(0, n, _BLOCK):
+        pts[start + 1 : start + _BLOCK + 1] = _chain4(pts[start], e[start : start + _BLOCK])
+    ref = _nested_loop_chain(q0, e)
+    assert ref[1501, 0] == 0.0 and not np.signbit(ref[1501, 0])
+    _assert_same_bits(pts, ref)
+    # one fallback, for block 1, restarted from that block's first row
+    assert len(full_chains) == 1
+    _assert_same_bits(full_chains[0], ref[_BLOCK])
 
 
 def _profiled_calls(fn, *args, **kwargs):

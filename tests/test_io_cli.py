@@ -49,15 +49,6 @@ def test_json_round_trip(tmp_path):
     assert back.header == {k: v for k, v in rec.header.items()}
 
 
-def test_record_validation(tmp_path):
-    c = integrate_geodesic([1, 0, 0, 0], GeodesicParams(1.0, 0.0, 0.0), 0.5, 1e-2)
-    rec = CurveRecord.from_curve(c)
-    rec.validate()
-    rec.data[3, 1:5] *= 1.01
-    with pytest.raises(ValueError):
-        rec.validate()
-
-
 def test_malformed_csv_raises(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# s3sr-curve v1\n0,1,0,0\n")

@@ -411,3 +411,69 @@ def test_short_geodesics_approach_the_heisenberg_distance(eps):
         Q = qmul(qmul(P, qexp_pure(eps * np.array([x[0], 0.0, x[1]]))), qexp_pure([0.0, eps * eps * z, 0.0]))
         d = _heisenberg_distance(x, z)
         assert abs(shoot(P, Q, cheap).T / eps - d) <= eps * eps * d
+
+
+_J = np.array([0.0, 0.0, 1.0, 0.0])
+
+
+def _endpoint_jacobian(theta0, lam, T):
+    """Rows Im(conj(F) dF/dx) for x = theta0, lam, T of F = conj(P) gamma(T) at speed 1, closed form.
+
+    By geodesic_point's factors F = A C B with A = exp(-theta0/2 j),
+    C = exp(T u), u = -i - lam j, and B = exp((lam T + theta0/2) j).  With
+    m = |u| = sqrt(1 + lam^2), C = cos(T m) + sin(T m) u/m, and A drops out
+    of conj(F) dF.  Broadcasts over T: shape (..., 3, 3).
+    """
+    T = np.asarray(T, dtype=float)[..., np.newaxis]
+    m = np.hypot(1.0, lam)
+    u = np.array([0.0, -1.0, -lam, 0.0])
+    C = qexp_pure(T * u[1:])
+    B = qexp_pure(np.concatenate([np.zeros_like(T), lam * T + 0.5 * theta0, np.zeros_like(T)], axis=-1))
+    CB = qmul(C, B)
+    # dC/dlam, from d(T m)/dlam = T lam/m and d(u/m)/dlam = -j/m - lam u/m^3
+    cos_tm, sin_tm = np.cos(T * m), np.sin(T * m)
+    dC = T * lam / m * (cos_tm * u / m - sin_tm * ONE) + sin_tm * (-_J / m - lam * u / m**3)
+    rows = [
+        qmul(conj(CB), qmul(-0.5 * _J, CB)) + 0.5 * _J,
+        qmul(conj(CB), qmul(dC, B)) + T * _J,
+        qmul(conj(B), qmul(u, B)) + lam * _J,
+    ]
+    return np.stack([r[..., 1:] for r in rows], axis=-2)
+
+
+def test_endpoint_jacobian_matches_central_differences_of_geodesic_point():
+    rng = np.random.default_rng(8)
+    h = 1e-5
+    for _ in range(30):
+        P = random_unit(rng)
+        x = np.array([rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-3.0, 3.0), rng.uniform(0.0, 4.0)])
+
+        def F(y):
+            return qmul(conj(P), geodesic_point(P, GeodesicParams(1.0, y[0], y[1]), y[2]))
+
+        conj_F = conj(F(x))
+        fd = [qmul(conj_F, (F(x + h * e) - F(x - h * e)) / (2.0 * h))[1:] for e in np.eye(3)]
+        assert np.max(np.abs(_endpoint_jacobian(*x) - np.array(fd))) <= 1e-8
+
+
+@given(st.floats(-3.0, 3.0), st.floats(0.0, 2.0 * np.pi))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_first_conjugate_time_is_the_cut_time(lam, theta0):
+    """The endpoint map's Jacobian first turns singular at T = pi / sqrt(1 + lam^2), i.e. rho = pi.
+
+    That is the cut time shoot relies on.  Its determinant is positive for
+    small T; the first sign change on a grid of T is bisected to 1e-9.
+    """
+    grid = np.linspace(0.05, 2.0 * np.pi, 400)
+    dets = np.linalg.det(_endpoint_jacobian(theta0, lam, grid))
+    assert dets[0] > 0.0
+    k = int(np.argmax(dets <= 0.0))
+    assert k > 0
+    lo, hi = grid[k - 1], grid[k]
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if np.linalg.det(_endpoint_jacobian(theta0, lam, mid)) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    assert abs(0.5 * (lo + hi) - np.pi / np.hypot(1.0, lam)) <= 1e-9
