@@ -11,14 +11,15 @@ exponentials of midpoint-sampled controls, which keeps |q| = 1 to
 rounding; a triple-jump composition of that symmetric step raises the
 order to four (pass order=2 for the plain midpoint scheme).  The
 controls do not depend on q, so the exponentials of a block of steps
-come from one vectorized qexp_pure call, read back as floats straight
-from its buffer; the product chain itself runs step by step, left to
-right, on Python floats (a tree-shaped product reorders the rounding
-and drifts |q| further).  Each step is one loop body: order 4 writes
-its three substep products out one after another, through named
-temporaries, and leaves out the terms of the exponentials' j slots,
-which are signed zeros as the controls have no j part (_chain4 says
-why that is exact).
+come from one vectorized call, read back as floats straight from its
+buffer; the product chain itself runs step by step, left to right, on
+Python floats (a tree-shaped product reorders the rounding and drifts
+|q| further).  Each step is one loop body: order 4 writes its three
+substep products out one after another, through named temporaries.
+The controls have no j part, so the exponentials' j slots are signed
+zeros: order 4 writes only the other three slots of each exponential
+(_exps_xz) and leaves the j terms out of its products (_chain4 says why
+that is exact); order 2 chains the full qexp_pure exponentials.
 
 The same flow also arises from the Hamiltonian
 
@@ -27,10 +28,11 @@ The same flow also arises from the Hamiltonian
 integrated here with a classical fourth-order one-step method on the
 pair (q, xi): the right-hand side is written out inline for each of the
 four stages, with the stage inputs and the update, on named Python
-floats.  Both integrators extend one flat list of floats by each
-step's row and write a block of rows to numpy with one np.fromiter
-call, and keep the float operations of a per-substep, per-stage loop
-in their order, so trajectories are bit for bit those of that loop.
+floats; the fourth stage is written into the update itself.  Both
+integrators extend one flat list of floats by each step's row and write
+a block of rows to numpy with one np.fromiter call, and keep the float
+operations of a per-substep, per-stage loop in their order, so
+trajectories are bit for bit those of that loop.
 Matching initial data must place -lambda in the <q I2, .> component
 of the costate; the component along q itself is pure gauge.  The
 checks at the bottom verify energy, horizontality and the linear law
@@ -46,7 +48,7 @@ import numpy as np
 
 from .curves import SampledCurve, unit_norm_error
 from .frames import I1, I2, I3, frame_ab
-from .quaternions import _row_sum, check_unit, norm, norm2, qexp_pure, qmul
+from .quaternions import _exp_factors, _row_sum, check_unit, norm, norm2, qexp_pure, qmul
 
 __all__ = [
     "GeodesicParams",
@@ -66,13 +68,10 @@ _COMP4_A = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _COMP4_B = 1.0 - 2.0 * _COMP4_A
 _COMP_WEIGHTS = {2: (1.0,), 4: (_COMP4_A, _COMP4_B, _COMP4_A)}
 
-# steps per qexp_pure call in integrate_geodesic and per numpy row write
+# steps per exponential call in integrate_geodesic and per numpy row write
 # in both integrators; it also bounds the flat list of row floats held
 # at once (a whole long horizon would cost several MB)
 _BLOCK = 1024
-
-# the w, x, z slots of an exponential of a control with no j part
-_NO_J = [0, 1, 3]
 
 
 class GeodesicParams(NamedTuple("GeodesicParams", [("r", float), ("theta0", float), ("lam", float)])):
@@ -155,19 +154,37 @@ def _chain(q, e):
     return np.fromiter(rows, float, len(rows)).reshape(-1, 4)
 
 
-def _chain4(q, e):
-    """q chained through order-4 steps e of shape (m, 3, 4): the (m, 4) rows _chain gives after each step.
+def _exps_xz(va, vb):
+    """The w, x, z slots of qexp_pure of the controls va i + vb k, as one array of shape va.shape + (3,).
 
-    The controls have no j part, so e's j slots are signed zeros, and the
-    three substep products leave out their terms (60 float operations a
-    step instead of 84).  Leaving a +-0 term out of a left-to-right sum of
-    finite terms can change only the sign of a sum that is exactly 0, and
-    such a sign reaches only other exact zeros.  So rows with no zero
-    equal the full products bit for bit; if any row has a zero, the
-    block is recomputed from q by _chain.
+    Bit for bit qexp_pure's on the stacked (va, 0, vb): its row sum
+    ((va^2 + 0) + 0^2) + vb^2 is va^2 + vb^2, as adding +0.0 to a square
+    changes nothing.  The j slot, sin|v|/|v| * 0, is never formed.
+    """
+    w, fac = _exp_factors(np.sqrt(va * va + vb * vb))
+    e = np.empty(va.shape + (3,))
+    e[..., 0] = w
+    np.multiply(fac, va, out=e[..., 1])
+    np.multiply(fac, vb, out=e[..., 2])
+    return e
+
+
+def _chain4(q, e, full):
+    """q chained through order-4 steps: the (m, 4) rows _chain gives after each step.
+
+    e is the C-contiguous (m, 3, 3) array of the substep exponentials'
+    w, x, z slots (_exps_xz), read as floats straight from its buffer.
+    The controls have no j part, so the exponentials' j slots are signed
+    zeros, and the three substep products leave out their terms (60
+    float operations a step instead of 84).  Leaving a +-0 term out of a
+    left-to-right sum of finite terms can change only the sign of a sum
+    that is exactly 0, and such a sign reaches only other exact zeros.
+    So rows with no zero equal the full products bit for bit; if any row
+    has a zero, the block is recomputed from q by _chain on full(), the
+    (m, 3, 4) exponentials with their signed-zero j slots.
     """
     w, x, y, z = q.tolist()
-    comps = iter(memoryview(e[..., _NO_J].ravel()))
+    comps = iter(memoryview(e.ravel()))
     rows = []
     for aw, ax, az, bw, bx, bz, cw, cx, cz in zip(*[comps] * 9):
         w1 = w * aw - x * ax - z * az
@@ -186,7 +203,7 @@ def _chain4(q, e):
     out = np.fromiter(rows, float, len(rows)).reshape(-1, 4)
     if out.all():
         return out
-    return _chain(q, e.reshape(-1, 4))[2::3]
+    return _chain(q, full().reshape(-1, 4))[2::3]
 
 
 def integrate_geodesic(q0, params: GeodesicParams, T, h, order=4) -> SampledCurve:
@@ -215,10 +232,16 @@ def integrate_geodesic(q0, params: GeodesicParams, T, h, order=4) -> SampledCurv
             mids[:, j] = t + 0.5 * c * dt
             t += c * dt
         a, b = ab_profile(params, mids)
-        v = np.stack([-a * coef * dt, np.zeros_like(a), -b * coef * dt], axis=-1)
-        e = qexp_pure(v)
+        va = -a * coef * dt
+        vb = -b * coef * dt
+
+        def full():
+            return qexp_pure(np.stack([va, np.zeros_like(va), vb], axis=-1))
+
         pts[start + 1 : stop + 1] = (
-            _chain4(pts[start], e) if order == 4 else _chain(pts[start], e.reshape(-1, 4))
+            _chain4(pts[start], _exps_xz(va, vb), full)
+            if order == 4
+            else _chain(pts[start], full().reshape(-1, 4))
         )
 
     s = np.arange(nsteps + 1) * dt
@@ -292,8 +315,9 @@ def integrate_hamiltonian(q0, xi0, T, h) -> HamiltonianTrajectory:
     w, x, y, z, a, b, c, d = ys[0].tolist()
     # each step is one straight-line block: the four right-hand sides
     # written out on named floats, with the stage inputs u + half*k,
-    # u + dt*k and the update u + sixth*(k1 + 2 k2 + 2 k3 + k4); a stage
-    # negates p1 once into n1, and n1 * u is the float -p1 * u
+    # u + dt*k and the update u + sixth*(k1 + 2 k2 + 2 k3 + k4), where
+    # k4 is written inline in the update, unnamed; a stage negates p1
+    # once into n1, and n1 * u is the float -p1 * u
     for start in range(0, nsteps, _BLOCK):
         stop = min(start + _BLOCK, nsteps)
         rows = []
@@ -358,22 +382,14 @@ def integrate_hamiltonian(q0, xi0, T, h) -> HamiltonianTrajectory:
             p1 = sw * sb - sx * sa + sz * sc - sy * sd
             p3 = sw * sd - sz * sa + sy * sb - sx * sc
             n1 = -p1
-            k4w = n1 * sx - p3 * sz
-            k4x = p1 * sw + p3 * sy
-            k4y = p1 * sz - p3 * sx
-            k4z = n1 * sy + p3 * sw
-            k4a = n1 * sb - p3 * sd
-            k4b = p1 * sa + p3 * sc
-            k4c = p1 * sd - p3 * sb
-            k4d = n1 * sc + p3 * sa
-            w = w + sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-            x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-            z = z + sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-            a = a + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-            b = b + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-            c = c + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
-            d = d + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+            w = w + sixth * (k1w + 2.0 * k2w + 2.0 * k3w + (n1 * sx - p3 * sz))
+            x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + (p1 * sw + p3 * sy))
+            y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + (p1 * sz - p3 * sx))
+            z = z + sixth * (k1z + 2.0 * k2z + 2.0 * k3z + (n1 * sy + p3 * sw))
+            a = a + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + (n1 * sb - p3 * sd))
+            b = b + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + (p1 * sa + p3 * sc))
+            c = c + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + (p1 * sd - p3 * sb))
+            d = d + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + (n1 * sc + p3 * sa))
             rows += (w, x, y, z, a, b, c, d)
         ys[start + 1 : stop + 1] = np.fromiter(rows, float, len(rows)).reshape(-1, 8)
     s = np.arange(nsteps + 1) * dt

@@ -257,7 +257,12 @@ def test_order4_chain_falls_back_from_the_first_row_of_a_later_block(monkeypatch
     pts = np.empty((n + 1, 4))
     pts[0] = q0
     for start in range(0, n, _BLOCK):
-        pts[start + 1 : start + _BLOCK + 1] = _chain4(pts[start], e[start : start + _BLOCK])
+        block = e[start : start + _BLOCK]
+        # the engine's inputs: the w, x, z slots in one contiguous array, the full
+        # exponentials (with the -0.0 j slot) only for a fallback
+        pts[start + 1 : start + _BLOCK + 1] = _chain4(
+            pts[start], np.ascontiguousarray(block[..., [0, 1, 3]]), lambda: block
+        )
     ref = _nested_loop_chain(q0, e)
     assert ref[1501, 0] == 0.0 and not np.signbit(ref[1501, 0])
     _assert_same_bits(pts, ref)
