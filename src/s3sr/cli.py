@@ -27,7 +27,6 @@ from .curves import SampledCurve, fd_velocities, unit_norm_error
 from .frames import frame_at, omega_eval
 from .geodesics import (
     GeodesicParams,
-    _grid,
     acceleration_T_residual,
     angle_profile,
     integrate_geodesic,
@@ -35,7 +34,7 @@ from .geodesics import (
     match_costate,
 )
 from .io import CurveRecord
-from .quaternions import norm2, normalize
+from .quaternions import norm, norm2, normalize
 
 # charts, connect and shooting are imported by the commands that use them, so the others start faster
 
@@ -68,7 +67,7 @@ def _parse_endpoint(text: str):
 
 def _sanitize_point(q: np.ndarray) -> np.ndarray:
     """Unit-norm policy: tiny drift accepted, moderate drift normalized."""
-    dev = unit_norm_error(SampledCurve(0.0, q))
+    dev = abs(float(norm(q)) - 1.0)
     if dev <= 1e-12:
         return q
     if dev <= 1e-8:
@@ -141,7 +140,7 @@ def _cmd_hamiltonian(args) -> int:
         # the control profile below is only valid for matched costates
         meta.update({"r": params.r, "theta0": params.theta0, "lambda": params.lam})
     traj = integrate_hamiltonian(q0, xi0, args.T, args.step)
-    meta["h"] = _grid(args.T, args.step)[1]
+    meta["h"] = float(traj.s[1]) if len(traj.s) > 1 else 0.0
     curve = SampledCurve(traj.s, traj.q, traj.qdot(), meta)
     out = _write_record(curve, args)
     energy = traj.energy()

@@ -20,7 +20,7 @@ class SampledCurve:
     """A sampled path on the sphere.
 
     s           : (n,) non-decreasing parameter grid
-    points      : (n, 4) samples, each unit to curve tolerance
+    points      : (n, 4) samples on the sphere
     velocities  : optional (n, 4) tangent vectors at the samples
     meta        : construction tag and parameters (a new dict if None)
     """
@@ -48,17 +48,6 @@ class SampledCurve:
     @property
     def end(self) -> np.ndarray:
         return self.points[-1]
-
-    def validate(self):
-        """Enforce | |p| - 1 | <= 1e-10 and |<v, p>| <= 1e-8; raises ValueError on violation."""
-        dev = unit_norm_error(self)
-        if dev > 1e-10:
-            raise ValueError(f"curve points leave the sphere by {dev:.3e}")
-        if self.velocities is not None:
-            dev = tangency_error(self)
-            if dev > 1e-8:
-                raise ValueError(f"curve velocities are not tangent by {dev:.3e}")
-        return self
 
 
 def fd_velocities(curve: SampledCurve) -> np.ndarray:

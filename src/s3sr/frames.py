@@ -18,8 +18,9 @@ produced by the bracket [X, Y] = 2T, and the one-form
 vanishes exactly on horizontal vectors (omega(T) = -1).
 
 I1, I2, I3 are the 4x4 matrices of right multiplication by i, j, k
-acting on row vectors: q @ I1 == qmul(q, i) and so on.  Each is
-skew-orthogonal with Im @ Im = -U.
+acting on row vectors: q @ I1 == qmul(q, i) and so on, derived from
+qmul when quaternions is imported.  Each is skew-orthogonal with
+Im @ Im = -U.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quaternions import UNIT_TOL, _row_sum, is_unit, norm2
+from .quaternions import _RIGHT_MATRICES, UNIT_TOL, _row_sum, is_unit, norm2
 
 __all__ = [
     "I1",
@@ -51,30 +52,7 @@ __all__ = [
 ]
 
 # q @ I1 = q*i, q @ I2 = q*j, q @ I3 = q*k  (row-vector convention)
-I1 = np.array(
-    [
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0, 0.0],
-    ]
-)
-I2 = np.array(
-    [
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, -1.0, 0.0, 0.0],
-    ]
-)
-I3 = np.array(
-    [
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-    ]
-)
+_, I1, I2, I3 = _RIGHT_MATRICES
 U = np.eye(4)
 
 TANGENT_TOL = 1e-10
@@ -93,16 +71,17 @@ class FrameComponents(NamedTuple):
     c: float
 
 
-def frame_at(q, tol=UNIT_TOL):
+def frame_at(q):
     """Orthonormal frame (X, Y, T, N) at a unit point q, or row by row at stacked points.
 
-    Pass tol=None to skip the unit check (used by diagnostics that
-    probe behaviour off the sphere).  A NaN component fails the check.
+    A point with | |q|^2 - 1 | above UNIT_TOL, or with a NaN component,
+    raises ValueError.  Off the sphere, X_FIELD, Y_FIELD and T_FIELD
+    still evaluate.
     """
     q = np.asarray(q, dtype=float)
-    if tol is not None and not is_unit(q, tol):
+    if not is_unit(q):
         dev = np.max(np.abs(norm2(q) - 1.0))
-        raise ValueError(f"frame base point q is not unit: max | |q|^2 - 1 | = {dev:.3e} > {tol:.1e}")
+        raise ValueError(f"frame base point q is not unit: max | |q|^2 - 1 | = {dev:.3e} > {UNIT_TOL:.1e}")
     return Frame(X=-(q @ I1), Y=-(q @ I3), T=-(q @ I2), N=q.copy())
 
 

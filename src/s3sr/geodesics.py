@@ -9,17 +9,16 @@ left-invariant equation q' = q * u(s) with pure control
 u(s) = -a(s) i - b(s) k.  The reference integrator advances q by group
 exponentials of midpoint-sampled controls, which keeps |q| = 1 to
 rounding; a triple-jump composition of that symmetric step raises the
-order to four (pass order=2 for the plain midpoint scheme).  The
-controls do not depend on q, so the exponentials of a block of steps
-come from one vectorized call, read back as floats straight from its
-buffer; the product chain itself runs step by step, left to right, on
-Python floats (a tree-shaped product reorders the rounding and drifts
-|q| further).  Each step is one loop body: order 4 writes its three
+order to four.  The controls do not depend on q, so the exponentials of
+a block of steps come from one vectorized call, read back as floats
+straight from its buffer; the product chain itself runs step by step,
+left to right, on Python floats (a tree-shaped product reorders the
+rounding and drifts |q| further).  Each step is one loop body that writes its three
 substep products out one after another, through named temporaries.
 The controls have no j part, so the exponentials' j slots are signed
-zeros: order 4 writes only the other three slots of each exponential
+zeros: the engine writes only the other three slots of each exponential
 (_exps_xz) and leaves the j terms out of its products (_chain4 says why
-that is exact); order 2 chains the full qexp_pure exponentials.
+that is exact, and when a block falls back to the full products).
 
 The same flow also arises from the Hamiltonian
 
@@ -65,8 +64,7 @@ __all__ = [
 
 # triple-jump composition coefficients for a symmetric order-2 base step
 _COMP4_A = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-_COMP4_B = 1.0 - 2.0 * _COMP4_A
-_COMP_WEIGHTS = {2: (1.0,), 4: (_COMP4_A, _COMP4_B, _COMP4_A)}
+_COMP4 = (_COMP4_A, 1.0 - 2.0 * _COMP4_A, _COMP4_A)
 
 # steps per exponential call in integrate_geodesic and per numpy row write
 # in both integrators; it also bounds the flat list of row floats held
@@ -206,29 +204,26 @@ def _chain4(q, e, full):
     return _chain(q, full().reshape(-1, 4))[2::3]
 
 
-def integrate_geodesic(q0, params: GeodesicParams, T, h, order=4) -> SampledCurve:
-    """Integrate q' = q * (-a(s) i - b(s) k) from q0 over [0, T].
+def integrate_geodesic(q0, params: GeodesicParams, T, h) -> SampledCurve:
+    """Integrate q' = q * (-a(s) i - b(s) k) from q0 over [0, T] to order four.
 
-    Every update has the form q <- q * qexp_pure(dt * u(midpoint)); with
-    order=4 (default) each step chains three such substeps.  Samples
-    stay unit without renormalization and the stored velocities are the
-    analytic a(s) X + b(s) Y.
+    Every update has the form q <- q * qexp_pure(dt * u(midpoint)), and
+    each step chains three such substeps with the weights _COMP4.
+    Samples stay unit without renormalization and the stored velocities
+    are the analytic a(s) X + b(s) Y.
     """
     nsteps, dt = _grid(T, h)
     q0 = check_unit(q0, what="initial point q0")
-    weights = _COMP_WEIGHTS.get(order)
-    if weights is None:
-        raise ValueError("order must be 2 or 4")
 
     pts = np.empty((nsteps + 1, 4))
     pts[0] = q0
-    coef = np.asarray(weights)
+    coef = np.asarray(_COMP4)
     for start in range(0, nsteps, _BLOCK):
         stop = min(start + _BLOCK, nsteps)
         # substep midpoints by the same float operations as a per-step loop
         t = np.arange(start, stop) * dt
-        mids = np.empty((stop - start, len(weights)))
-        for j, c in enumerate(weights):
+        mids = np.empty((stop - start, len(_COMP4)))
+        for j, c in enumerate(_COMP4):
             mids[:, j] = t + 0.5 * c * dt
             t += c * dt
         a, b = ab_profile(params, mids)
@@ -238,11 +233,7 @@ def integrate_geodesic(q0, params: GeodesicParams, T, h, order=4) -> SampledCurv
         def full():
             return qexp_pure(np.stack([va, np.zeros_like(va), vb], axis=-1))
 
-        pts[start + 1 : stop + 1] = (
-            _chain4(pts[start], _exps_xz(va, vb), full)
-            if order == 4
-            else _chain(pts[start], full().reshape(-1, 4))
-        )
+        pts[start + 1 : stop + 1] = _chain4(pts[start], _exps_xz(va, vb), full)
 
     s = np.arange(nsteps + 1) * dt
     a, b = ab_profile(params, s)
@@ -254,7 +245,7 @@ def integrate_geodesic(q0, params: GeodesicParams, T, h, order=4) -> SampledCurv
         "lambda": params.lam,
         "T": T,
         "h": dt,
-        "order": order,
+        "order": 4,
     }
     return SampledCurve(s, pts, vel, meta)
 

@@ -10,6 +10,12 @@ shape (4,) as well as on stacks (n, 4).
 
 Sums over a short last axis, here and in frames, curves and geodesics,
 go through _row_sum: np.sum(x, axis=-1) bit for bit, a column at a time.
+
+The matrices of right multiplication by 1, i, j, k (frames.I1-I3
+among them) and the (source, sign) table that _right_terms reads are
+derived from qmul when the module is imported.  is_unit and check_unit
+accept a deviation | |q|^2 - 1 | up to UNIT_TOL, read when they are
+called.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ QUAT_I = np.array([0.0, 1.0, 0.0, 0.0])
 QUAT_J = np.array([0.0, 0.0, 1.0, 0.0])
 QUAT_K = np.array([0.0, 0.0, 0.0, 1.0])
 
-# default tolerance for treating a quaternion as a point of the sphere
+# tolerance for treating a quaternion as a point of the sphere
 UNIT_TOL = 1e-8
 
 # below this norm the exponential switches to its series limit
@@ -144,25 +150,25 @@ def qexp_pure(v):
     )
 
 
-def is_unit(q, tol=UNIT_TOL):
-    """True when | |q|^2 - 1 | <= tol."""
-    return bool(np.all(np.abs(norm2(q) - 1.0) <= tol))
+def is_unit(q):
+    """True when | |q|^2 - 1 | <= UNIT_TOL, row by row for stacked q."""
+    return bool(np.all(np.abs(norm2(q) - 1.0) <= UNIT_TOL))
 
 
-def check_unit(q, tol=UNIT_TOL, what="quaternion"):
+def check_unit(q, what="quaternion"):
     """One point of the sphere as a float array of shape (4,).
 
     |q|^2 is summed on Python floats in norm2's order.  Any other shape,
-    a deviation | |q|^2 - 1 | above tol and a NaN or infinite component
-    raise ValueError naming what.
+    a deviation | |q|^2 - 1 | above UNIT_TOL and a NaN or infinite
+    component raise ValueError naming what.
     """
     q = np.asarray(q, dtype=float)
     if q.shape != (4,):
         raise ValueError(f"{what} must be one quaternion of shape (4,), got shape {q.shape}")
     w, x, y, z = q.tolist()
     dev = abs(w * w + x * x + y * y + z * z - 1.0)
-    if not dev <= tol:  # NaN fails too
-        raise ValueError(f"{what} is not unit: | |q|^2 - 1 | = {dev:.3e} > {tol:.1e}")
+    if not dev <= UNIT_TOL:  # NaN fails too
+        raise ValueError(f"{what} is not unit: | |q|^2 - 1 | = {dev:.3e} > {UNIT_TOL:.1e}")
     return q
 
 
@@ -179,13 +185,15 @@ def _conj_mul_floats(p, q):
     )
 
 
-# p * e for the basis e = 1, i, j, k: component m of the product is
-# sign * p[source], listed as (source, sign) for m = 0..3
-_RIGHT_BASIS = (
-    ((0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)),
-    ((1, -1.0), (0, 1.0), (3, 1.0), (2, -1.0)),
-    ((2, -1.0), (3, -1.0), (0, 1.0), (1, 1.0)),
-    ((3, -1.0), (2, 1.0), (1, -1.0), (0, 1.0)),
+# q @ M = q * e for the basis e = 1, i, j, k (row-vector convention): row
+# r of M is basis element r times e, so the table is qmul's
+_RIGHT_MATRICES = tuple(qmul(np.eye(4), e) for e in (QUAT_ONE, QUAT_I, QUAT_J, QUAT_K))
+
+# p * e for the same basis: component m of the product is sign * p[source],
+# listed as (source, sign) for m = 0..3 (each column of M has one nonzero)
+_RIGHT_BASIS = tuple(
+    tuple((src, float(col[src])) for col in mat.T for src in np.flatnonzero(col).tolist())
+    for mat in _RIGHT_MATRICES
 )
 
 

@@ -28,7 +28,7 @@ from s3sr.connect import (
     connect,
     connect_constant_psi,
 )
-from s3sr.curves import fd_velocities, omega_fd_residuals, unit_norm_error
+from s3sr.curves import fd_velocities, omega_fd_residuals, tangency_error, unit_norm_error
 from s3sr.frames import omega_eval
 from s3sr.quaternions import _qmul_terms, _right_terms, conj, qmul
 from conftest import _loaded_by_fresh_import, point_arrays_ref, random_unit, velocity_arrays_ref
@@ -271,15 +271,13 @@ def test_connect_needs_two_samples():
 
 def test_curve_invariants_validate(rng):
     c = connect(P_EX, Q_EX, n=64)
-    c.validate()  # unit to 1e-10, tangent to 1e-8
+    assert unit_norm_error(c) <= 1e-10 and tangency_error(c) <= 1e-8
     bad = connect(P_EX, Q_EX, n=64)
     bad.points[10] *= 1.001
-    with pytest.raises(ValueError):
-        bad.validate()
+    assert unit_norm_error(bad) > 1e-10
     worse = connect(P_EX, Q_EX, n=64)
     worse.velocities[10] += 1e-3 * worse.points[10]
-    with pytest.raises(ValueError):
-        worse.validate()
+    assert tangency_error(worse) > 1e-8
 
 
 # -- the closed-form chart leg -----------------------------------------------

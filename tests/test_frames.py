@@ -27,6 +27,21 @@ def test_structure_matrices_are_right_multiplication(rng):
     assert np.allclose(q @ I3, qmul(q, QUAT_K), atol=1e-15)
 
 
+def test_structure_matrices_are_the_coordinate_formulas():
+    # row r of q -> q @ M is the formula at the basis row e_r; the formulas are
+    # those of the frames docstring, with q @ I1 = -X, q @ I3 = -Y, q @ I2 = -T
+    formulas = (
+        (I1, lambda x1, x2, y1, y2: (x2, -x1, -y2, y1)),
+        (I3, lambda x1, x2, y1, y2: (y2, -y1, x2, -x1)),
+        (I2, lambda x1, x2, y1, y2: (y1, y2, -x1, -x2)),
+    )
+    for m, formula in formulas:
+        assert m.shape == (4, 4) and m.dtype == float
+        assert np.array_equal(m, -np.array([formula(*e) for e in U]))
+        # the zeros are +0.0, so the BLAS products q @ M sign their zeros as before
+        assert not np.signbit(m[m == 0.0]).any()
+
+
 def test_structure_matrices_orthogonal_square_minus_identity():
     for m in (I1, I2, I3):
         assert np.max(np.abs(m @ m.T - U)) <= 1e-14
@@ -180,9 +195,11 @@ def test_bracket_generating(rng):
 
 def test_rank_holds_off_sphere_but_orthonormality_fails(rng):
     q = np.sqrt(2.0) * random_unit(rng)  # squared modulus 2
-    f = frame_at(q, tol=None)
-    span = np.stack([f.X, f.Y, f.T])
-    svals = np.linalg.svd(span, compute_uv=False)
+    with pytest.raises(ValueError, match="not unit"):
+        frame_at(q)
+    # the fields are linear in q and evaluate anywhere
+    f = np.stack([X_FIELD(q), Y_FIELD(q), T_FIELD(q), q])
+    svals = np.linalg.svd(f[:3], compute_uv=False)
     assert np.min(svals) > 0.5  # rank 3 survives
-    gram_dev = np.max(np.abs(np.stack(f) @ np.stack(f).T - np.eye(4)))
+    gram_dev = np.max(np.abs(f @ f.T - np.eye(4)))
     assert gram_dev > 1e-3  # orthonormality does not

@@ -7,9 +7,10 @@ import pytest
 from s3sr import geodesics
 from s3sr.curves import SampledCurve, omega_fd_residuals
 from s3sr.frames import I1, I3, components, frame_at, omega_eval
+from s3sr.io import CurveRecord
 from s3sr.geodesics import (
     _BLOCK,
-    _COMP_WEIGHTS,
+    _COMP4,
     _chain4,
     GeodesicParams,
     ab_profile,
@@ -79,8 +80,6 @@ def test_integrator_argument_checks():
         integrate_geodesic(ONE, GeodesicParams(1, 0, 0), -1.0, 0.1)
     with pytest.raises(ValueError):
         integrate_geodesic([1, 1, 0, 0], GeodesicParams(1, 0, 0), 1.0, 0.1)
-    with pytest.raises(ValueError):
-        integrate_geodesic(ONE, GeodesicParams(1, 0, 0), 1.0, 0.1, order=3)
     # unchecked, inf / h would overflow int() and a nan horizon would give one sample
     for T, h in ((np.inf, 1e-3), (np.nan, 1e-3), (1.0, np.inf), (1.0, np.nan), (-np.inf, 1e-3)):
         with pytest.raises(ValueError, match="finite"):
@@ -113,25 +112,22 @@ def test_integrator_fourth_order_convergence():
     p = GeodesicParams(1.0, 0.4, 0.9)
     exact = geodesic_point(ONE, p, 2.0)
 
-    def err(h, order):
-        return np.max(np.abs(integrate_geodesic(ONE, p, 2.0, h, order=order).end - exact))
+    def err(h):
+        return np.max(np.abs(integrate_geodesic(ONE, p, 2.0, h).end - exact))
 
-    assert err(0.02, 4) / err(0.01, 4) >= 8.0
-    r2 = err(0.02, 2) / err(0.01, 2)
-    assert 3.0 <= r2 <= 5.0  # the plain midpoint-exponential scheme is order 2
+    assert err(0.02) / err(0.01) >= 8.0
 
 
-def test_unit_norm_preservation():
-    # no renormalization anywhere; rounding bias keeps the drift near 1e-12
-    # per 1e5 steps (the sqrt(N)*eps random-walk ideal is not attainable)
-    p = GeodesicParams(1.0, 1.1, 0.7)
-    c = integrate_geodesic(ONE, p, 100.0, 1e-3, order=2)
-    assert c.n == 100001
-    drift = np.max(np.abs(np.linalg.norm(c.points, axis=1) - 1.0))
-    assert drift <= 1.5e-12
+def test_curve_and_its_file_record_order_four(tmp_path):
+    c = integrate_geodesic(ONE, GeodesicParams(1.0, 0.3, 0.7), 0.5, 1e-2)
+    assert c.meta["order"] == 4
+    out = tmp_path / "g.csv"
+    CurveRecord.from_curve(c).to_csv(out)
+    assert "\n# order=4\n" in out.read_text()
+    assert CurveRecord.from_csv(out).header["order"] == 4
 
 
-def _reference_geodesic(q0, params, T, h, order):
+def _reference_geodesic(q0, params, T, h):
     """The engine as a per-step loop: one qexp_pure and one qmul per substep."""
     nsteps = max(1, int(round(T / h))) if T > 0.0 else 0
     dt = T / nsteps if nsteps else 0.0
@@ -139,7 +135,7 @@ def _reference_geodesic(q0, params, T, h, order):
     pts = [q]
     for i in range(nsteps):
         t = i * dt
-        for c in _COMP_WEIGHTS[order]:
+        for c in _COMP4:
             a, b = ab_profile(params, t + 0.5 * c * dt)
             q = qmul(q, qexp_pure([-a * c * dt, 0.0, -b * c * dt]))
             t += c * dt
@@ -147,15 +143,17 @@ def _reference_geodesic(q0, params, T, h, order):
     return np.array(pts)
 
 
-@pytest.mark.parametrize("order", [2, 4])
+# the engine's one order, which its curves record in meta["order"]
+@pytest.mark.parametrize("order", [4])
 @pytest.mark.parametrize("nsteps", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 10000])
 def test_blocked_engine_matches_per_step_loop(order, nsteps):
     rng = np.random.default_rng(nsteps + order)
     q0 = random_unit(rng)
     p = GeodesicParams(1.3, rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-1.0, 1.0))
     h = 1e-3
-    c = integrate_geodesic(q0, p, nsteps * h, h, order=order)
-    ref = _reference_geodesic(q0, p, nsteps * h, h, order)
+    c = integrate_geodesic(q0, p, nsteps * h, h)
+    assert c.meta["order"] == order
+    ref = _reference_geodesic(q0, p, nsteps * h, h)
     assert c.points.shape == ref.shape == (nsteps + 1, 4)
     assert np.max(np.abs(c.points - ref)) <= 1e-13
 
@@ -176,18 +174,17 @@ def _nested_loop_chain(q0, e):
     return np.array(rows)
 
 
-def _nested_loop_geodesic(q0, params, T, h, order):
+def _nested_loop_geodesic(q0, params, T, h):
     """The blocked engine with its substeps chained by a loop nested in the step loop."""
-    weights = _COMP_WEIGHTS[order]
     nsteps = max(1, int(round(T / h))) if T > 0.0 else 0
     dt = T / nsteps if nsteps else 0.0
-    coef = np.asarray(weights)
-    exps = [np.empty((0, len(weights), 4))]
+    coef = np.asarray(_COMP4)
+    exps = [np.empty((0, len(_COMP4), 4))]
     for start in range(0, nsteps, _BLOCK):
         stop = min(start + _BLOCK, nsteps)
         t = np.arange(start, stop) * dt
-        mids = np.empty((stop - start, len(weights)))
-        for j, c in enumerate(weights):
+        mids = np.empty((stop - start, len(_COMP4)))
+        for j, c in enumerate(_COMP4):
             mids[:, j] = t + 0.5 * c * dt
             t += c * dt
         a, b = ab_profile(params, mids)
@@ -198,7 +195,7 @@ def _nested_loop_geodesic(q0, params, T, h, order):
 
 
 def _count_full_chains(monkeypatch):
-    """Count the calls of geodesics._chain, the full-term chain that order 4 falls back to."""
+    """Count the calls of geodesics._chain, the full-term chain that the engine falls back to."""
     calls = []
     full = geodesics._chain
 
@@ -210,7 +207,7 @@ def _count_full_chains(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("order", [4])  # as in test_blocked_engine_matches_per_step_loop
 @pytest.mark.parametrize("nsteps", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 5000])
 def test_unrolled_chain_matches_nested_loop_bit_for_bit(order, nsteps, monkeypatch):
     rng = np.random.default_rng(100 * nsteps + order)
@@ -223,22 +220,21 @@ def test_unrolled_chain_matches_nested_loop_bit_for_bit(order, nsteps, monkeypat
         for q0 in starts
         for r in (0.0, 1.3)
     ]
-    # at this speed every substep has |v| > pi (3.4 and 4.3 at order 4, 4.0 at
-    # order 2), so sin|v|/|v| < 0 and the exponentials' zero j slot is -0.0; with
-    # theta0 = lambda = 0, b is 0 too, so from an axis point q keeps exact zeros
-    # whose signs only the products' ey terms decide
-    fast = {2: 4000.0, 4: 2500.0}[order]
-    cases += [(q0, GeodesicParams(fast, 0.0, 0.0)) for q0 in starts]
+    # at this speed every substep has |v| > pi (3.4 and 4.3), so sin|v|/|v| < 0
+    # and the exponentials' zero j slot is -0.0; with theta0 = lambda = 0, b is
+    # 0 too, so from an axis point q keeps exact zeros whose signs only the
+    # products' ey terms decide
+    cases += [(q0, GeodesicParams(2500.0, 0.0, 0.0)) for q0 in starts]
     full_chains = _count_full_chains(monkeypatch)
     for q0, p in cases:
         del full_chains[:]
-        c = integrate_geodesic(q0, p, nsteps * h, h, order=order)
-        pts, vel = _nested_loop_geodesic(q0, p, nsteps * h, h, order)
-        assert c.points.shape == (nsteps + 1, 4)
+        c = integrate_geodesic(q0, p, nsteps * h, h)
+        pts, vel = _nested_loop_geodesic(q0, p, nsteps * h, h)
+        assert c.points.shape == (nsteps + 1, 4) and c.meta["order"] == order
         _assert_same_bits(c.points, pts)
         _assert_same_bits(c.velocities, vel)
-        if order == 4 and not any(q0 == 0.0):
-            # random starts keep every component nonzero: order 4 never falls back
+        if not any(q0 == 0.0):
+            # random starts keep every component nonzero: the engine never falls back
             assert full_chains == []
 
 
@@ -287,7 +283,7 @@ def _profiled_calls(fn, *args, **kwargs):
     return calls
 
 
-@pytest.mark.parametrize("integrator", ["geodesic-4", "geodesic-2", "hamiltonian"])
+@pytest.mark.parametrize("integrator", ["geodesic-4", "hamiltonian"])
 def test_integrator_loops_make_no_per_step_calls(integrator):
     # T=2 and T=4 at h=1e-3 are 2 and 4 blocks of at most _BLOCK steps.  A call of a
     # Python function or builtin put back into the step loop adds 2,000 calls; the
@@ -299,7 +295,7 @@ def test_integrator_loops_make_no_per_step_calls(integrator):
     def run(T):
         if integrator == "hamiltonian":
             return _profiled_calls(integrate_hamiltonian, ONE, match_costate(ONE, p), T, h)
-        return _profiled_calls(integrate_geodesic, ONE, p, T, h, order=int(integrator[-1]))
+        return _profiled_calls(integrate_geodesic, ONE, p, T, h)
 
     extra_blocks = 2
     assert 0 <= run(4.0) - run(2.0) <= 64 * extra_blocks

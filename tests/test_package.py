@@ -1,6 +1,7 @@
-"""The lazy package: what `import s3sr` and each CLI command load."""
+"""The lazy package: what `import s3sr` and each CLI command load, and the public signatures."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -57,3 +58,31 @@ def test_connect_stays_the_function_when_its_submodule_loads_first():
 
 def test_submodules_load_on_attribute_access():
     assert _loaded_by_fresh_import("s3sr.io", "assert s3sr.io.CurveRecord is s3sr.CurveRecord")
+
+
+# every parameter with a default among the public callables, with the code
+# outside the tests that sets it; a setting no such caller sets is a knob to drop
+DEFAULTED_SETTINGS = {
+    ("EulerAngles", "pole"): "charts.from_cartesian, on a pole",
+    ("ConstructionError", "endpoint_error"): "connect, when its curve misses an endpoint",
+    ("connect", "n"): "the CLI's connect --samples; bench/workloads.py",
+    ("connect_constant_psi", "n"): "none yet: the sample count of connect(n), the CLI's --samples",
+    ("SampledCurve", "velocities"): "connect, integrate_geodesic and the CLI's hamiltonian",
+    ("SampledCurve", "meta"): "connect, integrate_geodesic and the CLI's hamiltonian",
+    ("ShootingConfig", "tol"): "the CLI's shoot --tol",
+    ("ShootingConfig", "seed"): "c09 and bench/workloads.py (shoot --seed)",
+    ("ShootingConfig", "curve_step"): "the CLI's shoot --step",
+    ("shoot", "cfg"): "the CLI's shoot",
+}
+
+
+def test_every_defaulted_setting_names_its_caller():
+    found = set()
+    for name in s3sr.__all__:
+        obj = getattr(s3sr, name)
+        if not callable(obj):
+            continue
+        for param in inspect.signature(obj).parameters.values():
+            if param.default is not inspect.Parameter.empty:
+                found.add((name, param.name))
+    assert found == set(DEFAULTED_SETTINGS)

@@ -24,7 +24,8 @@ from s3sr.charts import from_cartesian
 from s3sr.connect import connect
 from s3sr.frames import frame_at
 from s3sr.geodesics import GeodesicParams, integrate_geodesic
-from s3sr.quaternions import _conj_mul_floats
+from s3sr import quaternions
+from s3sr.quaternions import _conj_mul_floats, _right_terms
 from s3sr.shooting import shoot
 from conftest import random_unit
 
@@ -187,13 +188,25 @@ def test_check_unit_rejects_other_shapes(rng):
             check_unit(bad, what="q")
 
 
-def test_check_unit_tolerance_edge_is_that_of_norm2(rng):
+def test_check_unit_tolerance_edge_is_that_of_norm2(rng, monkeypatch):
     # check_unit sums |q|^2 on floats in norm2's order, so it accepts exactly up to norm2's deviation
     for q in rng.standard_normal((500, 4)) * rng.uniform(0.5, 1.5, (500, 1)):
         dev = float(abs(norm2(q) - 1.0))
-        check_unit(q, tol=dev)
+        monkeypatch.setattr(quaternions, "UNIT_TOL", dev)
+        check_unit(q)
+        assert is_unit(q)
+        monkeypatch.setattr(quaternions, "UNIT_TOL", np.nextafter(dev, 0.0))
         with pytest.raises(ValueError):
-            check_unit(q, tol=np.nextafter(dev, 0.0))
+            check_unit(q)
+        assert not is_unit(q)
+
+
+def test_right_terms_take_at_most_two_nonzero_components():
+    for g in ([0.6, 0.8, 0.0, 0.0], [0.0, 0.0, -0.6, 0.8], [0.0, 1.0, 0.0, -0.0]):
+        assert len(_right_terms(g)) == 4
+    for g in ([0.6, 0.0, 0.6, 0.5], [0.0, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5]):
+        with pytest.raises(ValueError, match="more than two nonzero components"):
+            _right_terms(g)
 
 
 def test_conj_mul_floats_is_qmul_of_conj_bit_for_bit(rng):
