@@ -24,17 +24,16 @@ import sys
 import numpy as np
 
 from .curves import SampledCurve, fd_velocities, unit_norm_error
-from .frames import frame_at, omega_eval
+from .frames import I2, frame_at, omega_eval
 from .geodesics import (
     GeodesicParams,
-    acceleration_T_residual,
     angle_profile,
     integrate_geodesic,
     integrate_hamiltonian,
     match_costate,
 )
 from .io import CurveRecord
-from .quaternions import norm, norm2, normalize
+from .quaternions import _row_sum, norm, norm2, normalize
 
 # charts, connect and shooting are imported by the commands that use them, so the others start faster
 
@@ -165,6 +164,37 @@ def _cmd_shoot(args) -> int:
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
+def _first_difference(s, p):
+    """Central first differences on rows 1..n-2 of the grid s."""
+    return (p[2:] - p[:-2]) / (s[2:] - s[:-2])[:, None]
+
+
+def _second_difference(s, p):
+    """Three-point second differences on rows 1..n-2 of the grid s (exact on quadratics)."""
+    h0, h1 = (s[1:-1] - s[:-2])[:, None], (s[2:] - s[1:-1])[:, None]
+    return 2.0 * ((p[2:] - p[1:-1]) / h1 - (p[1:-1] - p[:-2]) / h0) / (h0 + h1)
+
+
+def _extrapolated(diff, curve):
+    """(estimates, rows): the central difference diff, Richardson-extrapolated where it fits.
+
+    On a uniform grid (4 D_h - D_2h) / 3 cancels the h^2 term of the
+    central difference D_h, so the estimate is accurate to O(h^4) on the
+    rows two or more from either end, where the +-2h stencil fits; D_2h
+    is diff on the even and on the odd rows.  Below 5 samples it is D_h
+    on rows 1..n-2.  The one-sided end estimates are first order and
+    never used.
+    """
+    s, p = curve.s, curve.points
+    d_h = diff(s, p)
+    if curve.n < 5:
+        return d_h, slice(1, -1)
+    d_2h = np.empty_like(d_h[2:])
+    for k in (0, 1):
+        d_2h[k::2] = diff(s[k::2], p[k::2])
+    return (4.0 * d_h[1:-1] - d_2h) / 3.0, slice(2, -2)
+
+
 def _cmd_check(args) -> int:
     record = CurveRecord.read(args.file)
     curve = record.to_sampled_curve()
@@ -172,27 +202,18 @@ def _cmd_check(args) -> int:
     results = [("unit-norm", unit_norm_error(curve), 1e-8)]
 
     if curve.n >= 2:
-        curve.velocities = fd_velocities(curve)
-        residuals = np.abs(omega_eval(curve.points, curve.velocities))
-        results.append(("horizontality", float(np.max(residuals)), tol))
-        if curve.n >= 3:
-            # interior only: the one-sided end estimates are first order.  Where
-            # the +-2h stencil fits, (4 D_h - D_2h) / 3 cancels the h^2 term of
-            # the central difference D_h, so |v|^2 is accurate to O(h^4) there.
-            vel, inner = curve.velocities, slice(1, -1)
-            if curve.n >= 5:
-                d_2h = np.empty_like(vel)
-                for k in (0, 1):
-                    d_2h[k::2] = fd_velocities(SampledCurve(curve.s[k::2], curve.points[k::2]))
-                vel, inner = (4.0 * vel - d_2h) / 3.0, slice(2, -2)
-            vel = vel[inner]
-            a_col, b_col = record.data[inner, 5], record.data[inner, 6]
-            energy_res = float(
-                np.max(np.abs(norm2(vel) - (a_col**2 + b_col**2)))
-            )
-            results.append(("velocity-energy", energy_res, tol))
+        curve.velocities = fd_velocities(curve)  # checks the grid; angle-linearity reads them
+    if curve.n == 2:  # one chord, so only its one-sided difference
+        residual = np.abs(omega_eval(curve.points, curve.velocities))
+        results.append(("horizontality", float(np.max(residual)), tol))
     if curve.n >= 3:
-        results.append(("acceleration-T", acceleration_T_residual(curve), tol))
+        vel, inner = _extrapolated(_first_difference, curve)
+        pts = curve.points[inner]
+        results.append(("horizontality", float(np.max(np.abs(omega_eval(pts, vel)))), tol))
+        a_col, b_col = record.data[inner, 5], record.data[inner, 6]
+        results.append(("velocity-energy", float(np.max(np.abs(norm2(vel) - (a_col**2 + b_col**2)))), tol))
+        acc, _ = _extrapolated(_second_difference, curve)
+        results.append(("acceleration-T", float(np.max(np.abs(_row_sum(acc * -(pts @ I2))))), tol))
 
     is_geodesic = record.header.get("tag") in ("geodesic", "hamiltonian")
     if is_geodesic and curve.n >= 3 and "lambda" in record.header:

@@ -353,7 +353,7 @@ def connect(P, Q, n=256) -> SampledCurve:
     return curve
 
 
-def connect_constant_psi(phi0, theta0, phi1, theta1, n=256):
+def connect_constant_psi(phi0, theta0, phi1, theta1, n):
     """Horizontal curve with constant psi joining (phi0, theta0) to (phi1, theta1).
 
     Returns (psi, curve).  The angle psi is fixed by the endpoints:

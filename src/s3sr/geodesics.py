@@ -1,4 +1,4 @@
-"""Geodesics of the horizontal metric: controls, integrators, checks.
+"""Geodesics of the horizontal metric: controls, closed form, checks.
 
 A unit-speed geodesic has frame components of its velocity
 
@@ -6,32 +6,23 @@ A unit-speed geodesic has frame components of its velocity
 
 with the multiplier lambda constant, so the curve solves the
 left-invariant equation q' = q * u(s) with pure control
-u(s) = -a(s) i - b(s) k.  The reference integrator advances q by group
-exponentials of midpoint-sampled controls, which keeps |q| = 1 to
-rounding; a triple-jump composition of that symmetric step raises the
-order to four.  The controls do not depend on q, so the exponentials of
-a block of steps come from one vectorized call, read back as floats
-straight from its buffer; the product chain itself runs step by step,
-left to right, on Python floats (a tree-shaped product reorders the
-rounding and drifts |q| further).  Each step is one loop body that writes its three
-substep products out one after another, through named temporaries.
-The controls have no j part, so the exponentials' j slots are signed
-zeros: the engine writes only the other three slots of each exponential
-(_exps_xz) and leaves the j terms out of its products (_chain4 says why
-that is exact, and when a block falls back to the full products).
+u(s) = -a(s) i - b(s) k.  That equation has the closed-form solution
+geodesic_point, and integrate_geodesic samples it on a uniform grid:
+no step is integrated, so |q| stays 1 to rounding at any horizon.
 
 The same flow also arises from the Hamiltonian
 
     H(q, xi) = ( <q I1, xi>^2 + <q I3, xi>^2 ) / 2
 
 integrated here with a classical fourth-order one-step method on the
-pair (q, xi): the right-hand side is written out inline for each of the
+pair (q, xi), the numerical integrator that the closed form is checked
+against: the right-hand side is written out inline for each of the
 four stages, with the stage inputs and the update, on named Python
-floats; the fourth stage is written into the update itself.  Both
-integrators extend one flat list of floats by each step's row and write
-a block of rows to numpy with one np.fromiter call, and keep the float
-operations of a per-substep, per-stage loop in their order, so
-trajectories are bit for bit those of that loop.
+floats; the fourth stage is written into the update itself.  It
+extends one flat list of floats by each step's row and writes a block
+of rows to numpy with one np.fromiter call, and keeps the float
+operations of a per-stage loop in their order, so trajectories are bit
+for bit those of that loop.
 Matching initial data must place -lambda in the <q I2, .> component
 of the costate; the component along q itself is pure gauge.  The
 checks at the bottom verify energy, horizontality and the linear law
@@ -47,7 +38,7 @@ import numpy as np
 
 from .curves import SampledCurve, unit_norm_error
 from .frames import I1, I2, I3, frame_ab
-from .quaternions import _exp_factors, _row_sum, check_unit, norm, norm2, qexp_pure, qmul
+from .quaternions import _row_sum, check_unit, norm, norm2, qexp_pure, qmul
 
 __all__ = [
     "GeodesicParams",
@@ -62,13 +53,9 @@ __all__ = [
     "angle_profile",
 ]
 
-# triple-jump composition coefficients for a symmetric order-2 base step
-_COMP4_A = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-_COMP4 = (_COMP4_A, 1.0 - 2.0 * _COMP4_A, _COMP4_A)
-
-# steps per exponential call in integrate_geodesic and per numpy row write
-# in both integrators; it also bounds the flat list of row floats held
-# at once (a whole long horizon would cost several MB)
+# steps of integrate_hamiltonian per numpy row write; it bounds the flat
+# list of row floats held at once (a whole long horizon would cost
+# several MB)
 _BLOCK = 1024
 
 
@@ -131,111 +118,18 @@ def _grid(T, h):
     return nsteps, (T / nsteps if nsteps else 0.0)
 
 
-def _chain(q, e):
-    """Rows q * e[0], q * e[0] * e[1], ... for exponentials e of shape (m, 4), as an (m, 4) array.
-
-    Each product is written out with all 16 terms, so the rounding and
-    the signs of zero are those of qmul.  The components of e are read
-    as floats straight from its buffer by one iterator zipped with itself.
-    """
-    w, x, y, z = q.tolist()
-    comps = iter(memoryview(e.ravel()))
-    rows = []
-    for ew, ex, ey, ez in zip(comps, comps, comps, comps):
-        w, x, y, z = (
-            w * ew - x * ex - y * ey - z * ez,
-            w * ex + x * ew + y * ez - z * ey,
-            w * ey + y * ew + z * ex - x * ez,
-            w * ez + z * ew + x * ey - y * ex,
-        )
-        rows += (w, x, y, z)
-    return np.fromiter(rows, float, len(rows)).reshape(-1, 4)
-
-
-def _exps_xz(va, vb):
-    """The w, x, z slots of qexp_pure of the controls va i + vb k, as one array of shape va.shape + (3,).
-
-    Bit for bit qexp_pure's on the stacked (va, 0, vb): its row sum
-    ((va^2 + 0) + 0^2) + vb^2 is va^2 + vb^2, as adding +0.0 to a square
-    changes nothing.  The j slot, sin|v|/|v| * 0, is never formed.
-    """
-    w, fac = _exp_factors(np.sqrt(va * va + vb * vb))
-    e = np.empty(va.shape + (3,))
-    e[..., 0] = w
-    np.multiply(fac, va, out=e[..., 1])
-    np.multiply(fac, vb, out=e[..., 2])
-    return e
-
-
-def _chain4(q, e, full):
-    """q chained through order-4 steps: the (m, 4) rows _chain gives after each step.
-
-    e is the C-contiguous (m, 3, 3) array of the substep exponentials'
-    w, x, z slots (_exps_xz), read as floats straight from its buffer.
-    The controls have no j part, so the exponentials' j slots are signed
-    zeros, and the three substep products leave out their terms (60
-    float operations a step instead of 84).  Leaving a +-0 term out of a
-    left-to-right sum of finite terms can change only the sign of a sum
-    that is exactly 0, and such a sign reaches only other exact zeros.
-    So rows with no zero equal the full products bit for bit; if any row
-    has a zero, the block is recomputed from q by _chain on full(), the
-    (m, 3, 4) exponentials with their signed-zero j slots.
-    """
-    w, x, y, z = q.tolist()
-    comps = iter(memoryview(e.ravel()))
-    rows = []
-    for aw, ax, az, bw, bx, bz, cw, cx, cz in zip(*[comps] * 9):
-        w1 = w * aw - x * ax - z * az
-        x1 = w * ax + x * aw + y * az
-        y1 = y * aw + z * ax - x * az
-        z1 = w * az + z * aw - y * ax
-        w2 = w1 * bw - x1 * bx - z1 * bz
-        x2 = w1 * bx + x1 * bw + y1 * bz
-        y2 = y1 * bw + z1 * bx - x1 * bz
-        z2 = w1 * bz + z1 * bw - y1 * bx
-        w = w2 * cw - x2 * cx - z2 * cz
-        x = w2 * cx + x2 * cw + y2 * cz
-        y = y2 * cw + z2 * cx - x2 * cz
-        z = w2 * cz + z2 * cw - y2 * cx
-        rows += (w, x, y, z)
-    out = np.fromiter(rows, float, len(rows)).reshape(-1, 4)
-    if out.all():
-        return out
-    return _chain(q, full().reshape(-1, 4))[2::3]
-
-
 def integrate_geodesic(q0, params: GeodesicParams, T, h) -> SampledCurve:
-    """Integrate q' = q * (-a(s) i - b(s) k) from q0 over [0, T] to order four.
+    """The geodesic from q0 sampled over [0, T] at steps of about h.
 
-    Every update has the form q <- q * qexp_pure(dt * u(midpoint)), and
-    each step chains three such substeps with the weights _COMP4.
-    Samples stay unit without renormalization and the stored velocities
-    are the analytic a(s) X + b(s) Y.
+    The points are geodesic_point on the grid s = k * T / round(T / h),
+    so they stay unit to rounding at any horizon, and the stored
+    velocities are the analytic a(s) X + b(s) Y.  meta["method"] records
+    that the samples come from the closed form.
     """
     nsteps, dt = _grid(T, h)
     q0 = check_unit(q0, what="initial point q0")
-
-    pts = np.empty((nsteps + 1, 4))
-    pts[0] = q0
-    coef = np.asarray(_COMP4)
-    for start in range(0, nsteps, _BLOCK):
-        stop = min(start + _BLOCK, nsteps)
-        # substep midpoints by the same float operations as a per-step loop
-        t = np.arange(start, stop) * dt
-        mids = np.empty((stop - start, len(_COMP4)))
-        for j, c in enumerate(_COMP4):
-            mids[:, j] = t + 0.5 * c * dt
-            t += c * dt
-        a, b = ab_profile(params, mids)
-        va = -a * coef * dt
-        vb = -b * coef * dt
-
-        def full():
-            return qexp_pure(np.stack([va, np.zeros_like(va), vb], axis=-1))
-
-        pts[start + 1 : stop + 1] = _chain4(pts[start], _exps_xz(va, vb), full)
-
     s = np.arange(nsteps + 1) * dt
+    pts = geodesic_point(q0, params, s)
     a, b = ab_profile(params, s)
     vel = a[:, None] * (-(pts @ I1)) + b[:, None] * (-(pts @ I3))
     meta = {
@@ -245,7 +139,7 @@ def integrate_geodesic(q0, params: GeodesicParams, T, h) -> SampledCurve:
         "lambda": params.lam,
         "T": T,
         "h": dt,
-        "order": 4,
+        "method": "closed_form",
     }
     return SampledCurve(s, pts, vel, meta)
 
@@ -392,8 +286,10 @@ def verify_velocity_energy(curve: SampledCurve):
 
     The frame matrix with rows (X, Y, T, N) satisfies M M^T = |q|^2 I, so
     it is checked through | |q| - 1 | <= max(1e-12, 2 n eps) over the n
-    samples: the engine's rounding drift grows with the step count (about
-    0.5 eps per step on long runs), so the bound does too.  That and
+    samples.  Sampled closed-form geodesics stay unit to rounding, but a
+    stepped curve (a long Hamiltonian run, or a file written by a stepping
+    integrator) drifts by rounding at each step, so the bound grows with
+    the sample count.  That and
     velocities off the tangent space by more than 1e-6 max(1, |v|) raise,
     indicating off-sphere samples.
     """
@@ -429,7 +325,7 @@ def acceleration_T_residual(curve: SampledCurve) -> float:
 def angle_profile(curve: SampledCurve) -> np.ndarray:
     """Unwrapped angle between the stored velocity and X along the curve.
 
-    For engine geodesics this is 2*lam*s + theta0 up to rounding.
+    For sampled geodesics this is 2*lam*s + theta0 up to rounding.
     Raises on (numerically) zero velocities.
     """
     if curve.velocities is None:

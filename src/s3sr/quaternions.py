@@ -124,28 +124,20 @@ def normalize(q):
     return q / n[..., np.newaxis]
 
 
-def _exp_factors(n):
-    """(cos n, sin n / n) for norms n >= 0, the factor 1 below _EXP_TAYLOR_CUT.
-
-    The one exponential kernel: qexp_pure and the geodesic engine's
-    exponentials of j-free controls both scale by these.
-    """
-    small = n < _EXP_TAYLOR_CUT
-    n_safe = np.where(small, 1.0, n)
-    return np.cos(n), np.where(small, 1.0, np.sin(n_safe) / n_safe)
-
-
 def qexp_pure(v):
     """Exponential of the pure quaternion v1*i + v2*j + v3*k.
 
-    Returns cos|v| + sin|v|/|v| * (v1*i + v2*j + v3*k), by _exp_factors;
-    for |v| below 1e-8 the sine factor collapses to 1 and the result is
+    Returns cos|v| + sin|v|/|v| * (v1*i + v2*j + v3*k); for |v| below
+    _EXP_TAYLOR_CUT the sine factor collapses to 1 and the result is
     (1, v) up to rounding.  Output is unit to ~1e-16.
     """
     v = np.asarray(v, dtype=float)
-    w, fac = _exp_factors(np.sqrt(_row_sum(v * v)))
+    n = np.sqrt(_row_sum(v * v))
+    small = n < _EXP_TAYLOR_CUT
+    n_safe = np.where(small, 1.0, n)
+    fac = np.where(small, 1.0, np.sin(n_safe) / n_safe)
     return np.concatenate(
-        [np.asarray(w)[..., np.newaxis], np.asarray(fac)[..., np.newaxis] * v],
+        [np.asarray(np.cos(n))[..., np.newaxis], np.asarray(fac)[..., np.newaxis] * v],
         axis=-1,
     )
 

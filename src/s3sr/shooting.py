@@ -27,10 +27,9 @@ taken for every m below the smallest normal float (rho = pi,
 pi sin(sigma) = wrap(arg z - pi), theta0 free, 0 is used);
 and arg z = 0, which holds for m = 1 (rho = pi/2, lam = 0).
 
-The returned curve comes from the reference integrator, with the step
-shortened where needed so the control turns by at most _TURN per step,
-and the endpoint error is re-measured on it, so the two routes
-cross-check each run.
+The returned curve samples the closed-form geodesic, with the step
+shortened where needed so the control turns by at most _TURN per
+sample, and the endpoint error is measured on its last sample.
 """
 
 from __future__ import annotations
@@ -42,12 +41,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .curves import SampledCurve
-from .geodesics import GeodesicParams, geodesic_point, integrate_geodesic
+from .geodesics import GeodesicParams, integrate_geodesic
 from .quaternions import _conj_mul_floats, check_unit
 
 __all__ = ["ShootingConfig", "ShootingResult", "shoot"]
 
-# largest turn 2*|lam|*h of the control per step of the returned curve
+# largest turn 2*|lam|*h of the control between samples of the returned
+# curve: it sets their density (the samples are exact at any spacing)
 _TURN = 0.1
 
 # below the smallest normal float, sin rho = hypot(m, .) and
@@ -60,13 +60,13 @@ class ShootingConfig(NamedTuple):
     """Solver settings.
 
     tol bounds the endpoint error of the returned curve and curve_step
-    its integrator step; its length T needs no bound, as T <= pi.  seed
+    its sample spacing; its length T needs no bound, as T <= pi.  seed
     is accepted and ignored: the exact solver has no random choices.
     """
 
     tol: float = 1e-6
     seed: int = 0
-    curve_step: float = 1e-3    # step of the returned integrator curve
+    curve_step: float = 1e-3    # sample spacing of the returned curve
 
 
 class ShootingResult(NamedTuple):
@@ -74,8 +74,7 @@ class ShootingResult(NamedTuple):
 
     meta records the "case" (trivial, vertical, m=1 or generic), the
     number of "geodesics" with rho <= pi reaching Q (1, or inf on the
-    vertical circle, where theta0 is free), the "bisections" spent and
-    the "closed_form_error" of the solution before integration.
+    vertical circle, where theta0 is free) and the "bisections" spent.
     """
 
     params: GeodesicParams
@@ -143,7 +142,7 @@ def shoot(P, Q, cfg: ShootingConfig | None = None) -> ShootingResult:
         params = GeodesicParams(1.0, 0.0, 0.0)
         curve = integrate_geodesic(P, params, 0.0, cfg.curve_step)
         err = float(np.linalg.norm(curve.end - Q))
-        meta = {"case": "trivial", "geodesics": 1, "bisections": 0, "closed_form_error": err}
+        meta = {"case": "trivial", "geodesics": 1, "bisections": 0}
         return ShootingResult(params, 0.0, err, curve, True, meta)
 
     rw, rx, ry, rz = _conj_mul_floats(P, Q)
@@ -165,8 +164,6 @@ def shoot(P, Q, cfg: ShootingConfig | None = None) -> ShootingResult:
     lam = sin_s / cos_s
     theta0 = (math.atan2(-rz, -rx) - rho * sin_s) % (2.0 * math.pi) if m >= _M_MIN else 0.0
     params = GeodesicParams(1.0, theta0, lam)
-    closed_form_error = float(np.linalg.norm(geodesic_point(P, params, T) - Q))
-
     h = min(cfg.curve_step, _TURN / (2.0 * abs(lam))) if lam else cfg.curve_step
     curve = integrate_geodesic(P, params, T, h)
     endpoint_error = float(np.linalg.norm(curve.end - Q))
@@ -176,10 +173,5 @@ def shoot(P, Q, cfg: ShootingConfig | None = None) -> ShootingResult:
         endpoint_error=endpoint_error,
         curve=curve,
         converged=bool(endpoint_error <= cfg.tol),
-        meta={
-            "case": case,
-            "geodesics": geodesics,
-            "bisections": steps,
-            "closed_form_error": closed_form_error,
-        },
+        meta={"case": case, "geodesics": geodesics, "bisections": steps},
     )

@@ -659,11 +659,11 @@ def test_constant_psi_meridian():
 
 def test_constant_psi_rejects_poles():
     with pytest.raises(ValueError):
-        connect_constant_psi(0.0, 0.0, 1.0, 1.0)
+        connect_constant_psi(0.0, 0.0, 1.0, 1.0, n=64)
     with pytest.raises(ValueError):
-        connect_constant_psi(0.0, 1.0, 1.0, np.pi)
+        connect_constant_psi(0.0, 1.0, 1.0, np.pi, n=64)
     with pytest.raises(ValueError):
-        connect_constant_psi(0.5, 1.0, 0.5, 1.0)
+        connect_constant_psi(0.5, 1.0, 0.5, 1.0, n=64)
 
 
 def test_constant_psi_residual_random(rng):

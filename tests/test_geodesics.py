@@ -4,14 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from s3sr import geodesics
 from s3sr.curves import SampledCurve, omega_fd_residuals
 from s3sr.frames import I1, I3, components, frame_at, omega_eval
 from s3sr.io import CurveRecord
 from s3sr.geodesics import (
-    _BLOCK,
-    _COMP4,
-    _chain4,
     GeodesicParams,
     ab_profile,
     acceleration_T_residual,
@@ -22,10 +18,16 @@ from s3sr.geodesics import (
     match_costate,
     verify_velocity_energy,
 )
-from s3sr.quaternions import QUAT_J, qexp_pure, qmul
-from conftest import _assert_same_bits, random_unit
+from s3sr.quaternions import qexp_pure, qmul
+from s3sr.shooting import _TURN
+from conftest import random_unit
 
 ONE = np.array([1.0, 0.0, 0.0, 0.0])
+
+# triple-jump composition coefficients for a symmetric order-2 base step: the
+# group-exponential chain below is a numerical witness for the closed form
+_COMP4_A = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_COMP4 = (_COMP4_A, 1.0 - 2.0 * _COMP4_A, _COMP4_A)
 
 
 def test_ab_profile_initial_values():
@@ -108,27 +110,17 @@ def test_integrator_matches_closed_form_generic(rng):
     assert np.max(np.abs(c.points - geodesic_point(q0, p, c.s))) <= 1e-9
 
 
-def test_integrator_fourth_order_convergence():
-    p = GeodesicParams(1.0, 0.4, 0.9)
-    exact = geodesic_point(ONE, p, 2.0)
-
-    def err(h):
-        return np.max(np.abs(integrate_geodesic(ONE, p, 2.0, h).end - exact))
-
-    assert err(0.02) / err(0.01) >= 8.0
-
-
-def test_curve_and_its_file_record_order_four(tmp_path):
+def test_curve_and_its_file_record_the_closed_form(tmp_path):
     c = integrate_geodesic(ONE, GeodesicParams(1.0, 0.3, 0.7), 0.5, 1e-2)
-    assert c.meta["order"] == 4
+    assert c.meta["method"] == "closed_form" and "order" not in c.meta
     out = tmp_path / "g.csv"
     CurveRecord.from_curve(c).to_csv(out)
-    assert "\n# order=4\n" in out.read_text()
-    assert CurveRecord.from_csv(out).header["order"] == 4
+    assert "\n# method=closed_form\n" in out.read_text()
+    assert CurveRecord.from_csv(out).header["method"] == "closed_form"
 
 
 def _reference_geodesic(q0, params, T, h):
-    """The engine as a per-step loop: one qexp_pure and one qmul per substep."""
+    """The order-4 chain as a per-step loop: one qexp_pure and one qmul per substep."""
     nsteps = max(1, int(round(T / h))) if T > 0.0 else 0
     dt = T / nsteps if nsteps else 0.0
     q = np.asarray(q0, dtype=float)
@@ -143,23 +135,55 @@ def _reference_geodesic(q0, params, T, h):
     return np.array(pts)
 
 
-# the engine's one order, which its curves record in meta["order"]
+def test_integrator_fourth_order_convergence():
+    # a stepping integrator, sharing only the quaternion kernels with
+    # geodesic_point, approaches its samples at order four: halving the step
+    # cuts the error by about 16
+    q0 = random_unit(np.random.default_rng(5))
+    for params in (GeodesicParams(1.0, 0.4, 0.9), GeodesicParams(1.7, 2.5, -0.6)):
+
+        def err(h):
+            ref = _reference_geodesic(q0, params, 2.0, h)
+            return np.max(np.abs(ref - integrate_geodesic(q0, params, 2.0, h).points))
+
+        assert err(0.02) / err(0.01) >= 8.0
+
+
+# the order of the per-step chain _reference_geodesic, whose global error
+# over a horizon T is bounded by T h^order
 @pytest.mark.parametrize("order", [4])
-@pytest.mark.parametrize("nsteps", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 10000])
+@pytest.mark.parametrize("nsteps", [0, 1, 1023, 1024, 1025, 10000])
 def test_blocked_engine_matches_per_step_loop(order, nsteps):
     rng = np.random.default_rng(nsteps + order)
     q0 = random_unit(rng)
     p = GeodesicParams(1.3, rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-1.0, 1.0))
     h = 1e-3
-    c = integrate_geodesic(q0, p, nsteps * h, h)
-    assert c.meta["order"] == order
-    ref = _reference_geodesic(q0, p, nsteps * h, h)
-    assert c.points.shape == ref.shape == (nsteps + 1, 4)
-    assert np.max(np.abs(c.points - ref)) <= 1e-13
+    T = nsteps * h
+    c = integrate_geodesic(q0, p, T, h)
+    assert c.meta["method"] == "closed_form"
+    # the whole grid at once is the closed form called at each sample alone
+    loop = np.array([geodesic_point(q0, p, s) for s in c.s])
+    assert c.points.shape == loop.shape == (nsteps + 1, 4)
+    assert np.max(np.abs(c.points - loop)) <= 1e-13
+    # and the group-exponential chain stepped over the same grid stays within
+    # its own truncation error (plus rounding) of those samples
+    ref = _reference_geodesic(q0, p, T, h)
+    assert np.max(np.abs(c.points - ref)) <= T * h**order + 1e-15
 
 
-def _nested_loop_chain(q0, e):
-    """Rows of q0 chained through steps e, shape (n, k, 4), each substep a full-term product."""
+def _nested_loop_geodesic(q0, params, T, h):
+    """The order-4 chain as a curve: every substep exponential from one qexp_pure
+    call, chained by a loop of full-term products nested in the step loop."""
+    nsteps = max(1, int(round(T / h))) if T > 0.0 else 0
+    dt = T / nsteps if nsteps else 0.0
+    t = np.arange(nsteps) * dt
+    mids = np.empty((nsteps, len(_COMP4)))
+    for j, c in enumerate(_COMP4):
+        mids[:, j] = t + 0.5 * c * dt
+        t += c * dt
+    a, b = ab_profile(params, mids)
+    coef = np.asarray(_COMP4)
+    e = qexp_pure(np.stack([-a * coef * dt, np.zeros_like(a), -b * coef * dt], axis=-1))
     w, x, y, z = np.asarray(q0, dtype=float).tolist()
     rows = [(w, x, y, z)]
     for step in e.tolist():
@@ -171,100 +195,29 @@ def _nested_loop_chain(q0, e):
                 w * ez + z * ew + x * ey - y * ex,
             )
         rows.append((w, x, y, z))
-    return np.array(rows)
+    pts = np.array(rows)
+    s = np.arange(nsteps + 1) * dt
+    a, b = ab_profile(params, s)
+    return SampledCurve(s, pts, a[:, None] * (-(pts @ I1)) + b[:, None] * (-(pts @ I3)))
 
 
-def _nested_loop_geodesic(q0, params, T, h):
-    """The blocked engine with its substeps chained by a loop nested in the step loop."""
-    nsteps = max(1, int(round(T / h))) if T > 0.0 else 0
-    dt = T / nsteps if nsteps else 0.0
-    coef = np.asarray(_COMP4)
-    exps = [np.empty((0, len(_COMP4), 4))]
-    for start in range(0, nsteps, _BLOCK):
-        stop = min(start + _BLOCK, nsteps)
-        t = np.arange(start, stop) * dt
-        mids = np.empty((stop - start, len(_COMP4)))
-        for j, c in enumerate(_COMP4):
-            mids[:, j] = t + 0.5 * c * dt
-            t += c * dt
-        a, b = ab_profile(params, mids)
-        exps.append(qexp_pure(np.stack([-a * coef * dt, np.zeros_like(a), -b * coef * dt], axis=-1)))
-    pts = _nested_loop_chain(q0, np.concatenate(exps))
-    a, b = ab_profile(params, np.arange(nsteps + 1) * dt)
-    return pts, a[:, None] * (-(pts @ I1)) + b[:, None] * (-(pts @ I3))
-
-
-def _count_full_chains(monkeypatch):
-    """Count the calls of geodesics._chain, the full-term chain that the engine falls back to."""
-    calls = []
-    full = geodesics._chain
-
-    def counted(q, e):
-        calls.append(q.copy())
-        return full(q, e)
-
-    monkeypatch.setattr(geodesics, "_chain", counted)
-    return calls
-
-
-@pytest.mark.parametrize("order", [4])  # as in test_blocked_engine_matches_per_step_loop
-@pytest.mark.parametrize("nsteps", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 5000])
-def test_unrolled_chain_matches_nested_loop_bit_for_bit(order, nsteps, monkeypatch):
-    rng = np.random.default_rng(100 * nsteps + order)
-    # the axis points make exact zeros, whose signs the products must keep too
-    axes = [sign * row for row in np.eye(4) for sign in (1.0, -1.0)]
-    h = 1e-3
-    starts = [random_unit(rng), random_unit(rng)] + axes
-    cases = [
-        (q0, GeodesicParams(r, rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-1.0, 1.0)))
-        for q0 in starts
-        for r in (0.0, 1.3)
-    ]
-    # at this speed every substep has |v| > pi (3.4 and 4.3), so sin|v|/|v| < 0
-    # and the exponentials' zero j slot is -0.0; with theta0 = lambda = 0, b is
-    # 0 too, so from an axis point q keeps exact zeros whose signs only the
-    # products' ey terms decide
-    cases += [(q0, GeodesicParams(2500.0, 0.0, 0.0)) for q0 in starts]
-    full_chains = _count_full_chains(monkeypatch)
-    for q0, p in cases:
-        del full_chains[:]
-        c = integrate_geodesic(q0, p, nsteps * h, h)
-        pts, vel = _nested_loop_geodesic(q0, p, nsteps * h, h)
-        assert c.points.shape == (nsteps + 1, 4) and c.meta["order"] == order
-        _assert_same_bits(c.points, pts)
-        _assert_same_bits(c.velocities, vel)
-        if not any(q0 == 0.0):
-            # random starts keep every component nonzero: the engine never falls back
-            assert full_chains == []
-
-
-def test_order4_chain_falls_back_from_the_first_row_of_a_later_block(monkeypatch):
-    # identity steps from (1/2, 1/2, 1/2, 1/2), then a step whose first substep
-    # makes w exactly 0 and whose second, k with -0.0 in its w and j slots, keeps
-    # it +0.0 only through the j term the fast products leave out
-    n = 1600
-    e = np.zeros((n, 3, 4))
-    e[..., 0] = 1.0
-    r = np.sqrt(0.5)
-    e[1500, 0] = (r, r, 0.0, 0.0)
-    e[1500, 1] = (-0.0, 0.0, -0.0, 1.0)
-    q0 = np.full(4, 0.5)
-    full_chains = _count_full_chains(monkeypatch)
-    pts = np.empty((n + 1, 4))
-    pts[0] = q0
-    for start in range(0, n, _BLOCK):
-        block = e[start : start + _BLOCK]
-        # the engine's inputs: the w, x, z slots in one contiguous array, the full
-        # exponentials (with the -0.0 j slot) only for a fallback
-        pts[start + 1 : start + _BLOCK + 1] = _chain4(
-            pts[start], np.ascontiguousarray(block[..., [0, 1, 3]]), lambda: block
-        )
-    ref = _nested_loop_chain(q0, e)
-    assert ref[1501, 0] == 0.0 and not np.signbit(ref[1501, 0])
-    _assert_same_bits(pts, ref)
-    # one fallback, for block 1, restarted from that block's first row
-    assert len(full_chains) == 1
-    _assert_same_bits(full_chains[0], ref[_BLOCK])
+@pytest.mark.parametrize(
+    "params,T,h",
+    [
+        (GeodesicParams(0.0, 0.7, 0.4), 5.0, 1e-3),  # stationary
+        (GeodesicParams(1.0, 0.3, 0.0), 2.0 * np.pi, 1e-3),  # a closed one-parameter subgroup
+        (GeodesicParams(1.0, 1.9, 200.0), 1.0, _TURN / (2.0 * 200.0)),  # shoot's step at lambda = 200
+        (GeodesicParams(1.0, 1.9, -0.8), 0.0, 1e-3),  # one sample
+        (GeodesicParams(1.0, 0.3, 0.7), 1000.0, 1e-2),  # 100,001 samples
+    ],
+)
+def test_sampled_geodesic_stays_on_the_sphere_and_the_distribution(params, T, h):
+    q0 = random_unit(np.random.default_rng(7))
+    c = integrate_geodesic(q0, params, T, h)
+    assert c.n == round(T / h) + 1
+    assert np.max(np.abs(np.linalg.norm(c.points, axis=1) - 1.0)) <= 2e-15
+    assert np.max(np.abs(omega_eval(c.points, c.velocities))) <= 2e-15
+    assert np.max(np.abs(np.sum(c.velocities**2, axis=1) - params.r**2)) <= 1e-14
 
 
 def _profiled_calls(fn, *args, **kwargs):
@@ -283,10 +236,11 @@ def _profiled_calls(fn, *args, **kwargs):
     return calls
 
 
-@pytest.mark.parametrize("integrator", ["geodesic-4", "hamiltonian"])
+@pytest.mark.parametrize("integrator", ["geodesic", "hamiltonian"])
 def test_integrator_loops_make_no_per_step_calls(integrator):
-    # T=2 and T=4 at h=1e-3 are 2 and 4 blocks of at most _BLOCK steps.  A call of a
-    # Python function or builtin put back into the step loop adds 2,000 calls; the
+    # T=2 and T=4 at h=1e-3 are 2 and 4 Hamiltonian blocks of at most 1024 steps;
+    # the closed form makes the same calls at any length.  A call of a Python
+    # function or builtin put back into a per-step loop adds 2,000 calls; the
     # numpy work of a block makes about 40.  (Calls of types, such as tuple(), are
     # not profile events.)
     p = GeodesicParams(1.0, 0.3, 0.7)
@@ -302,7 +256,8 @@ def test_integrator_loops_make_no_per_step_calls(integrator):
 
 
 def test_engine_memory_stays_blocked():
-    # a list of every step's exponential would hold ~10 MB at T=10
+    # 10,001 samples are 320 kB an array of points; a list of Python floats per
+    # sample, or a stack of every sample's factors, would hold several MB
     tracemalloc.start()
     try:
         integrate_geodesic(ONE, GeodesicParams(1.0, 0.3, 0.7), 10.0, 1e-3)
@@ -372,9 +327,9 @@ def test_verify_velocity_energy_long_geodesic(seed):
 
 @pytest.mark.parametrize("params,T", [(GeodesicParams(1.0, 0.3, 0.5), 50.0), (GeodesicParams(2.0, 0.3, 3.0), 20.0)])
 def test_verify_velocity_energy_very_long_geodesic(params, T):
-    # the engine drifts |q| by 1.7e-12 and 2.3e-12 here, past a fixed 1e-12;
-    # the bound grows with the sample count
-    c = integrate_geodesic(ONE, params, T, 1e-3)
+    # the order-4 chain drifts |q| by 1.7e-12 and 2.3e-12 here, past a fixed
+    # 1e-12; the bound grows with the sample count
+    c = _nested_loop_geodesic(ONE, params, T, 1e-3)
     assert np.max(np.abs(np.linalg.norm(c.points, axis=1) - 1.0)) > 1e-12
     assert verify_velocity_energy(c) <= 1e-10
     # a curve scaled off the sphere by 1e-9 still raises at that length

@@ -7,7 +7,7 @@ import pytest
 from s3sr.cli import main
 from s3sr.geodesics import GeodesicParams, integrate_geodesic
 from s3sr.io import COLUMNS, CurveRecord
-from s3sr.quaternions import normalize
+from s3sr.quaternions import normalize, qexp_pure, qmul
 
 
 def run(*args):
@@ -351,6 +351,38 @@ def test_cli_check_connect_file_skips_angle_linearity(tmp_path, capsys):
     assert code == 0
     assert "SKIP angle-linearity" in captured
     assert "PASS horizontality" in captured
+
+
+def test_cli_check_passes_the_readme_connect_file(tmp_path, capsys):
+    # the central differences alone read 4.0e-5 (horizontality) and 5.8e-4
+    # (acceleration-T) on this file; extrapolated, 7.1e-8 and 1.0e-6
+    out = tmp_path / "connect.csv"
+    assert run("connect", "--from", "0,0.5236,1.0472", "--to", "1,0.7854,1.5708",
+               "--samples", "256", "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run("check", str(out), "--tol", "1e-4") == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_cli_check_fails_curves_pushed_off_the_distribution_or_the_sphere(tmp_path, capsys):
+    out = tmp_path / "connect.csv"
+    assert run("connect", "--from", "0,0.5236,1.0472", "--to", "1,0.7854,1.5708",
+               "--samples", "256", "--out", str(out)) == 0
+    rec = CurveRecord.from_csv(out)
+    s, pts = rec.data[:, 0], rec.data[:, 1:5].copy()
+    # q e^{j eps s^2 / 2}: a velocity T component growing to eps = 1e-3 at s = 1,
+    # and a T component eps of the acceleration
+    rec.data[:, 1:5] = qmul(pts, qexp_pure(np.outer(0.5e-3 * s * s, [0.0, 1.0, 0.0])))
+    rec.to_csv(tmp_path / "lifted.csv")
+    rec.data[:, 1:5] = pts * (1.0 + 1e-3)
+    rec.to_csv(tmp_path / "scaled.csv")
+    capsys.readouterr()
+    assert run("check", str(tmp_path / "lifted.csv"), "--tol", "1e-4") == 1
+    captured = capsys.readouterr().out
+    assert "FAIL horizontality" in captured and "FAIL acceleration-T" in captured
+    assert "PASS unit-norm" in captured
+    assert run("check", str(tmp_path / "scaled.csv"), "--tol", "1e-4") == 1
+    assert "FAIL unit-norm" in capsys.readouterr().out
 
 
 def test_cli_check_stationary_geodesic_skips_angle_linearity(tmp_path, capsys):

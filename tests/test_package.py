@@ -66,7 +66,6 @@ DEFAULTED_SETTINGS = {
     ("EulerAngles", "pole"): "charts.from_cartesian, on a pole",
     ("ConstructionError", "endpoint_error"): "connect, when its curve misses an endpoint",
     ("connect", "n"): "the CLI's connect --samples; bench/workloads.py",
-    ("connect_constant_psi", "n"): "none yet: the sample count of connect(n), the CLI's --samples",
     ("SampledCurve", "velocities"): "connect, integrate_geodesic and the CLI's hamiltonian",
     ("SampledCurve", "meta"): "connect, integrate_geodesic and the CLI's hamiltonian",
     ("ShootingConfig", "tol"): "the CLI's shoot --tol",

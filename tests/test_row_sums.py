@@ -9,7 +9,6 @@ from s3sr.curves import SampledCurve, tangency_error, unit_norm_error
 from s3sr.frames import I1, I2, I3, frame_ab
 from s3sr.geodesics import (
     GeodesicParams,
-    _exps_xz,
     acceleration_T_residual,
     angle_profile,
     integrate_geodesic,
@@ -162,30 +161,3 @@ def test_qexp_pure_matches_its_numpy_reduction():
     with np.errstate(over="ignore", invalid="ignore"):
         for v in (rows, rand, rand.reshape(50, 10, 3), rand[0], np.zeros(3), -np.zeros(3)):
             _assert_same_floats(qexp_pure(v), _qexp_pure_ref(v))
-
-
-def _engine_controls():
-    """(va, vb) pairs of shape (m, 3) over the exponential's branches and special values."""
-    rng = np.random.default_rng(34)
-    yield rng.standard_normal((2, 400, 3))
-    # |v| far below the series cut, and at it to rounding
-    tiny = rng.standard_normal((2, 400, 3)) * 10.0 ** rng.integers(-30, -8, (1, 400, 3))
-    yield tiny
-    yield tiny * (_EXP_TAYLOR_CUT / np.sqrt(tiny[0] ** 2 + tiny[1] ** 2))
-    # pi < |v| < 2 pi, where sin|v|/|v| < 0
-    rad, phi = rng.uniform(np.pi, 2.0 * np.pi, (400, 3)), rng.uniform(0.0, 2.0 * np.pi, (400, 3))
-    yield -rad * np.cos(phi), -rad * np.sin(phi)
-    # every pair of special values, +-0 and +-inf and NaN in either slot
-    pairs = np.array(list(itertools.product(_VALUES + (np.nan,), repeat=2)))
-    yield pairs[:, 0].reshape(-1, 3), pairs[:, 1].reshape(-1, 3)
-
-
-def test_engine_exponentials_are_the_xz_slots_of_qexp_pure():
-    # the nine floats of an order-4 step are qexp_pure's w, x, z slots of the
-    # control (va, 0, vb), sign bits and NaNs included
-    with np.errstate(over="ignore", invalid="ignore"):
-        for va, vb in _engine_controls():
-            e = _exps_xz(va, vb)
-            assert e.flags.c_contiguous
-            full = _qexp_pure_ref(np.stack([va, np.zeros_like(va), vb], axis=-1))
-            _assert_same_floats(e, full[..., [0, 1, 3]])
