@@ -131,7 +131,7 @@ def _cmd_geodesic(args) -> int:
 def _cmd_hamiltonian(args) -> int:
     q0 = _parse_q0(args.q0)
     params = GeodesicParams(args.r, args.theta0, getattr(args, "lambda"))
-    meta = {"tag": "hamiltonian", "T": args.T}
+    meta = {"tag": "hamiltonian", "T": args.T, "method": "rk4_body"}
     if args.xi0:
         xi0 = _floats(args.xi0)  # integrate_hamiltonian checks the count
     else:

@@ -456,6 +456,9 @@ def test_cli_hamiltonian_explicit_costate(tmp_path, capsys):
                "--T", "2", "--out", str(out)) == 0
     header = CurveRecord.from_csv(out).header
     assert header["tag"] == "hamiltonian"
+    # the samples come from RK4 on the body costate, as geodesic files say closed_form
+    assert header["method"] == "rk4_body"
+    assert "\n# method=rk4_body\n" in out.read_text()
     # no profile parameters: r, theta0 and lambda describe only a matched costate
     assert not {"r", "theta0", "lambda"} & header.keys()
     capsys.readouterr()
