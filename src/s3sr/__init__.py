@@ -16,16 +16,14 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "charts": "EulerAngles chart_velocity euler_ab from_cartesian horizontality_residual_euler "
-    "omega_euler to_cartesian",
+    "charts": "EulerAngles chart_velocity from_cartesian omega_euler to_cartesian",
     "connect": "ConstructionError connect connect_constant_psi",
     "curves": "SampledCurve fd_velocities omega_fd_residuals",
-    "frames": "I1 I2 I3 U Frame FrameComponents LinearField bracket components frame_ab frame_at "
-    "is_horizontal omega_eval",
+    "frames": "I1 I2 I3 Frame LinearField bracket frame_ab frame_at omega_eval",
     "geodesics": "GeodesicParams HamiltonianTrajectory ab_profile acceleration_T_residual angle_profile "
     "geodesic_point integrate_geodesic integrate_hamiltonian match_costate verify_velocity_energy",
     "io": "CurveRecord",
-    "quaternions": "QUAT_I QUAT_J QUAT_K QUAT_ONE conj inverse norm norm2 normalize qexp_pure qmul",
+    "quaternions": "QUAT_I QUAT_J QUAT_K QUAT_ONE conj norm norm2 normalize qexp_pure qmul",
     "shooting": "ShootingConfig ShootingResult shoot",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -36,8 +36,6 @@ __all__ = [
     "from_cartesian",
     "chart_velocity",
     "omega_euler",
-    "horizontality_residual_euler",
-    "euler_ab",
     "wrap_angle",
 ]
 
@@ -140,20 +138,3 @@ def omega_euler(e: EulerAngles, rates) -> float:
     """The restricted one-form on chart rates: (sin th sin psi phi' + cos psi th')/2."""
     dphi, _, dtheta = rates
     return 0.5 * (np.sin(e.theta) * np.sin(e.psi) * dphi + np.cos(e.psi) * dtheta)
-
-
-def horizontality_residual_euler(e: EulerAngles, rates) -> float:
-    """|sin(theta) sin(psi) phi' + cos(psi) theta'|; zero iff horizontal."""
-    return float(2.0 * abs(omega_euler(e, rates)))
-
-
-def euler_ab(e: EulerAngles, rates):
-    """Horizontal frame components (a, b) of the pushforward of chart rates.
-
-    a = -(cos(theta) phi' + psi')/2,
-    b = -(sin(theta) cos(psi) phi' - sin(psi) theta')/2.
-    """
-    dphi, dpsi, dtheta = rates
-    a = -0.5 * (np.cos(e.theta) * dphi + dpsi)
-    b = -0.5 * (np.sin(e.theta) * np.cos(e.psi) * dphi - np.sin(e.psi) * dtheta)
-    return float(a), float(b)

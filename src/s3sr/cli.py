@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .curves import SampledCurve, fd_velocities, unit_norm_error
+from .curves import SampledCurve, _first_difference, _second_difference, fd_velocities, unit_norm_error
 from .frames import I2, frame_at, omega_eval
 from .geodesics import (
     GeodesicParams,
@@ -136,7 +136,7 @@ def _cmd_hamiltonian(args) -> int:
         xi0 = _floats(args.xi0)  # integrate_hamiltonian checks the count
     else:
         xi0 = match_costate(q0, params)
-        # the control profile below is only valid for matched costates
+        # r, theta0 and lambda are written for check's angle-linearity row
         meta.update({"r": params.r, "theta0": params.theta0, "lambda": params.lam})
     traj = integrate_hamiltonian(q0, xi0, args.T, args.step)
     meta["h"] = float(traj.s[1]) if len(traj.s) > 1 else 0.0
@@ -162,17 +162,6 @@ def _cmd_shoot(args) -> int:
     print(f"converged={result.converged}")
     print(f"wrote {out}")
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
-
-
-def _first_difference(s, p):
-    """Central first differences on rows 1..n-2 of the grid s."""
-    return (p[2:] - p[:-2]) / (s[2:] - s[:-2])[:, None]
-
-
-def _second_difference(s, p):
-    """Three-point second differences on rows 1..n-2 of the grid s (exact on quadratics)."""
-    h0, h1 = (s[1:-1] - s[:-2])[:, None], (s[2:] - s[1:-1])[:, None]
-    return 2.0 * ((p[2:] - p[1:-1]) / h1 - (p[1:-1] - p[:-2]) / h0) / (h0 + h1)
 
 
 def _extrapolated(diff, curve):
@@ -215,8 +204,11 @@ def _cmd_check(args) -> int:
         acc, _ = _extrapolated(_second_difference, curve)
         results.append(("acceleration-T", float(np.max(np.abs(_row_sum(acc * -(pts @ I2))))), tol))
 
-    is_geodesic = record.header.get("tag") in ("geodesic", "hamiltonian")
-    if is_geodesic and curve.n >= 3 and "lambda" in record.header:
+    if record.header.get("tag") not in ("geodesic", "hamiltonian") or "lambda" not in record.header:
+        print("SKIP angle-linearity (not a geodesic record)")
+    elif curve.n < 3:
+        print("SKIP angle-linearity (fewer than 3 samples)")
+    else:
         try:
             angles = angle_profile(curve)
         except ValueError:  # a stationary curve's velocity has no direction
@@ -225,8 +217,6 @@ def _cmd_check(args) -> int:
             fit = np.polyfit(curve.s, angles, 1)
             slope_dev = abs(float(fit[0]) - 2.0 * float(record.header["lambda"]))
             results.append(("angle-linearity", slope_dev, max(tol, 1e-3)))
-    else:
-        print("SKIP angle-linearity (not a geodesic record)")
 
     all_pass = True
     for name, value, bound in results:

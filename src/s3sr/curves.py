@@ -5,14 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 from .frames import omega_eval
-from .quaternions import _row_sum, norm
+from .quaternions import norm
 
 __all__ = [
     "SampledCurve",
     "fd_velocities",
     "omega_fd_residuals",
     "unit_norm_error",
-    "tangency_error",
 ]
 
 
@@ -50,6 +49,17 @@ class SampledCurve:
         return self.points[-1]
 
 
+def _first_difference(s, p):
+    """Central first differences on rows 1..n-2 of the grid s."""
+    return (p[2:] - p[:-2]) / (s[2:] - s[:-2])[:, None]
+
+
+def _second_difference(s, p):
+    """Three-point second differences on rows 1..n-2 of the grid s (exact on quadratics)."""
+    h0, h1 = (s[1:-1] - s[:-2])[:, None], (s[2:] - s[1:-1])[:, None]
+    return 2.0 * ((p[2:] - p[1:-1]) / h1 - (p[1:-1] - p[:-2]) / h0) / (h0 + h1)
+
+
 def fd_velocities(curve: SampledCurve) -> np.ndarray:
     """Finite-difference velocities at the grid scale.
 
@@ -62,7 +72,7 @@ def fd_velocities(curve: SampledCurve) -> np.ndarray:
     if np.any(np.diff(s) <= 0.0):
         raise ValueError("finite differences need a strictly increasing grid")
     v = np.empty_like(p)
-    v[1:-1] = (p[2:] - p[:-2]) / (s[2:] - s[:-2])[:, None]
+    v[1:-1] = _first_difference(s, p)
     v[0] = (p[1] - p[0]) / (s[1] - s[0])
     v[-1] = (p[-1] - p[-2]) / (s[-1] - s[-2])
     return v
@@ -77,10 +87,3 @@ def omega_fd_residuals(curve: SampledCurve) -> np.ndarray:
 def unit_norm_error(curve: SampledCurve) -> float:
     """max | |point| - 1 | over the samples."""
     return float(np.max(np.abs(norm(curve.points) - 1.0)))
-
-
-def tangency_error(curve: SampledCurve) -> float:
-    """max |<velocity, point>| over the samples (0 when no velocities)."""
-    if curve.velocities is None:
-        return 0.0
-    return float(np.max(np.abs(_row_sum(curve.velocities * curve.points))))

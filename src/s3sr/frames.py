@@ -20,7 +20,7 @@ vanishes exactly on horizontal vectors (omega(T) = -1).
 I1, I2, I3 are the 4x4 matrices of right multiplication by i, j, k
 acting on row vectors: q @ I1 == qmul(q, i) and so on, derived from
 qmul when quaternions is imported.  Each is skew-orthogonal with
-Im @ Im = -U.
+Im @ Im = -eye(4).
 """
 
 from __future__ import annotations
@@ -35,27 +35,19 @@ __all__ = [
     "I1",
     "I2",
     "I3",
-    "U",
     "Frame",
-    "FrameComponents",
     "LinearField",
     "X_FIELD",
     "Y_FIELD",
     "T_FIELD",
     "frame_at",
-    "components",
     "frame_ab",
     "omega_eval",
-    "is_horizontal",
     "bracket",
-    "TANGENT_TOL",
 ]
 
 # q @ I1 = q*i, q @ I2 = q*j, q @ I3 = q*k  (row-vector convention)
 _, I1, I2, I3 = _RIGHT_MATRICES
-U = np.eye(4)
-
-TANGENT_TOL = 1e-10
 
 
 class Frame(NamedTuple):
@@ -63,12 +55,6 @@ class Frame(NamedTuple):
     Y: np.ndarray
     T: np.ndarray
     N: np.ndarray
-
-
-class FrameComponents(NamedTuple):
-    a: float
-    b: float
-    c: float
 
 
 def frame_at(q):
@@ -85,30 +71,13 @@ def frame_at(q):
     return Frame(X=-(q @ I1), Y=-(q @ I3), T=-(q @ I2), N=q.copy())
 
 
-def components(q, v):
-    """Frame components (a, b, c) = (<v,X>, <v,Y>, <v,T>) of a tangent vector.
-
-    (a, b) come from frame_ab and c = <v, T> = -omega(v).
-
-    Raises ValueError when v is not tangent at q (|<v, q>| beyond
-    TANGENT_TOL = 1e-10, scaled by |v| for large vectors).
-    """
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    radial = abs(float(np.dot(v, q)))
-    scale = max(1.0, float(np.linalg.norm(v)))
-    if radial > TANGENT_TOL * scale:
-        raise ValueError(f"vector is not tangent: |<v, q>| = {radial:.3e}")
-    a, b = frame_ab(q, v)
-    return FrameComponents(float(a), float(b), -float(omega_eval(q, v)))
-
-
 def frame_ab(points, velocities):
     """Horizontal frame components (a, b) = (<v, X>, <v, Y>), row by row.
 
-    No tangency check: unlike components, this is the bare pairing on
-    stacked points and velocities.  The frame vectors come from BLAS
-    products p @ I*, which decide the signs of their zeros.
+    No tangency check: this is the bare pairing on stacked points and
+    velocities, and the third component <v, T> is -omega_eval(q, v).
+    The frame vectors come from BLAS products p @ I*, which decide the
+    signs of their zeros.
     """
     p = np.asarray(points, dtype=float)
     v = np.asarray(velocities, dtype=float)
@@ -122,14 +91,6 @@ def omega_eval(q, v):
     x1, x2, y1, y2 = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     vx1, vx2, vy1, vy2 = v[..., 0], v[..., 1], v[..., 2], v[..., 3]
     return x1 * vy1 - y1 * vx1 + x2 * vy2 - y2 * vx2
-
-
-def is_horizontal(q, v, tol):
-    """|omega(v)| <= tol, elementwise over stacked (q, v).
-
-    omega(v) is minus the T-component of v, so this bounds both.
-    """
-    return np.abs(omega_eval(q, v)) <= tol
 
 
 class LinearField(NamedTuple):

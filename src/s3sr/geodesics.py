@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import SampledCurve, unit_norm_error
+from .curves import SampledCurve, _second_difference, unit_norm_error
 from .frames import I1, I2, I3, frame_ab
 from .quaternions import _conj_mul_floats, _row_sum, check_unit, norm, norm2, qexp_pure, qmul
 
@@ -285,17 +285,13 @@ def verify_velocity_energy(curve: SampledCurve):
 
 
 def acceleration_T_residual(curve: SampledCurve) -> float:
-    """max |<gamma'', T>| with second differences on a uniform grid."""
+    """max |<gamma'', T>| with three-point second differences on a strictly increasing grid."""
     if curve.n < 3:
         raise ValueError("need at least 3 samples")
-    ds = np.diff(curve.s)
-    if not np.allclose(ds, ds[0], rtol=1e-9, atol=0.0):
-        raise ValueError("second differences need a uniform grid")
-    h = float(ds[0])
-    p = curve.points
-    acc = (p[2:] - 2.0 * p[1:-1] + p[:-2]) / (h * h)
-    t_vec = -(p[1:-1] @ I2)
-    return float(np.max(np.abs(_row_sum(acc * t_vec))))
+    s, p = curve.s, curve.points
+    if np.any(np.diff(s) <= 0.0):
+        raise ValueError("finite differences need a strictly increasing grid")
+    return float(np.max(np.abs(_row_sum(_second_difference(s, p) * -(p[1:-1] @ I2)))))
 
 
 def angle_profile(curve: SampledCurve) -> np.ndarray:

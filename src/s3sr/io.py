@@ -19,7 +19,6 @@ import numpy as np
 
 from .curves import SampledCurve, fd_velocities, omega_fd_residuals
 from .frames import frame_ab
-from .geodesics import GeodesicParams, ab_profile
 
 __all__ = ["COLUMNS", "CurveRecord", "FORMAT_MARKER"]
 
@@ -46,24 +45,20 @@ class CurveRecord:
 
     @classmethod
     def from_curve(cls, curve: SampledCurve, **extra_header) -> "CurveRecord":
-        """Build a record, filling the a, b columns from the best source.
+        """Build a record whose a, b columns are the frame components of the curve's velocities.
 
-        Geodesic-tagged curves use the closed-form control profile;
-        otherwise frame components of the stored (or finite-difference)
-        velocities are used.  omega_res is the finite-difference
-        horizontality residual (0 for single-sample curves).
+        Those are the stored velocities, or finite differences for a curve
+        without them (zeros for a single sample).  omega_res is the
+        finite-difference horizontality residual (0 for single-sample
+        curves).
         """
         n = curve.n
         meta = dict(curve.meta)
         meta.update(extra_header)
-        if meta.get("tag") in ("geodesic", "hamiltonian") and "lambda" in meta:
-            params = GeodesicParams(meta.get("r", 1.0), meta.get("theta0", 0.0), meta["lambda"])
-            a, b = ab_profile(params, curve.s)
-        else:
-            vel = curve.velocities if curve.velocities is not None else (
-                fd_velocities(curve) if n >= 2 else np.zeros_like(curve.points)
-            )
-            a, b = frame_ab(curve.points, vel)
+        vel = curve.velocities if curve.velocities is not None else (
+            fd_velocities(curve) if n >= 2 else np.zeros_like(curve.points)
+        )
+        a, b = frame_ab(curve.points, vel)
         omega_res = omega_fd_residuals(curve) if n >= 2 else np.zeros(1)
         table = np.column_stack([curve.s, curve.points, a, b, omega_res])
         header = {str(k): v for k, v in meta.items() if _scalarish(v)}

@@ -32,7 +32,6 @@ __all__ = [
     "conj",
     "norm2",
     "norm",
-    "inverse",
     "normalize",
     "qexp_pure",
     "is_unit",
@@ -101,18 +100,6 @@ def norm2(q):
 def norm(q):
     """Modulus."""
     return np.sqrt(norm2(q))
-
-
-def inverse(q):
-    """Multiplicative inverse conj(q)/|q|^2.
-
-    Raises ValueError on (numerically) zero input.
-    """
-    q = np.asarray(q, dtype=float)
-    n2 = norm2(q)
-    if np.any(n2 == 0.0):
-        raise ValueError("zero quaternion has no inverse")
-    return conj(q) / n2[..., np.newaxis]
 
 
 def normalize(q):

@@ -60,12 +60,11 @@ class ShootingConfig(NamedTuple):
     """Solver settings.
 
     tol bounds the endpoint error of the returned curve and curve_step
-    its sample spacing; its length T needs no bound, as T <= pi.  seed
-    is accepted and ignored: the exact solver has no random choices.
+    its sample spacing; its length T needs no bound, as T <= pi.  The
+    exact solver has no random choices, so it takes no seed.
     """
 
     tol: float = 1e-6
-    seed: int = 0
     curve_step: float = 1e-3    # sample spacing of the returned curve
 
 

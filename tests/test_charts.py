@@ -7,13 +7,11 @@ from s3sr.charts import (
     EulerAngles,
     _chart_columns,
     chart_velocity,
-    euler_ab,
     from_cartesian,
-    horizontality_residual_euler,
     omega_euler,
     to_cartesian,
 )
-from s3sr.frames import components, omega_eval
+from s3sr.frames import frame_ab, omega_eval
 from conftest import point_arrays_ref, random_unit, velocity_arrays_ref
 
 
@@ -129,11 +127,31 @@ def test_chart_velocity_fd(rng):
         assert np.max(np.abs(chart_velocity(e, de) - (qp - qm) / (2 * eps))) <= 1e-9
 
 
+def _horizontality_residual_euler(e, rates):
+    """|sin(theta) sin(psi) phi' + cos(psi) theta'|: 2 |omega| in the chart, zero iff horizontal."""
+    dphi, _, dtheta = rates
+    return abs(np.sin(e.theta) * np.sin(e.psi) * dphi + np.cos(e.psi) * dtheta)
+
+
+def _euler_ab(e, rates):
+    """Frame components (a, b) of the pushforward of chart rates.
+
+    a = -(cos(theta) phi' + psi')/2,
+    b = -(sin(theta) cos(psi) phi' - sin(psi) theta')/2.
+    """
+    dphi, dpsi, dtheta = rates
+    a = -0.5 * (np.cos(e.theta) * dphi + dpsi)
+    b = -0.5 * (np.sin(e.theta) * np.cos(e.psi) * dphi - np.sin(e.psi) * dtheta)
+    return a, b
+
+
 def test_horizontality_residual_examples():
     e = EulerAngles(0.4, 0.8, 1.1)
-    assert horizontality_residual_euler(e, (0.0, 0.0, 0.0)) == 0.0
-    # pure psi motion is horizontal (no psi' term in the constraint)
-    assert horizontality_residual_euler(e, (0.0, 3.7, 0.0)) == 0.0
+    q = to_cartesian(e)
+    # rest, and pure psi motion (no psi' term in the constraint), are horizontal
+    for rates in ((0.0, 0.0, 0.0), (0.0, 3.7, 0.0)):
+        assert _horizontality_residual_euler(e, rates) == 0.0
+        assert abs(omega_eval(q, chart_velocity(e, rates))) <= 1e-15
 
 
 def test_horizontality_residual_on_constant_psi_closed_form():
@@ -143,17 +161,16 @@ def test_horizontality_residual_on_constant_psi_closed_form():
         dtheta = 1.0
         dphi = -dtheta / (np.tan(psi) * np.sin(theta))
         e = EulerAngles(0.0, psi, theta)
-        assert horizontality_residual_euler(e, (dphi, 0.0, dtheta)) <= 1e-12
+        assert _horizontality_residual_euler(e, (dphi, 0.0, dtheta)) <= 1e-12
+        assert abs(omega_eval(to_cartesian(e), chart_velocity(e, (dphi, 0.0, dtheta)))) <= 1e-12
 
 
 def test_euler_ab_matches_frame_components(rng):
     for _ in range(100):
         e = EulerAngles(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.1, np.pi - 0.1))
         de = rng.uniform(-1, 1, 3)
-        q = to_cartesian(e)
-        v = chart_velocity(e, de)
-        a, b, _ = components(q, v)
-        a2, b2 = euler_ab(e, de)
+        a, b = frame_ab(to_cartesian(e), chart_velocity(e, de))
+        a2, b2 = _euler_ab(e, de)
         assert abs(a - a2) <= 1e-12
         assert abs(b - b2) <= 1e-12
 

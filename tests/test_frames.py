@@ -6,14 +6,11 @@ from s3sr.frames import (
     I2,
     I3,
     T_FIELD,
-    U,
     X_FIELD,
     Y_FIELD,
     bracket,
-    components,
     frame_ab,
     frame_at,
-    is_horizontal,
     omega_eval,
 )
 from s3sr.quaternions import QUAT_I, QUAT_J, QUAT_K, qmul
@@ -37,15 +34,15 @@ def test_structure_matrices_are_the_coordinate_formulas():
     )
     for m, formula in formulas:
         assert m.shape == (4, 4) and m.dtype == float
-        assert np.array_equal(m, -np.array([formula(*e) for e in U]))
+        assert np.array_equal(m, -np.array([formula(*e) for e in np.eye(4)]))
         # the zeros are +0.0, so the BLAS products q @ M sign their zeros as before
         assert not np.signbit(m[m == 0.0]).any()
 
 
 def test_structure_matrices_orthogonal_square_minus_identity():
     for m in (I1, I2, I3):
-        assert np.max(np.abs(m @ m.T - U)) <= 1e-14
-        assert np.max(np.abs(m @ m + U)) <= 1e-14
+        assert np.max(np.abs(m @ m.T - np.eye(4))) <= 1e-14
+        assert np.max(np.abs(m @ m + np.eye(4))) <= 1e-14
 
 
 def test_frame_at_identity():
@@ -89,15 +86,21 @@ def test_frame_at_stacked_points_and_a_nan_row(rng):
         frame_at(qs)
 
 
+def _components(q, v):
+    """(a, b, c) = (<v, X>, <v, Y>, <v, T>): frame_ab and c = -omega(v)."""
+    a, b = frame_ab(q, v)
+    return float(a), float(b), -float(omega_eval(q, v))
+
+
 def test_components_examples(rng):
     q = random_unit(rng)
     f = frame_at(q)
-    assert np.allclose(components(q, f.X), (1.0, 0.0, 0.0), atol=1e-14)
-    assert np.allclose(components(q, 2.0 * f.X + 3.0 * f.Y), (2.0, 3.0, 0.0), atol=1e-13)
+    assert np.allclose(_components(q, f.X), (1.0, 0.0, 0.0), atol=1e-14)
+    assert np.allclose(_components(q, 2.0 * f.X + 3.0 * f.Y), (2.0, 3.0, 0.0), atol=1e-13)
     # Parseval over the orthonormal frame
     coeff = rng.standard_normal(3)
     v = coeff[0] * f.X + coeff[1] * f.Y + coeff[2] * f.T
-    a, b, c = components(q, v)
+    a, b, c = _components(q, v)
     assert abs(a * a + b * b + c * c - float(v @ v)) <= 1e-12
     # reconstruction
     assert np.max(np.abs(a * f.X + b * f.Y + c * f.T - v)) <= 1e-12
@@ -108,17 +111,12 @@ def test_frame_ab_matches_components(rng):
     v = rng.standard_normal((20, 4))
     v -= np.sum(v * q, axis=1)[:, None] * q  # tangent
     a, b = frame_ab(q, v)
-    ref = np.array([components(qi, vi)[:2] for qi, vi in zip(q, v)])
+    # per point, the inner products with the frame vectors
+    ref = np.array([(vi @ frame_at(qi).X, vi @ frame_at(qi).Y) for qi, vi in zip(q, v)])
     assert np.max(np.abs(a - ref[:, 0])) <= 1e-15
     assert np.max(np.abs(b - ref[:, 1])) <= 1e-15
     a1, b1 = frame_ab(q[0], v[0])
     assert a1 == a[0] and b1 == b[0]
-
-
-def test_components_rejects_radial(rng):
-    q = random_unit(rng)
-    with pytest.raises(ValueError):
-        components(q, q)
 
 
 def test_omega_on_frame(rng):
@@ -135,17 +133,7 @@ def test_omega_is_minus_c(rng):
         f = frame_at(q)
         coeff = rng.standard_normal(3)
         v = coeff[0] * f.X + coeff[1] * f.Y + coeff[2] * f.T
-        assert abs(omega_eval(q, v) + components(q, v).c) <= 1e-12
-
-
-def test_is_horizontal(rng):
-    q = random_unit(rng)
-    f = frame_at(q)
-    assert is_horizontal(q, 0.3 * f.X - 2.0 * f.Y, tol=1e-12)
-    assert not is_horizontal(q, f.T, tol=0.999)
-    assert is_horizontal(q, 0.3 * f.X - 2.0 * f.Y + 1e-9 * f.T, tol=1e-6)
-    # elementwise over stacked points
-    assert is_horizontal(np.stack([q, q]), np.stack([f.X, f.T]), tol=1e-12).tolist() == [True, False]
+        assert abs(omega_eval(q, v) + coeff[2]) <= 1e-12
 
 
 def test_bracket_relations():

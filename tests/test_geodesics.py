@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from s3sr.curves import SampledCurve, omega_fd_residuals
-from s3sr.frames import I1, I3, components, frame_at, omega_eval
+from s3sr.frames import I1, I3, frame_at, omega_eval
 from s3sr.io import CurveRecord
 from s3sr.geodesics import (
     GeodesicParams,
@@ -309,10 +309,11 @@ def test_verify_velocity_energy_geodesic():
     c = integrate_geodesic(ONE, GeodesicParams(1.0, 0.7, 0.6), 3.0, 1e-3)
     worst = verify_velocity_energy(c)
     assert worst <= 1e-10
-    # per-sample reference through frames.components
+    # per-sample reference through the frame vectors
     ref = 0.0
     for q, v in zip(c.points, c.velocities):
-        a, b, _ = components(q, v)
+        f = frame_at(q)
+        a, b = float(v @ f.X), float(v @ f.Y)
         ref = max(ref, abs(float(v @ v) - (a * a + b * b)))
     assert abs(worst - ref) <= 1e-15
 
@@ -397,13 +398,23 @@ def test_acceleration_T_residual_sensitivity():
     assert abs(res - 1.0) <= 1e-4
 
 
+def test_acceleration_T_residual_on_a_jittered_grid(rng):
+    # on a non-uniform grid the three-point difference reads
+    # gamma'' + (h1 - h0)/3 gamma''' + O(h^2); here |h1 - h0| <= 1.2 h and
+    # |<gamma''', T>| = s^3 <= 1, so that term is at most 0.4 h = 2e-4 (1.3e-4 measured)
+    s = np.linspace(0.0, 1.0, 2001)
+    s[1:-1] += rng.uniform(-0.3, 0.3, 1999) * s[1]
+    accel = qmul(ONE, qexp_pure(np.outer(-0.5 * s * s, [0.0, 1.0, 0.0])))
+    assert abs(acceleration_T_residual(SampledCurve(s, accel)) - 1.0) <= 2e-4
+
+
 def test_acceleration_T_residual_argument_checks():
     c = integrate_geodesic(ONE, GeodesicParams(1, 0, 0), 0.0, 1e-3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 3 samples"):
         acceleration_T_residual(c)
-    bad = SampledCurve(np.array([0.0, 0.1, 0.5]), np.tile(ONE, (3, 1)))
-    with pytest.raises(ValueError):
-        acceleration_T_residual(bad)
+    repeated = SampledCurve(np.array([0.0, 0.1, 0.1, 0.2]), np.tile(ONE, (4, 1)))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        acceleration_T_residual(repeated)
 
 
 def test_fd_omega_residual_small_on_geodesics():

@@ -349,7 +349,7 @@ def test_cli_check_connect_file_skips_angle_linearity(tmp_path, capsys):
     code = run("check", str(out), "--tol", "1e-3")
     captured = capsys.readouterr().out
     assert code == 0
-    assert "SKIP angle-linearity" in captured
+    assert "SKIP angle-linearity (not a geodesic record)" in captured
     assert "PASS horizontality" in captured
 
 
@@ -394,6 +394,19 @@ def test_cli_check_stationary_geodesic_skips_angle_linearity(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert code == 0
     assert "SKIP angle-linearity (zero velocity)" in captured
+    assert "FAIL" not in captured
+
+
+@pytest.mark.parametrize("T, rows", [("0", 1), ("0.001", 2)])
+def test_cli_check_short_geodesic_skips_angle_linearity(tmp_path, capsys, T, rows):
+    out = tmp_path / "short.csv"
+    assert run("geodesic", "--q0", "1,0,0,0", "--T", T, "--out", str(out)) == 0
+    assert len(CurveRecord.from_csv(out).data) == rows
+    capsys.readouterr()
+    code = run("check", str(out))
+    captured = capsys.readouterr().out
+    assert code == 0
+    assert "SKIP angle-linearity (fewer than 3 samples)" in captured
     assert "FAIL" not in captured
 
 

@@ -58,6 +58,62 @@ def test_connect_stays_the_function_when_its_submodule_loads_first():
 
 def test_submodules_load_on_attribute_access():
     assert _loaded_by_fresh_import("s3sr.io", "assert s3sr.io.CurveRecord is s3sr.CurveRecord")
+    # curve files take a, b from the stored velocities, so io needs no geodesics
+    assert not _loaded_by_fresh_import("s3sr.geodesics", "import s3sr.io")
+
+
+# every public name, with its caller outside the tests or the acceptance
+# criterion that uses it; a name with neither is one to drop
+PUBLIC_NAMES = {
+    "EulerAngles": "charts.from_cartesian; the CLI's angle endpoints; connect",
+    "chart_velocity": "c03",
+    "from_cartesian": "the CLI's frames; bench/tracer.py",
+    "omega_euler": "c03",
+    "to_cartesian": "the CLI's angle endpoints; connect",
+    "ConstructionError": "the CLI's connect (exit 3)",
+    "connect": "the CLI's connect; bench/workloads.py",
+    "connect_constant_psi": "c05",
+    "SampledCurve": "connect, integrate_geodesic, shoot, io and the CLI",
+    "fd_velocities": "io.CurveRecord.from_curve; the CLI's check",
+    "omega_fd_residuals": "connect; io.CurveRecord.from_curve",
+    "I1": "geodesics",
+    "I2": "geodesics.acceleration_T_residual; the CLI's check",
+    "I3": "geodesics",
+    "Frame": "frame_at's value, read by the CLI's frames",
+    "LinearField": "bracket's value (c02)",
+    "bracket": "c02",
+    "frame_ab": "io.CurveRecord.from_curve; geodesics",
+    "frame_at": "the CLI's frames",
+    "omega_eval": "curves.omega_fd_residuals; the CLI's check",
+    "GeodesicParams": "shoot; the CLI's geodesic and hamiltonian; bench/workloads.py",
+    "HamiltonianTrajectory": "integrate_hamiltonian's value, read by the CLI's hamiltonian",
+    "ab_profile": "integrate_geodesic; match_costate",
+    "acceleration_T_residual": "bench/workloads.py",
+    "angle_profile": "the CLI's check; bench/workloads.py",
+    "geodesic_point": "integrate_geodesic; bench/workloads.py",
+    "integrate_geodesic": "shoot; the CLI's geodesic; bench/workloads.py",
+    "integrate_hamiltonian": "the CLI's hamiltonian; bench/workloads.py",
+    "match_costate": "the CLI's hamiltonian; bench/workloads.py",
+    "verify_velocity_energy": "bench/workloads.py",
+    "CurveRecord": "the CLI's file output and check",
+    "QUAT_I": "c01",
+    "QUAT_J": "c01",
+    "QUAT_K": "c01",
+    "QUAT_ONE": "c01",
+    "conj": "connect",
+    "norm": "the CLI's unit-norm policy; geodesics.angle_profile; curves",
+    "norm2": "frames.frame_at; geodesics.verify_velocity_energy; the CLI's check",
+    "normalize": "the CLI's unit-norm policy",
+    "qexp_pure": "geodesic_point; connect",
+    "qmul": "geodesic_point; connect; frames",
+    "ShootingConfig": "the CLI's shoot",
+    "ShootingResult": "shoot's value, read by the CLI's shoot",
+    "shoot": "the CLI's shoot; bench/workloads.py",
+}
+
+
+def test_every_public_name_names_its_caller():
+    assert set(PUBLIC_NAMES) == set(s3sr.__all__)
 
 
 # every parameter with a default among the public callables, with the code
@@ -69,7 +125,6 @@ DEFAULTED_SETTINGS = {
     ("SampledCurve", "velocities"): "connect, integrate_geodesic and the CLI's hamiltonian",
     ("SampledCurve", "meta"): "connect, integrate_geodesic and the CLI's hamiltonian",
     ("ShootingConfig", "tol"): "the CLI's shoot --tol",
-    ("ShootingConfig", "seed"): "c09 and bench/workloads.py (shoot --seed)",
     ("ShootingConfig", "curve_step"): "the CLI's shoot --step",
     ("shoot", "cfg"): "the CLI's shoot",
 }

@@ -12,7 +12,6 @@ from s3sr.quaternions import (
     QUAT_ONE,
     check_unit,
     conj,
-    inverse,
     is_unit,
     norm,
     norm2,
@@ -69,30 +68,11 @@ def test_q_times_conj_is_modulus(rng):
     assert np.all(np.abs(prod[1:]) <= 1e-12)
 
 
-def test_inverse_examples(rng):
-    assert np.allclose(inverse([2.0, 0, 0, 0]), [0.5, 0, 0, 0], atol=0, rtol=0)
-    # unit quaternion: inverse equals conjugate
-    u = random_unit(rng)
-    assert np.allclose(inverse(u), conj(u), atol=1e-15)
-    # modulus-2 quaternion: inverse is conj/4, checked by multiplying back
-    q = 2.0 * random_unit(rng)
-    inv = inverse(q)
-    assert np.allclose(inv, conj(q) / 4.0, atol=1e-15)
-    assert np.max(np.abs(qmul(q, inv) - QUAT_ONE)) <= 1e-14
-    assert np.max(np.abs(qmul(inv, q) - QUAT_ONE)) <= 1e-14
-
-
-def test_inverse_of_zero_raises():
-    with pytest.raises(ValueError):
-        inverse([0.0, 0.0, 0.0, 0.0])
-
-
-def test_inverse_and_normalize_same_bytes_for_one_and_stacked(rng):
+def test_normalize_same_bytes_for_one_and_stacked(rng):
     qs = 3.0 * rng.standard_normal((50, 4))
-    for q, inv, unit in zip(qs, inverse(qs), normalize(qs)):
+    for q, unit in zip(qs, normalize(qs)):
         # a (4,) input divides by its scalar modulus, bit for bit as a row of a stack
-        assert inverse(q).shape == normalize(q).shape == (4,)
-        assert inverse(q).tobytes() == (conj(q) / norm2(q)).tobytes() == inv.tobytes()
+        assert normalize(q).shape == (4,)
         assert normalize(q).tobytes() == (q / norm(q)).tobytes() == unit.tobytes()
 
 

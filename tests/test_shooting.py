@@ -81,8 +81,8 @@ def test_returned_curve_passes_engine_checks():
 
 def test_determinism_same_seed(rng):
     target = random_unit(rng)
-    a = shoot(ONE, target, ShootingConfig(seed=5))
-    b = shoot(ONE, target, ShootingConfig(seed=5))
+    a = shoot(ONE, target)
+    b = shoot(ONE, target)
     assert a.params == b.params
     assert a.T == b.T
     assert a.endpoint_error == b.endpoint_error

@@ -45,8 +45,8 @@ def test_curve_record_needs_eight_columns():
 
 def test_shooting_config_defaults():
     cfg = ShootingConfig()
-    assert ShootingConfig._fields == ("tol", "seed", "curve_step")
-    assert (cfg.tol, cfg.seed, cfg.curve_step) == (1e-6, 0, 1e-3)
+    assert ShootingConfig._fields == ("tol", "curve_step")
+    assert (cfg.tol, cfg.curve_step) == (1e-6, 1e-3)
     assert ShootingConfig(curve_step=0.5).tol == 1e-6
 
 
