@@ -55,14 +55,6 @@ class EulerAngles(NamedTuple):
     theta: float
     pole: str | None = None
 
-    @property
-    def alpha(self) -> float:
-        return 0.5 * (self.phi + self.psi)
-
-    @property
-    def beta(self) -> float:
-        return 0.5 * (self.phi - self.psi)
-
 
 def wrap_angle(x):
     """Wrap into (-pi, pi]."""

@@ -94,14 +94,8 @@ def _write_record(curve: SampledCurve, args, **extra) -> str:
 # ---------------------------------------------------------------------------
 
 
-def connect(p, q, n):
-    """s3sr.connect.connect under a module name tests can patch (_cmd_connect imports it)."""
-    from .connect import connect
-    return connect(p, q, n=n)
-
-
 def _cmd_connect(args) -> int:
-    from .connect import ConstructionError
+    from .connect import ConstructionError, connect
     p = _parse_endpoint(getattr(args, "from"))
     q = _parse_endpoint(args.to)
     n = 2 if float(np.linalg.norm(p - q)) < 1e-13 else args.samples

@@ -34,6 +34,9 @@ quaternion product.  Pairs that no gauge makes chart-friendly (and
 degenerate data such as k ~ 0) fall back to a waypoint route: two
 one-parameter-subgroup arcs with horizontal axes, glued with a smooth
 time warp whose first and second derivatives vanish at the junction.
+Such an arc a * exp(t n), with n a unit axis in span{i, k}, is the
+great circle cos(t) a + sin(t) (a n), evaluated in closed form from one
+cos/sin pass and the single product a n.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import numpy as np
 
 from .charts import EulerAngles, _angle_arrays, _chart_columns, to_cartesian, wrap_angle
 from .curves import SampledCurve, omega_fd_residuals
-from .quaternions import _conj_mul_floats, _qmul_terms, _right_terms, check_unit, conj, qexp_pure, qmul
+from .quaternions import QUAT_I, _conj_mul_floats, _qmul_terms, _right_terms, check_unit, conj, qmul
 
 __all__ = [
     "ConstructionError",
@@ -104,52 +107,35 @@ def _abs_max(c) -> float:
 
 
 # ---------------------------------------------------------------------------
-# legs: objects evaluable on any parameter array in [0, 1]
+# legs: points and velocities on a parameter array s in [0, 1]
 
 
-class _SubgroupLeg:
-    """q(s) = q0 * exp(s*u*(cos(chi) i + sin(chi) k)): a horizontal arc."""
+def _circle(a, n, angle, u, du):
+    """a * exp(angle*u*n) = cos(angle*u) a + sin(angle*u) (a n) and its s-derivative.
 
-    def __init__(self, q0, axis3, angle):
-        self.q0 = np.asarray(q0, dtype=float)
-        self.axis3 = np.asarray(axis3, dtype=float)
-        self.angle = float(angle)
-
-    @property
-    def end(self):
-        return qmul(self.q0, qexp_pure(self.angle * self.axis3))
-
-    def eval(self, s):
-        s = np.asarray(s, dtype=float)
-        steps = qexp_pure(np.outer(s * self.angle, self.axis3))
-        pts = qmul(self.q0, steps)
-        gen = np.concatenate([[0.0], self.angle * self.axis3])
-        vel = qmul(pts, gen)
-        return pts, vel
+    n is a unit pure quaternion in span{i, k}, so the arc is a
+    horizontal great circle; du is the derivative of u with respect to s.
+    """
+    an = qmul(a, n)
+    t = angle * u
+    c, sn = np.cos(t), np.sin(t)
+    rate = angle * du
+    return np.outer(c, a) + np.outer(sn, an), np.outer(rate * c, an) - np.outer(rate * sn, a)
 
 
-class _ChartLeg:
+def _chart_leg(gauge, phi0, k, q, log_tan, s):
     """The chart leg in a translated gauge, from the coefficient tuples of q and log tan(theta/2)."""
-
-    def __init__(self, gauge, phi0, k, q, log_tan):
-        self.undo = _right_terms(conj(gauge))    # conj(gauge) undoes the right translation
-        self.phi0 = phi0
-        self.k = k
-        self.q = q
-        self.log_tan = log_tan
-
-    def eval(self, s):
-        s = np.asarray(s, dtype=float)
-        qv = _horner(self.q, s)
-        ell = _horner(self.log_tan, s)
-        theta = 2.0 * np.arctan(np.exp(ell))
-        phi = self.phi0 + self.k * s
-        psi = np.arctan(qv)
-        dpsi = _horner((self.q[1], 2.0 * self.q[2]), s) / (1.0 + qv * qv)
-        dtheta = -self.k * qv / np.cosh(ell)
-        pts, vel = _chart_columns(phi, psi, theta, self.k, dpsi, dtheta)
-        shape = s.shape + (4,)
-        return _qmul_terms(pts, self.undo, np.empty(shape)), _qmul_terms(vel, self.undo, np.empty(shape))
+    undo = _right_terms(conj(gauge))    # conj(gauge) undoes the right translation
+    qv = _horner(q, s)
+    ell = _horner(log_tan, s)
+    theta = 2.0 * np.arctan(np.exp(ell))
+    phi = phi0 + k * s
+    psi = np.arctan(qv)
+    dpsi = _horner((q[1], 2.0 * q[2]), s) / (1.0 + qv * qv)
+    dtheta = -k * qv / np.cosh(ell)
+    pts, vel = _chart_columns(phi, psi, theta, k, dpsi, dtheta)
+    shape = s.shape + (4,)
+    return _qmul_terms(pts, undo, np.empty(shape)), _qmul_terms(vel, undo, np.empty(shape))
 
 
 def _smoothstep(u):
@@ -158,28 +144,6 @@ def _smoothstep(u):
 
 def _smoothstep_d(u):
     return 30.0 * u * u * (1.0 - u) * (1.0 - u)
-
-
-class _GluedLeg:
-    """Two legs traversed on [0, 1/2] and [1/2, 1] with a C^2 time warp."""
-
-    def __init__(self, leg_a, leg_b):
-        self.leg_a = leg_a
-        self.leg_b = leg_b
-
-    def eval(self, s):
-        s = np.asarray(s, dtype=float)
-        pts = np.empty(s.shape + (4,))
-        vel = np.empty_like(pts)
-        first = s <= 0.5
-        for mask, leg, offset in ((first, self.leg_a, 0.0), (~first, self.leg_b, 0.5)):
-            if not np.any(mask):
-                continue
-            u = 2.0 * (s[mask] - offset)
-            p, v = leg.eval(_smoothstep(u))
-            pts[mask] = p
-            vel[mask] = v * (2.0 * _smoothstep_d(u))[:, None]
-        return pts, vel
 
 
 # ---------------------------------------------------------------------------
@@ -203,24 +167,24 @@ def _sample_count(n):
     return count
 
 
-def _single_arc(q_from, rel):
-    """One horizontal subgroup arc reaching rel, when rel has no j part."""
+def _single_arc(rel):
+    """(axis, angle) of the one horizontal subgroup arc reaching rel, when rel has no j part."""
     w, x, y, z = rel
     if abs(y) > 1e-13:
         return None
     r = float(np.hypot(x, z))
     if r < 1e-13:
         # rel ~ -1: a half-turn about any horizontal axis
-        return _SubgroupLeg(q_from, (1.0, 0.0, 0.0), np.pi)
-    u = float(np.arctan2(r, w))
-    return _SubgroupLeg(q_from, (x / r, 0.0, z / r), u)
+        return (1.0, 0.0, 0.0), np.pi
+    return (x / r, 0.0, z / r), float(np.arctan2(r, w))
 
 
-def _two_arc_legs(q_from, rel):
-    """Split rel into exp(u1*i) * exp(u2*(cos(chi2) i + sin(chi2) k)).
+def _two_arcs(q_from, rel, s):
+    """Points, velocities and (u1, u2, chi2) of exp(u1*i) * exp(u2*(cos(chi2) i + sin(chi2) k)) = rel.
 
     Always solvable: the j component of the product is carried entirely
-    by the cross term of the two horizontal axes.
+    by the cross term of the two horizontal axes.  The arcs are
+    traversed on [0, 1/2] and [1/2, 1] with a C^2 time warp.
     """
     w, x, y, z = rel
     u1 = float(np.arctan2(-y, z))
@@ -230,9 +194,15 @@ def _two_arc_legs(q_from, rel):
     sig = c1 * z - s1 * y
     u2 = float(np.arctan2(np.hypot(tau, sig), c2))
     chi2 = float(np.arctan2(sig, tau))
-    leg_a = _SubgroupLeg(q_from, (1.0, 0.0, 0.0), u1)
-    leg_b = _SubgroupLeg(leg_a.end, (np.cos(chi2), 0.0, np.sin(chi2)), u2)
-    return leg_a, leg_b, (u1, u2, chi2)
+    mid = c1 * q_from + s1 * qmul(q_from, QUAT_I)
+    pts = np.empty(s.shape + (4,))
+    vel = np.empty_like(pts)
+    first = s <= 0.5
+    axis2 = np.array([0.0, np.cos(chi2), 0.0, np.sin(chi2)])
+    for mask, a, n, angle, offset in ((first, q_from, QUAT_I, u1, 0.0), (~first, mid, axis2, u2, 0.5)):
+        u = 2.0 * (s[mask] - offset)
+        pts[mask], vel[mask] = _circle(a, n, angle, _smoothstep(u), 2.0 * _smoothstep_d(u))
+    return pts, vel, (u1, u2, chi2)
 
 
 def _gauge_candidates():
@@ -258,10 +228,13 @@ def _gauge_scores(qt, rx, ry):
     return np.where(near_pole, -np.inf, np.minimum(2.0 * rx * ry, cos_psi))
 
 
-def _single_leg(q_from, q_to, rel):
-    arc = _single_arc(q_from, rel)
+def _single_leg(q_from, q_to, rel, s):
+    """Points, velocities and meta of a subgroup arc or a chart leg from q_from to q_to, or None."""
+    arc = _single_arc(rel)
     if arc is not None:
-        return arc, {"route": "subgroup-arc", "angle": arc.angle, "axis": tuple(arc.axis3)}
+        axis, angle = arc
+        pts, vel = _circle(q_from, np.array([0.0, *axis]), angle, s, 1.0)
+        return pts, vel, {"route": "subgroup-arc", "angle": angle, "axis": axis}
     # one array pass over the 32 gauges, row 0 for P and row 1 for Q, with
     # psi wrapped into (-pi, pi] and phi shifted to match
     qt = qmul(np.stack([q_from, q_to])[:, None], _GAUGES)
@@ -306,8 +279,8 @@ def _single_leg(q_from, q_to, rel):
             "psi1": float(psi[1, j]),
             "gauge": tuple(float(g) for g in gauge),
         }
-        return _ChartLeg(gauge, float(phi0[j]), kj, q, log_tan), meta
-    return None, None
+        return (*_chart_leg(gauge, float(phi0[j]), kj, q, log_tan, s), meta)
+    return None
 
 
 def connect(P, Q, n=256) -> SampledCurve:
@@ -316,6 +289,8 @@ def connect(P, Q, n=256) -> SampledCurve:
     P and Q may be EulerAngles or unit 4-vectors.  The returned curve
     carries analytic velocities; its meta records the route taken, the
     endpoint error and the finite-difference horizontality residual.
+    The fallback routes (one subgroup arc, or two glued ones) are great
+    circles evaluated in closed form.
 
     Raises ConstructionError if the endpoints cannot be met to 1e-8
     (not observed for unit inputs; the waypoint route is total).
@@ -332,13 +307,12 @@ def connect(P, Q, n=256) -> SampledCurve:
         return SampledCurve(s, pts, vel, meta)
 
     rel = _conj_mul_floats(q_from, q_to)
-    leg, meta = _single_leg(q_from, q_to, rel)
+    leg = _single_leg(q_from, q_to, rel, s)
     if leg is None:
-        leg_a, leg_b, arcs = _two_arc_legs(q_from, rel)
-        leg = _GluedLeg(leg_a, leg_b)
+        pts, vel, arcs = _two_arcs(q_from, rel, s)
         meta = {"route": "two-arc", "arcs": arcs}
-
-    pts, vel = leg.eval(s)
+    else:
+        pts, vel, meta = leg
     endpoint_error = max(
         float(np.linalg.norm(pts[0] - q_from)), float(np.linalg.norm(pts[-1] - q_to))
     )

@@ -41,10 +41,6 @@ class SampledCurve:
         return len(self.s)
 
     @property
-    def start(self) -> np.ndarray:
-        return self.points[0]
-
-    @property
     def end(self) -> np.ndarray:
         return self.points[-1]
 

@@ -7,6 +7,7 @@ floor of the measurement itself at the required sampling; the test
 reports the measured floor alongside the asserted bound.
 """
 
+import sys
 import time
 
 import numpy as np
@@ -314,14 +315,14 @@ def test_c10_cli_contract(tmp_path, monkeypatch):
     runs.append((run("shoot", "--from", "1,0,0,0", "--to", "0,0,1,0",
                      "--tol", "1e-18", "--out", str(tmp_path / "s.csv")), 4))
 
-    # construction-failure path (exit 3) exercised by injecting a failure
-    import s3sr.cli as cli_mod
+    # construction-failure path (exit 3) exercised by injecting a failure;
+    # the command imports connect from the module when it runs
     from s3sr.connect import ConstructionError
 
     def failing_connect(*a, **k):
         raise ConstructionError("injected", 1.0)
 
-    monkeypatch.setattr(cli_mod, "connect", failing_connect)
+    monkeypatch.setattr(sys.modules["s3sr.connect"], "connect", failing_connect)
     runs.append((run("connect", "--from", "0,0.5,1.0", "--to", "1,0.8,1.6",
                      "--out", str(tmp_path / "x.csv")), 3))
     monkeypatch.undo()

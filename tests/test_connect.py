@@ -17,20 +17,23 @@ from s3sr.connect import (
     _SCORE_MIN,
     QMAX,
     _abs_max,
-    _ChartLeg,
+    _chart_leg,
     _gauge_scores,
-    _GluedLeg,
     _hermite_coeffs,
     _horner,
     _leg_coeffs,
-    _two_arc_legs,
+    _smoothstep,
+    _smoothstep_d,
+    _two_arcs,
     ConstructionError,
     connect,
     connect_constant_psi,
 )
 from s3sr.curves import fd_velocities, omega_fd_residuals, unit_norm_error
 from s3sr.frames import omega_eval
-from s3sr.quaternions import _qmul_terms, _right_terms, conj, qmul
+from s3sr.quaternions import (
+    QUAT_I, QUAT_K, QUAT_ONE, _conj_mul_floats, _qmul_terms, _right_terms, conj, qexp_pure, qmul,
+)
 from conftest import _loaded_by_fresh_import, point_arrays_ref, random_unit, velocity_arrays_ref
 
 connect_module = importlib.import_module("s3sr.connect")
@@ -119,7 +122,7 @@ def test_connect_identical_endpoints():
 def test_connect_worked_example_endpoints():
     c = connect(P_EX, Q_EX, n=256)
     assert c.meta["route"] == "chart"
-    assert np.max(np.abs(c.start - to_cartesian(P_EX))) <= 1e-8
+    assert np.max(np.abs(c.points[0] - to_cartesian(P_EX))) <= 1e-8
     assert np.max(np.abs(c.end - to_cartesian(Q_EX))) <= 1e-8
     assert unit_norm_error(c) <= 1e-10
     # velocities are analytic and exactly horizontal
@@ -437,8 +440,8 @@ def _chart_data(qp, qq, margin):
             "integral": integral, "margin": margin, "wildness": wildness}
 
 
-def _reference_leg(p, q):
-    """Gauge selection candidate by candidate: (leg, gauge index or None, attempts)."""
+def _reference_leg(p, q, s):
+    """Gauge selection candidate by candidate: ((points, velocities), gauge index or None, attempts)."""
     qp, qq = qmul(p, _GAUGES), qmul(q, _GAUGES)
     margins = np.minimum([_scalar_gauge_score(r) for r in qp], [_scalar_gauge_score(r) for r in qq])
     candidates = []
@@ -461,9 +464,8 @@ def _reference_leg(p, q):
         qpoly = fpoly.deriv()
         log_tan = float(np.log(np.tan(0.5 * d["theta0"]))) - d["k"] * fpoly
         if _abs_max_roots(qpoly) <= QMAX and _abs_max_roots(log_tan) <= _LOG_TAN_MAX:
-            return _ChartLeg(_GAUGES[idx], d["phi0"], d["k"], qpoly.coef, log_tan.coef), idx, attempts
-    leg_a, leg_b, _ = _two_arc_legs(p, qmul(conj(p), q))
-    return _GluedLeg(leg_a, leg_b), None, attempts
+            return _chart_leg(_GAUGES[idx], d["phi0"], d["k"], qpoly.coef, log_tan.coef, s), idx, attempts
+    return _two_arcs(p, qmul(conj(p), q), s)[:2], None, attempts
 
 
 def test_gauge_selection_matches_per_candidate_reference():
@@ -472,9 +474,8 @@ def test_gauge_selection_matches_per_candidate_reference():
     seen = set()
     for n in [*range(12), 16, 25, 148, 224, 698]:
         p, q = pairs[n]
-        leg, idx, attempts = _reference_leg(p, q)
+        (pts, vel), idx, attempts = _reference_leg(p, q, s)
         c = connect(p, q, n=64)
-        pts, vel = leg.eval(s)
         assert c.meta["route"] == ("two-arc" if idx is None else "chart")
         assert idx is None or c.meta["gauge"] == tuple(_GAUGES[idx])
         assert c.points.tobytes() == pts.tobytes()
@@ -535,11 +536,78 @@ def test_connect_builds_no_polynomial_and_calls_no_moveaxis(monkeypatch):
     # (n, 4) leg arrays: the gauge is undone inside the leg's own pass
     assert all(shapes == [(2, len(_GAUGES), 4)] for shapes in routes["chart"])
     assert all(shapes == [] for shapes in routes["constant"])
-    # the counters see what they guard against: the subgroup arcs map their
-    # (m, 4) samples with qmul
-    assert all(any(len(shape) == 2 for shape in shapes) for shapes in routes["two-arc"] + routes["subgroup-arc"])
+    # the arcs are great circles: their qmul calls take one (4,) point each,
+    # after the gauge batch on the two-arc route; no route maps (n, 4) samples
+    assert all(shapes == [(4,)] for shapes in routes["subgroup-arc"])
+    assert all(shapes == [(2, len(_GAUGES), 4), (4,), (4,), (4,)] for shapes in routes["two-arc"])
+    # the counters see what they guard against
+    qmul_shapes.append([])
+    connect_module.qmul(np.ones((40, 4)), QUAT_I)
+    assert qmul_shapes[-1] == [(40, 4)]
     hermite_f(1.0, 0.0, 0.0).deriv()
     assert counts["Polynomial"] == 2 and counts["moveaxis"] >= 1
+
+
+# -- the fallback arcs ----------------------------------------------------------
+# the per-sample group exponential is the reference for the closed-form great circles
+
+
+def _arc_ref(q0, axis3, angle, u, du):
+    """q0 * exp(angle*u*n) sample by sample, with velocity pts * (0, angle*n) * du."""
+    pts = qmul(q0, qexp_pure(np.outer(u * angle, axis3)))
+    vel = qmul(pts, np.concatenate([[0.0], angle * np.asarray(axis3)])) * np.asarray(du)[..., None]
+    return pts, vel
+
+
+def _arc_route_ref(p, meta, s):
+    """A subgroup-arc or two-arc curve from p, rebuilt from its meta by the per-sample exponential."""
+    if meta["route"] == "subgroup-arc":
+        return _arc_ref(p, meta["axis"], meta["angle"], s, 1.0)
+    u1, u2, chi2 = meta["arcs"]
+    mid = qmul(p, qexp_pure([u1, 0.0, 0.0]))
+    pts = np.empty(s.shape + (4,))
+    vel = np.empty_like(pts)
+    first = s <= 0.5
+    halves = ((first, p, (1.0, 0.0, 0.0), u1, 0.0), (~first, mid, (np.cos(chi2), 0.0, np.sin(chi2)), u2, 0.5))
+    for mask, a, axis3, angle, offset in halves:
+        u = 2.0 * (s[mask] - offset)
+        pts[mask], vel[mask] = _arc_ref(a, axis3, angle, _smoothstep(u), 2.0 * _smoothstep_d(u))
+    return pts, vel
+
+
+def _assert_matches_arc_route_ref(c, p, s):
+    """Points within 2e-15 and velocities within 2e-15 * max(1, speed), a few ulps (6.2e-16 measured)."""
+    pts, vel = _arc_route_ref(p, c.meta, s)
+    assert np.max(np.abs(c.points - pts)) <= 2e-15
+    speed = np.linalg.norm(vel, axis=1, keepdims=True)
+    assert np.all(np.abs(c.velocities - vel) <= 2e-15 * np.maximum(1.0, speed))
+
+
+@pytest.mark.parametrize("n", [2, 3, 256])
+def test_arc_routes_match_the_per_sample_exponential(n):
+    s = np.linspace(0.0, 1.0, n)
+    half = np.pi / 2
+    # (P, Q, axis, angle) of subgroup arcs whose meta is known in closed form
+    arcs = [(QUAT_ONE, QUAT_I, (1.0, 0.0, 0.0), half), (QUAT_ONE, -QUAT_I, (-1.0, 0.0, 0.0), half),
+            (QUAT_ONE, QUAT_K, (0.0, 0.0, 1.0), half), (QUAT_ONE, -QUAT_K, (0.0, 0.0, -1.0), half),
+            (QUAT_ONE, -QUAT_ONE, (1.0, 0.0, 0.0), np.pi)]
+    arcs += [(p, -p, (1.0, 0.0, 0.0), np.pi) for p in random_unit(np.random.default_rng(24), 8)]
+    for p, q, axis, angle in arcs:
+        c = connect(p, q, n=n)
+        assert c.meta["route"] == "subgroup-arc"
+        assert c.meta["axis"] == axis and c.meta["angle"] == angle
+        _assert_matches_arc_route_ref(c, p, s)
+    two_arc = 0
+    for p, q in random_unit(np.random.default_rng(1), 400).reshape(200, 2, 4):
+        c = connect(p, q, n=n)
+        if c.meta["route"] != "two-arc":
+            continue
+        two_arc += 1
+        u1, u2, chi2 = c.meta["arcs"]
+        composed = qmul(qexp_pure([u1, 0.0, 0.0]), qexp_pure([u2 * np.cos(chi2), 0.0, u2 * np.sin(chi2)]))
+        assert np.max(np.abs(composed - _conj_mul_floats(p, q))) <= 2e-15
+        _assert_matches_arc_route_ref(c, p, s)
+    assert two_arc >= 10
 
 
 def test_gauge_undo_matches_qmul_bit_for_bit(rng):
@@ -594,19 +662,18 @@ def test_chart_leg_eval_matches_two_pass_reference_on_all_gauges(rng):
             phi0 = float(rng.uniform(-6.0, 6.0))
             k = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 1.0))
             q, log_tan = _leg_coeffs(integral, t0, t1, k, l0)
-            pts, vel = _ChartLeg(g, phi0, k, q, log_tan).eval(s)
+            pts, vel = _chart_leg(g, phi0, k, q, log_tan, s)
             pts_ref, vel_ref = _chart_leg_eval_ref(g, phi0, k, q, log_tan, s)
             assert pts.tobytes() == pts_ref.tobytes()
             assert vel.tobytes() == vel_ref.tobytes()
 
 
 def test_connect_rejects_a_nan_curve(monkeypatch):
-    class NanLeg:
-        def eval(self, s):
-            nan = np.full(s.shape + (4,), np.nan)
-            return nan, nan
+    def nan_leg(q_from, q_to, rel, s):
+        nan = np.full(s.shape + (4,), np.nan)
+        return nan, nan, {"route": "chart"}
 
-    monkeypatch.setattr(connect_module, "_single_leg", lambda *args: (NanLeg(), {"route": "chart"}))
+    monkeypatch.setattr(connect_module, "_single_leg", nan_leg)
     with pytest.raises(ConstructionError) as info:
         connect(P_EX, Q_EX)
     assert np.isnan(info.value.endpoint_error)
@@ -642,7 +709,7 @@ def test_constant_psi_example():
     assert psi == expected  # same formula, same floats
     assert abs(psi - (-0.5023103441691558)) <= 1e-12
     # endpoints
-    assert np.max(np.abs(c.start - to_cartesian(EulerAngles(0.0, psi, np.pi / 3)))) <= 1e-12
+    assert np.max(np.abs(c.points[0] - to_cartesian(EulerAngles(0.0, psi, np.pi / 3)))) <= 1e-12
     assert np.max(np.abs(c.end - to_cartesian(EulerAngles(1.0, psi, np.pi / 2)))) <= 1e-12
     assert c.meta["max_sinth1_residual"] <= 1e-9
 

@@ -207,6 +207,18 @@ def test_cli_connect_malformed_angles(tmp_path):
     assert run("connect", "--from", "0,1,1,1,1", "--to", "1,1,1") == 2
 
 
+def test_cli_connect_arc_routes_pass_check(tmp_path, capsys):
+    # an endpoint with a leading minus is passed as --to=...; argparse reads
+    # "--to -1,0,0,0" as an option with its value missing (exit 2)
+    for to, route in ((["--to=-1,0,0,0"], "subgroup-arc"), (["--to", "0,0,1,0"], "two-arc")):
+        out = tmp_path / f"{route}.csv"
+        assert run("connect", "--from", "1,0,0,0", *to, "--out", str(out)) == 0
+        assert CurveRecord.from_csv(out).header["route"] == route
+        assert run("check", str(out)) == 0
+    assert run("connect", "--from", "1,0,0,0", "--to", "-1,0,0,0") == 2
+    capsys.readouterr()
+
+
 def test_cli_usage_errors(capsys):
     assert run() == 2
     assert run("nonsense") == 2

@@ -104,7 +104,7 @@ PUBLIC_NAMES = {
     "norm": "the CLI's unit-norm policy; geodesics.angle_profile; curves",
     "norm2": "frames.frame_at; geodesics.verify_velocity_energy; the CLI's check",
     "normalize": "the CLI's unit-norm policy",
-    "qexp_pure": "geodesic_point; connect",
+    "qexp_pure": "geodesic_point",
     "qmul": "geodesic_point; connect; frames",
     "ShootingConfig": "the CLI's shoot",
     "ShootingResult": "shoot's value, read by the CLI's shoot",

@@ -53,7 +53,7 @@ def test_shooting_config_defaults():
 def test_euler_angles_pole_and_half_angles():
     e = EulerAngles(0.75, 0.25, 1.0)
     assert e.pole is None
-    assert (e.alpha, e.beta) == (0.5, 0.25)
+    assert (0.5 * (e.phi + e.psi), 0.5 * (e.phi - e.psi)) == (0.5, 0.25)
     assert EulerAngles(0.0, 0.0, 0.0, pole="theta=0").pole == "theta=0"
 
 
