@@ -42,6 +42,9 @@ EXIT_USAGE = 2
 EXIT_CONSTRUCTION = 3
 EXIT_NO_CONVERGENCE = 4
 
+# check's bound on | |q| - 1 | of a curve file
+_UNIT_NORM_TOL = 1e-8
+
 
 def _floats(text: str) -> list[float]:
     try:
@@ -138,8 +141,12 @@ def _cmd_hamiltonian(args) -> int:
     out = _write_record(curve, args)
     energy = traj.energy()
     print(f"H_drift={float(np.max(np.abs(energy - energy[0]))):.17g}")
-    print(f"norm_drift={unit_norm_error(curve):.17g}")
+    norm_drift = unit_norm_error(curve)
+    print(f"norm_drift={norm_drift:.17g}")
     print(f"wrote {out}")
+    if norm_drift > _UNIT_NORM_TOL:  # RK4 truncation, which a smaller step shrinks
+        print(f"warning: norm_drift {norm_drift:.1e} exceeds check's unit-norm bound "
+              f"{_UNIT_NORM_TOL:.0e}; rerun with a smaller --step", file=sys.stderr)
     return EXIT_OK
 
 
@@ -182,7 +189,7 @@ def _cmd_check(args) -> int:
     record = CurveRecord.read(args.file)
     curve = record.to_sampled_curve()
     tol = args.tol
-    results = [("unit-norm", unit_norm_error(curve), 1e-8)]
+    results = [("unit-norm", unit_norm_error(curve), _UNIT_NORM_TOL)]
 
     if curve.n >= 2:
         curve.velocities = fd_velocities(curve)  # checks the grid; angle-linearity reads them

@@ -240,11 +240,12 @@ def _profiled_calls(fn, *args, **kwargs):
 def test_integrator_loops_make_no_per_step_calls(integrator):
     # T=2 and T=4 at h=1e-3 are 2 and 4 Hamiltonian blocks of at most 1024 steps;
     # the closed form makes the same calls at any length.  A call of a Python
-    # function or builtin put back into a per-step loop adds 2,000 calls; the
+    # function or builtin put back into a per-step loop adds 2,000 calls.  The
     # numpy work of a block (w_k from arange and exp, the increments D from array
-    # arithmetic and conj(), the costate rows, and one write of the q rows) makes
-    # about 11.  (Calls of types, such as tuple(), and array operators are not
-    # profile events.)
+    # arithmetic and conj(), then the q rows q0 (1 + C) and the costate rows from
+    # array arithmetic) makes about 9, and the scan over the whole horizon one
+    # more level of about 9 per doubling of its length.  (Calls of types, such
+    # as tuple(), and array operators are not profile events.)
     p = GeodesicParams(1.0, 0.3, 0.7)
     h = 1e-3
 

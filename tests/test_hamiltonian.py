@@ -7,6 +7,8 @@ from s3sr.frames import I1, I2, I3
 from s3sr.geodesics import (
     _BLOCK,
     GeodesicParams,
+    _compose,
+    _scan,
     geodesic_point,
     integrate_geodesic,
     integrate_hamiltonian,
@@ -170,7 +172,7 @@ def _body_stage_hamiltonian(q0, xi0, T, h):
     return ys
 
 
-@pytest.mark.parametrize("nsteps", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 5000])
+@pytest.mark.parametrize("nsteps", [0, 1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 5000])
 def test_blocked_kernel_matches_per_step_body_reference(nsteps):
     rng = np.random.default_rng(nsteps)
     q0 = random_unit(rng)
@@ -205,6 +207,26 @@ def test_blocked_kernel_matches_per_step_body_reference(nsteps):
             scale = np.array([1.0] * 4 + [max(np.max(np.abs(xi0)), 1e-300)] * 4)
             err = np.where(finite, np.abs(got - ref), 0.0) / scale
             assert np.max(err) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7, 8, 9, 1023, 1024, 1025])
+def test_scan_matches_a_left_fold_of_compose(n):
+    # increments of RK4 steps at h = 1e-3 are about 1e-3; as complex pairs (A, B)
+    e = (1e-3 * np.random.default_rng(n).normal(size=(n, 4))).view(complex)
+    fold = e.copy()
+    for k in range(1, n):
+        fold[k : k + 1, 0], fold[k : k + 1, 1] = _compose(fold[k - 1 : k], e[k : k + 1])
+    got = e.copy()
+    _scan(got)
+    if n <= 2:
+        # no product, or the one product e0 o e1 that both take in the same way
+        assert got.tobytes() == fold.tobytes()
+    else:
+        # each product rounds the pair by about eps |C|, with |C| <= 0.25 here; the
+        # fold makes n - 1 products in a chain and the tree fewer, so they differ
+        # by less than n eps
+        assert np.max(np.abs(fold)) <= 0.25
+        assert np.max(np.abs(got - fold)) <= n * np.finfo(float).eps
 
 
 def test_body_scheme_agrees_with_the_ambient_rk4(rng):

@@ -454,6 +454,37 @@ def test_cli_hamiltonian(tmp_path, capsys):
     assert run("check", str(out)) == 0
 
 
+def test_cli_hamiltonian_deterministic_bytes(tmp_path, capsys):
+    # five blocks of steps, so the blocked passes and the scan over the horizon all run
+    out_a = tmp_path / "a.csv"
+    out_b = tmp_path / "b.csv"
+    args = ["hamiltonian", "--q0", "1,0,0,0", "--theta0", "0.4", "--lambda", "0.5", "--T", "5", "--step", "0.001"]
+    assert run(*args, "--out", str(out_a)) == 0
+    assert run(*args, "--out", str(out_b)) == 0
+    assert out_a.read_bytes() == out_b.read_bytes()
+    assert capsys.readouterr().err == ""  # a drift at rounding level warns of nothing
+
+
+def test_cli_hamiltonian_warns_when_check_would_fail_unit_norm(tmp_path, capsys):
+    # a coarse step over a long horizon: the RK4 truncation takes |q| 9.0e-7 off 1
+    out = tmp_path / "ham.csv"
+    code = run("hamiltonian", "--q0", "1,0,0,0", "--lambda", "3", "--T", "1000", "--step", "0.01",
+               "--out", str(out))
+    captured = capsys.readouterr()
+    assert code == 0
+    lines = captured.out.splitlines()
+    assert [line.split("=")[0] for line in lines[:2]] == ["H_drift", "norm_drift"]
+    assert lines[2:] == [f"wrote {out}"]
+    drift = float(lines[1].split("=")[1])
+    assert 1e-8 < drift < 1e-6
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: ") and "--step" in err[0]
+    # the warning is right: check fails the file on its unit-norm row alone
+    assert run("check", str(out)) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[:2] for row in rows if row.startswith("FAIL")] == [["FAIL", "unit-norm"]]
+
+
 @pytest.mark.parametrize("command", ["geodesic", "hamiltonian"])
 def test_cli_header_records_the_grid_step(tmp_path, command):
     # T / h = 1000.5 is cut into 1000 steps of 1.0005e-3, not the requested 1e-3
