@@ -6,9 +6,10 @@ A unit-speed geodesic has frame components of its velocity
 
 with the multiplier lambda constant, so the curve solves the
 left-invariant equation q' = q * u(s) with pure control
-u(s) = -a(s) i - b(s) k.  That equation has the closed-form solution
-geodesic_point, and integrate_geodesic samples it on a uniform grid:
-no step is integrated, so |q| stays 1 to rounding at any horizon.
+u(s) = -a(s) i - b(s) k.  Its closed-form solution q0 exp(s (u(0) -
+lambda j)) e(lambda s j) is evaluated in SU(2) complex pairs (see _pair_mul)
+by geodesic_point, and with its velocity q u by integrate_geodesic on a
+uniform grid: no step is integrated, so |q| stays 1 to rounding at any horizon.
 
 The same flow also arises from the Hamiltonian
 
@@ -21,8 +22,8 @@ integrator that the closed form is checked against.  There eta1 + i eta3
 obeys a linear constant-coefficient equation, so its RK4 iterates are
 powers of one complex factor, taken in closed form.  q moves by
 q <- q (1 + D) with an increment D per step built in numpy; the running
-product of the factors 1 + D is associative, so it is taken as a
-log-depth scan over the horizon, and no step runs in Python.
+product of the factors 1 + D is associative, so it is taken as a log-depth
+scan over the horizon, and no step runs in Python; xi = q eta is a pair product.
 Matching initial data must place -lambda in the <q I2, .> component
 of the costate; the component along q itself is pure gauge.  The
 checks at the bottom verify energy, horizontality and the linear law
@@ -38,7 +39,7 @@ import numpy as np
 
 from .curves import SampledCurve, _second_difference, unit_norm_error
 from .frames import I1, I2, I3, frame_ab
-from .quaternions import _conj_mul_floats, _row_sum, check_unit, norm, norm2, qexp_pure, qmul
+from .quaternions import _conj_mul_floats, _row_sum, check_unit, norm, norm2
 
 __all__ = [
     "GeodesicParams",
@@ -88,24 +89,52 @@ def ab_profile(params: GeodesicParams, s):
     return params.r * np.cos(phase), params.r * np.sin(phase)
 
 
+def _pair_mul(a, b, c, d):
+    """(A + i B)(C + i D) = (A C - conj(B) D) + i (conj(A) D + B C), as i B = conj(B) i.
+
+    w + x i + y j + z k = A + i B with A, B in span{1, j} is held as the pair of
+    complex numbers (A, B) = (w + y*1j, x + z*1j).  Scalars and arrays broadcast.
+    """
+    return a * c - b.conjugate() * d, a.conjugate() * d + b * c
+
+
+def _rows(a, b, out=None):
+    """The (..., 4) rows (w, x, y, z) of the quaternions held as pairs (a, b), in out if given."""
+    out = np.empty(np.broadcast(a, b).shape + (4,)) if out is None else out
+    out[..., 0], out[..., 1], out[..., 2], out[..., 3] = a.real, b.real, a.imag, b.imag
+    return out
+
+
+def _closed_form(q0, params: GeodesicParams, s, velocities=False):
+    """Pairs of q(s) = q0 exp(s v) e(lam s j), v = u0 - lam j, and if asked of q(s) u(s).
+
+    exp(s v) = cos(omega s) + f v, f = sin(omega s) / omega (s at omega = |v| = 0),
+    e(lam s j) = (rho, 0) with rho = e^(i lam s), and e(lam s j) u(s) = u0 e(lam s j):
+    so q = cos(omega s) rho q0 + f rho q0 v and q u = cos(omega s) rho q0 u0 + f rho q0 v u0.
+    Only scalars are multiplied as quaternions; at s = 0 the factors are exactly 1 and 0.
+    """
+    q0, s = np.asarray(q0, dtype=float), np.asarray(s, dtype=float)
+    u0 = -params.r * complex(math.cos(params.theta0), math.sin(params.theta0))  # u(0) = (0, u0)
+    q = q0[..., 0] + 1j * q0[..., 2], q0[..., 1] + 1j * q0[..., 3]
+    terms = [(q, _pair_mul(*q, -1j * params.lam, u0))]
+    if velocities:
+        terms.append(tuple(_pair_mul(*g, 0.0, u0) for g in terms[0]))
+    omega = math.hypot(params.r, params.lam)
+    rho = np.exp(1j * params.lam * s)
+    cr = np.cos(omega * s) * rho
+    fr = (np.sin(omega * s) / omega if omega else s) * rho
+    return [(cr * ga + fr * ha, cr * gb + fr * hb) for (ga, gb), (ha, hb) in terms]
+
+
 def geodesic_point(q0, params: GeodesicParams, s):
     """Closed-form geodesic point at parameter s.
 
-    The rotating control straightens after conjugation by exp(j*phase/2),
-    leaving a constant-coefficient flow:
+        q(s) = q0 * exp(s*(u0 - lam j)) * e(lam s j),   u0 = -r (cos(theta0) i + sin(theta0) k)
 
-        q(s) = q0 * e(-theta0/2 j) * exp(s*(-r i - lam j)) * e((lam s + theta0/2) j)
-
-    Broadcasts over array-valued s.
+    evaluated in SU(2) complex pairs (see _closed_form); q(0) is q0 bit
+    for bit.  Broadcasts over array-valued s.
     """
-    s = np.asarray(s, dtype=float)
-    r, th0, lam = params.r, params.theta0, params.lam
-    left = qmul(np.asarray(q0, dtype=float), qexp_pure([0.0, -0.5 * th0, 0.0]))
-    core = qexp_pure(np.stack([-r * s, -lam * s, np.zeros_like(s)], axis=-1))
-    right = qexp_pure(
-        np.stack([np.zeros_like(s), lam * s + 0.5 * th0, np.zeros_like(s)], axis=-1)
-    )
-    return qmul(left, qmul(core, right))
+    return _rows(*_closed_form(q0, params, s)[0])
 
 
 def _grid(T, h):
@@ -124,16 +153,14 @@ def integrate_geodesic(q0, params: GeodesicParams, T, h) -> SampledCurve:
     """The geodesic from q0 sampled over [0, T] at steps of about h.
 
     The points are geodesic_point on the grid s = k * T / round(T / h),
-    so they stay unit to rounding at any horizon, and the stored
-    velocities are the analytic a(s) X + b(s) Y.  meta["method"] records
-    that the samples come from the closed form.
+    so they stay unit to rounding at any horizon and the first is q0; the
+    velocities a(s) X + b(s) Y = q(s) u(s) come from the same pass.
+    meta["method"] records that the samples come from the closed form.
     """
     nsteps, dt = _grid(T, h)
     q0 = check_unit(q0, what="initial point q0")
     s = np.arange(nsteps + 1) * dt
-    pts = geodesic_point(q0, params, s)
-    a, b = ab_profile(params, s)
-    vel = a[:, None] * (-(pts @ I1)) + b[:, None] * (-(pts @ I3))
+    pts, vel = (_rows(*pair) for pair in _closed_form(q0, params, s, velocities=True))
     meta = {
         "tag": "geodesic",
         "r": params.r,
@@ -180,14 +207,10 @@ def match_costate(q0, params: GeodesicParams):
 
 
 def _compose(a, b):
-    """(1 + a)(1 + b) - 1 of quaternions held as complex pairs (A, B) along the last axis.
-
-    A + i B with A, B in span{1, j} and j standing for the imaginary unit
-    multiplies as (A + i B)(C + i D) = (A C - conj(B) D) + i (conj(A) D + B C).
-    Returns the two components of the pair.
-    """
+    """The two components of (1 + a)(1 + b) - 1, a and b pairs along the last axis."""
     a0, a1, b0, b1 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
-    return a0 + b0 + (a0 * b0 - a1.conj() * b1), a1 + b1 + (a0.conj() * b1 + a1 * b0)
+    p0, p1 = _pair_mul(a0, a1, b0, b1)
+    return a0 + b0 + p0, a1 + b1 + p1
 
 
 def _scan(e):
@@ -222,7 +245,8 @@ def integrate_hamiltonian(q0, xi0, T, h) -> HamiltonianTrajectory:
     D = (h/6)(U_1 + 2 sigma_2 U_2 + 2 sigma_3 U_3 + sigma_4 U_4).  So
     q_k = q0 (1 + D_0) ... (1 + D_(k-1)): the running products come from
     _scan, whose tree order rounds less than a step-by-step fold, in place
-    in the output table.  The costate samples are xi_k = q_k eta_k.
+    in the output table.  The costate samples are pair products
+    xi_k = q_k eta_k (see _pair_mul), eta_k = (e0 + i e2, w_k).
     """
     nsteps, dt = _grid(T, h)
     q0 = check_unit(q0, what="initial point q0")
@@ -244,16 +268,14 @@ def integrate_hamiltonian(q0, xi0, T, h) -> HamiltonianTrajectory:
     ys = np.empty((nsteps + 1, 8))
     ys[0, :4] = q0
     ys[0, 4:] = xi0
-    # a quaternion A + i B with A, B in span{1, j} is held as the complex pair
-    # (A, B), j standing for the imaginary unit: then U_s = i w_s and
-    # (A + i B) U_s = -conj(B) w_s + i conj(A) w_s.  The table is the only
-    # buffer over the horizon: the q columns of row k + 1 hold the pair of D_k,
-    # then of C_k = (1 + D_0) ... (1 + D_k) - 1, until q_(k+1) = q0 (1 + C_k)
-    # replaces it, and its xi columns hold w_(k+1) until xi_(k+1) does
+    # in pairs (see _pair_mul) U_s = i w_s is (0, w_s): (A, B) U_s = (-conj(B) w_s, conj(A) w_s).
+    # The table is the only buffer over the horizon: the q columns of row k + 1
+    # hold the pair of D_k, then of C_k = (1 + D_0) ... (1 + D_k) - 1, until
+    # q_(k+1) = q0 (1 + C_k) replaces it, and its xi columns hold w_(k+1) until xi_(k+1) does
     c = ys[1:, :4].view(complex)
     w_next = ys[1:, 4:6].view(complex)[:, 0]
     qa, qb = complex(q0[0], q0[2]), complex(q0[1], q0[3])
-    qa_bar, qb_bar = qa.conjugate(), qb.conjugate()
+    eta_a = complex(e0, e2)
     half = 0.5 * dt
     sixth = dt / 6.0
     with np.errstate(all="ignore"):  # a huge costate runs to inf and NaN, as any RK4 would
@@ -272,20 +294,12 @@ def integrate_hamiltonian(q0, xi0, T, h) -> HamiltonianTrajectory:
         _scan(c)
         for start in range(0, nsteps, _BLOCK):
             stop = min(start + _BLOCK, nsteps)
-            ca, cb = c[start:stop, 0], c[start:stop, 1]
-            a = qa + (qa * ca - qb_bar * cb)
-            b = qb + (qa_bar * cb + qb * ca)
-            q, xi = ys[start + 1 : stop + 1, :4], ys[start + 1 : stop + 1, 4:]
-            q[:, 0], q[:, 1], q[:, 2], q[:, 3] = a.real, b.real, a.imag, b.imag
-            # xi_k = q_k eta_k with eta_k = (e0, Re w_k, e2, Im w_k); b1 and b3 are
-            # views of the xi columns, so the four columns are formed before any is written
-            b1, b3 = w_next[start:stop].real, w_next[start:stop].imag
-            xi[:, 0], xi[:, 1], xi[:, 2], xi[:, 3] = (
-                q[:, 0] * e0 - q[:, 1] * b1 - q[:, 2] * e2 - q[:, 3] * b3,
-                q[:, 0] * b1 + q[:, 1] * e0 + q[:, 2] * b3 - q[:, 3] * e2,
-                q[:, 0] * e2 - q[:, 1] * b3 + q[:, 2] * e0 + q[:, 3] * b1,
-                q[:, 0] * b3 + q[:, 1] * e2 - q[:, 2] * b1 + q[:, 3] * e0,
-            )
+            a, b = _pair_mul(qa, qb, c[start:stop, 0], c[start:stop, 1])
+            a, b = qa + a, qb + b
+            # xi_k = q_k eta_k, eta_k = (e0 + i e2, w_k), reads w_k before its columns are written
+            xa, xb = _pair_mul(a, b, eta_a, w_next[start:stop])
+            _rows(a, b, out=ys[start + 1 : stop + 1, :4])
+            _rows(xa, xb, out=ys[start + 1 : stop + 1, 4:])
     s = np.arange(nsteps + 1) * dt
     return HamiltonianTrajectory(s, ys[:, :4], ys[:, 4:])
 

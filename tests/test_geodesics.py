@@ -19,7 +19,7 @@ from s3sr.geodesics import (
     verify_velocity_energy,
 )
 from s3sr.quaternions import qexp_pure, qmul
-from s3sr.shooting import _TURN
+from s3sr.shooting import _TURN, shoot
 from conftest import random_unit
 
 ONE = np.array([1.0, 0.0, 0.0, 0.0])
@@ -108,6 +108,66 @@ def test_integrator_matches_closed_form_generic(rng):
     p = GeodesicParams(1.0, 1.1, 0.7)
     c = integrate_geodesic(q0, p, 3.0, 1e-3)
     assert np.max(np.abs(c.points - geodesic_point(q0, p, c.s))) <= 1e-9
+
+
+def test_first_sample_is_q0_bit_for_bit():
+    # with theta0 inside the exponent both factors are exactly 1 at s = 0; a
+    # rotation by e(-theta0/2 j) and back by e(theta0/2 j) would round
+    rng = np.random.default_rng(26)
+    axes = [sign * row for row in np.eye(4) for sign in (1.0, -1.0)]
+    starts = [random_unit(rng) for _ in range(100)] + axes
+    for theta0 in np.linspace(0.0, 2.0 * np.pi, 9):
+        for r, lam in ((0.0, 0.0), (1.0, 0.0), (1.0, 0.7), (rng.uniform(0.0, 3.0), rng.uniform(-20.0, 20.0))):
+            p = GeodesicParams(r, theta0, lam)
+            for q0 in starts:
+                assert np.array_equal(integrate_geodesic(q0, p, 0.01, 1e-3).points[0], q0)
+                assert np.array_equal(geodesic_point(q0, p, 0.0), q0)
+    # so shoot's curve starts at P itself
+    for P in starts[:5] + axes:
+        assert np.array_equal(shoot(P, random_unit(rng)).curve.points[0], P)
+
+
+def _three_factor_point(q0, params, s):
+    """q0 e(-theta0/2 j) exp(s (-r i - lam j)) e((lam s + theta0/2) j), from qexp_pure and qmul stacks.
+
+    The same curve as geodesic_point, written with the rotation by theta0
+    outside the exponent and evaluated by the quaternion kernels rather
+    than in complex pairs: a witness that shares no arithmetic with it.
+    """
+    s = np.asarray(s, dtype=float)
+    r, th0, lam = params.r, params.theta0, params.lam
+    left = qmul(np.asarray(q0, dtype=float), qexp_pure([0.0, -0.5 * th0, 0.0]))
+    core = qexp_pure(np.stack([-r * s, -lam * s, np.zeros_like(s)], axis=-1))
+    right = qexp_pure(np.stack([np.zeros_like(s), lam * s + 0.5 * th0, np.zeros_like(s)], axis=-1))
+    return qmul(left, qmul(core, right))
+
+
+def test_closed_form_matches_the_three_factor_composition():
+    rng = np.random.default_rng(2026)
+    eps = np.finfo(float).eps
+    for r in (0.0, 1.0, rng.uniform(0.0, 3.0)):
+        for lam in (0.0, rng.uniform(-1.0, 1.0), rng.uniform(-20.0, 20.0)):
+            for T in (rng.uniform(0.0, 2.0), 20.0):
+                q0 = random_unit(rng)
+                p = GeodesicParams(r, rng.uniform(0.0, 2.0 * np.pi), lam)
+                c = integrate_geodesic(q0, p, T, 1e-2)
+                # each factor's phase rounds by about eps times (|lam| + r) s; the gap
+                # is at most 1.6 eps (1 + (|lam| + r) s) here, 2.2 on 540 such cases
+                bound = 4.0 * eps * (1.0 + (abs(lam) + r) * c.s)
+                assert np.all(np.abs(c.points - _three_factor_point(q0, p, c.s)) <= bound[:, None])
+                # the velocities are q (-a i - b k) for the analytic (a, b), to at most
+                # 2.3e-14 max(1, r) here and 5.1e-14 on the 540 cases: a margin of 3
+                a, b = ab_profile(p, c.s)
+                control = np.stack([np.zeros_like(a), -a, np.zeros_like(a), -b], axis=-1)
+                assert np.max(np.abs(c.velocities - qmul(c.points, control))) <= 1.5e-13 * max(1.0, r)
+    # scalar, (n,) and (m, n) parameters give (4,), (n, 4) and (m, n, 4)
+    p = GeodesicParams(1.3, 0.4, -2.5)
+    q0 = random_unit(rng)
+    for s in (1.7, np.linspace(0.0, 3.0, 7), np.linspace(0.0, 3.0, 12).reshape(3, 4)):
+        got = geodesic_point(q0, p, s)
+        assert got.shape == np.shape(s) + (4,)
+        bound = 4.0 * eps * (1.0 + (abs(p.lam) + p.r) * np.asarray(s))
+        assert np.all(np.abs(got - _three_factor_point(q0, p, s)) <= bound[..., None])
 
 
 def test_curve_and_its_file_record_the_closed_form(tmp_path):

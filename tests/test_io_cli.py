@@ -301,6 +301,15 @@ def test_cli_geodesic(tmp_path, capsys):
     assert np.max(np.abs(end - [-1.0, 0.0, 0.0, 0.0])) <= 1e-9
 
 
+def test_cli_geodesic_deterministic_bytes(tmp_path):
+    out_a = tmp_path / "a.csv"
+    out_b = tmp_path / "b.csv"
+    args = ["geodesic", "--q0", "1,0,0,0", "--r", "1", "--theta0", "0", "--lambda", "0.5", "--T", "6.28", "--step", "0.001"]
+    assert run(*args, "--out", str(out_a)) == 0
+    assert run(*args, "--out", str(out_b)) == 0
+    assert out_a.read_bytes() == out_b.read_bytes()
+
+
 def test_cli_geodesic_zero_horizon(tmp_path):
     out = tmp_path / "geo0.csv"
     assert run("geodesic", "--q0", "1,0,0,0", "--T", "0", "--out", str(out)) == 0

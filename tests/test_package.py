@@ -87,10 +87,10 @@ PUBLIC_NAMES = {
     "omega_eval": "curves.omega_fd_residuals; the CLI's check",
     "GeodesicParams": "shoot; the CLI's geodesic and hamiltonian; bench/workloads.py",
     "HamiltonianTrajectory": "integrate_hamiltonian's value, read by the CLI's hamiltonian",
-    "ab_profile": "integrate_geodesic; match_costate",
+    "ab_profile": "match_costate",
     "acceleration_T_residual": "bench/workloads.py",
     "angle_profile": "the CLI's check; bench/workloads.py",
-    "geodesic_point": "integrate_geodesic; bench/workloads.py",
+    "geodesic_point": "bench/workloads.py; c09",
     "integrate_geodesic": "shoot; the CLI's geodesic; bench/workloads.py",
     "integrate_hamiltonian": "the CLI's hamiltonian; bench/workloads.py",
     "match_costate": "the CLI's hamiltonian; bench/workloads.py",
@@ -104,8 +104,8 @@ PUBLIC_NAMES = {
     "norm": "the CLI's unit-norm policy; geodesics.angle_profile; curves",
     "norm2": "frames.frame_at; geodesics.verify_velocity_energy; the CLI's check",
     "normalize": "the CLI's unit-norm policy",
-    "qexp_pure": "geodesic_point",
-    "qmul": "geodesic_point; connect; frames",
+    "qexp_pure": "c08; c09",
+    "qmul": "connect; frames",
     "ShootingConfig": "the CLI's shoot",
     "ShootingResult": "shoot's value, read by the CLI's shoot",
     "shoot": "the CLI's shoot; bench/workloads.py",

@@ -419,7 +419,7 @@ _J = np.array([0.0, 0.0, 1.0, 0.0])
 def _endpoint_jacobian(theta0, lam, T):
     """Rows Im(conj(F) dF/dx) for x = theta0, lam, T of F = conj(P) gamma(T) at speed 1, closed form.
 
-    By geodesic_point's factors F = A C B with A = exp(-theta0/2 j),
+    F is the product A C B of the closed form's three factors, A = exp(-theta0/2 j),
     C = exp(T u), u = -i - lam j, and B = exp((lam T + theta0/2) j).  With
     m = |u| = sqrt(1 + lam^2), C = cos(T m) + sin(T m) u/m, and A drops out
     of conj(F) dF.  Broadcasts over T: shape (..., 3, 3).
