@@ -128,15 +128,13 @@ def _cmd_geodesic(args) -> int:
 def _cmd_hamiltonian(args) -> int:
     q0 = _parse_q0(args.q0)
     params = GeodesicParams(args.r, args.theta0, getattr(args, "lambda"))
-    meta = {"tag": "hamiltonian", "T": args.T, "method": "rk4_body"}
-    if args.xi0:
-        xi0 = _floats(args.xi0)  # integrate_hamiltonian checks the count
-    else:
-        xi0 = match_costate(q0, params)
+    # integrate_hamiltonian checks the count of --xi0
+    xi0 = _floats(args.xi0) if args.xi0 else match_costate(q0, params)
+    traj = integrate_hamiltonian(q0, xi0, args.T, args.step)
+    meta = traj.meta
+    if not args.xi0:
         # r, theta0 and lambda are written for check's angle-linearity row
         meta.update({"r": params.r, "theta0": params.theta0, "lambda": params.lam})
-    traj = integrate_hamiltonian(q0, xi0, args.T, args.step)
-    meta["h"] = float(traj.s[1]) if len(traj.s) > 1 else 0.0
     curve = SampledCurve(traj.s, traj.q, traj.qdot(), meta)
     out = _write_record(curve, args)
     energy = traj.energy()

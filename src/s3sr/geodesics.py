@@ -10,6 +10,8 @@ u(s) = -a(s) i - b(s) k.  Its closed-form solution q0 exp(s (u(0) -
 lambda j)) e(lambda s j) is evaluated in SU(2) complex pairs (see _pair_mul)
 by geodesic_point, and with its velocity q u by integrate_geodesic on a
 uniform grid: no step is integrated, so |q| stays 1 to rounding at any horizon.
+It needs only the phases e^(i lambda s) and e^(i omega s); on the uniform
+grid s = k dt they are powers, which _powers takes from two short tables.
 
 The same flow also arises from the Hamiltonian
 
@@ -20,10 +22,12 @@ is (eta1^2 + eta3^2) / 2.  integrate_hamiltonian runs the classical
 fourth-order one-step method on the pair (q, eta), the numerical
 integrator that the closed form is checked against.  There eta1 + i eta3
 obeys a linear constant-coefficient equation, so its RK4 iterates are
-powers of one complex factor, taken in closed form.  q moves by
-q <- q (1 + D) with an increment D per step built in numpy; the running
-product of the factors 1 + D is associative, so it is taken as a log-depth
-scan over the horizon, and no step runs in Python; xi = q eta is a pair product.
+powers of one complex factor, again from _powers.  q moves by
+q <- q (1 + D) with an increment D per step that is a polynomial in
+|eta1 + i eta3|^2 with coefficients fixed for the run; the running product
+of the factors 1 + D is associative, so it is taken as a log-depth scan
+over the horizon, whose short levels are a fold on Python numbers; no loop
+over the steps runs in Python, and xi = q eta is a pair product.
 Matching initial data must place -lambda in the <q I2, .> component
 of the costate; the component along q itself is pure gauge.  The
 checks at the bottom verify energy, horizontality and the linear law
@@ -54,12 +58,19 @@ __all__ = [
     "angle_profile",
 ]
 
-# steps of integrate_hamiltonian per block: a block's w_k and increments D,
-# and later its q and costate rows, are numpy arithmetic on arrays of this
-# length, which bounds their temporaries (whole-horizon ones would cost
-# several MB on a long horizon); only the scan spans the horizon, in place in
-# the output table with temporaries of half its length
+# steps of integrate_hamiltonian per block: a block's increments D, a
+# polynomial in |w_k|^2, and later its q and costate rows are numpy arithmetic
+# on arrays of this length, which bounds their temporaries (whole-horizon ones
+# would cost several MB on a long horizon); only the powers w_k and the scan
+# span the horizon, in place in the output table, with temporaries of one or
+# two times the size of its w column
 _BLOCK = 1024
+# the fine table's length in _powers: exp(z k) for n samples takes
+# n / _POWERS_WIDTH + _POWERS_WIDTH complex exponentials
+_POWERS_WIDTH = 128
+# the length at or below which _scan folds on Python numbers: a numpy call
+# costs about as much as a few dozen scalar products
+_SCAN_TAIL = 64
 
 
 class GeodesicParams(NamedTuple("GeodesicParams", [("r", float), ("theta0", float), ("lam", float)])):
@@ -105,24 +116,24 @@ def _rows(a, b, out=None):
     return out
 
 
-def _closed_form(q0, params: GeodesicParams, s, velocities=False):
+def _closed_form(q0, params: GeodesicParams, s, rho, e_omega, velocities=False):
     """Pairs of q(s) = q0 exp(s v) e(lam s j), v = u0 - lam j, and if asked of q(s) u(s).
 
-    exp(s v) = cos(omega s) + f v, f = sin(omega s) / omega (s at omega = |v| = 0),
-    e(lam s j) = (rho, 0) with rho = e^(i lam s), and e(lam s j) u(s) = u0 e(lam s j):
+    rho = e^(i lam s) and e_omega = e^(i omega s), omega = |v|, are the caller's phases.
+    exp(s v) = cos(omega s) + f v, f = sin(omega s) / omega (s at omega = 0),
+    e(lam s j) = (rho, 0), and e(lam s j) u(s) = u0 e(lam s j):
     so q = cos(omega s) rho q0 + f rho q0 v and q u = cos(omega s) rho q0 u0 + f rho q0 v u0.
     Only scalars are multiplied as quaternions; at s = 0 the factors are exactly 1 and 0.
     """
-    q0, s = np.asarray(q0, dtype=float), np.asarray(s, dtype=float)
+    q0 = np.asarray(q0, dtype=float)
     u0 = -params.r * complex(math.cos(params.theta0), math.sin(params.theta0))  # u(0) = (0, u0)
     q = q0[..., 0] + 1j * q0[..., 2], q0[..., 1] + 1j * q0[..., 3]
     terms = [(q, _pair_mul(*q, -1j * params.lam, u0))]
     if velocities:
         terms.append(tuple(_pair_mul(*g, 0.0, u0) for g in terms[0]))
     omega = math.hypot(params.r, params.lam)
-    rho = np.exp(1j * params.lam * s)
-    cr = np.cos(omega * s) * rho
-    fr = (np.sin(omega * s) / omega if omega else s) * rho
+    cr = e_omega.real * rho
+    fr = (e_omega.imag / omega if omega else s) * rho
     return [(cr * ga + fr * ha, cr * gb + fr * hb) for (ga, gb), (ha, hb) in terms]
 
 
@@ -131,10 +142,24 @@ def geodesic_point(q0, params: GeodesicParams, s):
 
         q(s) = q0 * exp(s*(u0 - lam j)) * e(lam s j),   u0 = -r (cos(theta0) i + sin(theta0) k)
 
-    evaluated in SU(2) complex pairs (see _closed_form); q(0) is q0 bit
+    evaluated in SU(2) complex pairs (see _closed_form), with its phases
+    from np.exp at each s, which need not lie on a grid; q(0) is q0 bit
     for bit.  Broadcasts over array-valued s.
     """
-    return _rows(*_closed_form(q0, params, s)[0])
+    s = np.asarray(s, dtype=float)
+    phases = np.exp(1j * params.lam * s), np.exp(1j * math.hypot(params.r, params.lam) * s)
+    return _rows(*_closed_form(q0, params, s, *phases)[0])
+
+
+def _powers(z, n):
+    """exp(z k) for k = 0, ..., n - 1, exactly 1 at k = 0.
+
+    With k = _POWERS_WIDTH a + b, exp(z k) = exp(z _POWERS_WIDTH a) exp(z b): two short
+    tables of exponentials and one complex product a sample.
+    """
+    fine = np.exp(np.arange(min(n, _POWERS_WIDTH)) * z)
+    coarse = np.exp(np.arange(0, n, _POWERS_WIDTH) * z)
+    return (coarse[:, None] * fine).ravel()[:n]
 
 
 def _grid(T, h):
@@ -152,15 +177,19 @@ def _grid(T, h):
 def integrate_geodesic(q0, params: GeodesicParams, T, h) -> SampledCurve:
     """The geodesic from q0 sampled over [0, T] at steps of about h.
 
-    The points are geodesic_point on the grid s = k * T / round(T / h),
-    so they stay unit to rounding at any horizon and the first is q0; the
-    velocities a(s) X + b(s) Y = q(s) u(s) come from the same pass.
+    The points are geodesic_point's closed form on the grid
+    s = k * T / round(T / h), with the phases e^(i lam s) and e^(i omega s)
+    taken as powers from _powers, so they stay unit to rounding at any
+    horizon and the first is q0; the velocities a(s) X + b(s) Y = q(s) u(s)
+    come from the same pass.
     meta["method"] records that the samples come from the closed form.
     """
     nsteps, dt = _grid(T, h)
     q0 = check_unit(q0, what="initial point q0")
     s = np.arange(nsteps + 1) * dt
-    pts, vel = (_rows(*pair) for pair in _closed_form(q0, params, s, velocities=True))
+    omega = math.hypot(params.r, params.lam)
+    phases = (_powers(complex(0.0, z * dt), nsteps + 1) for z in (params.lam, omega))
+    pts, vel = (_rows(*pair) for pair in _closed_form(q0, params, s, *phases, velocities=True))
     meta = {
         "tag": "geodesic",
         "r": params.r,
@@ -174,11 +203,12 @@ def integrate_geodesic(q0, params: GeodesicParams, T, h) -> SampledCurve:
 
 
 class HamiltonianTrajectory(NamedTuple):
-    """Phase-space samples of the Hamiltonian flow."""
+    """Phase-space samples of the Hamiltonian flow, and how they were obtained."""
 
     s: np.ndarray
     q: np.ndarray
     xi: np.ndarray
+    meta: dict
 
     def momenta(self):
         """(p1, p3) = (<q I1, xi>, <q I3, xi>), i.e. -(a, b) of xi as q I1 = -X, q I3 = -Y."""
@@ -207,8 +237,8 @@ def match_costate(q0, params: GeodesicParams):
 
 
 def _compose(a, b):
-    """The two components of (1 + a)(1 + b) - 1, a and b pairs along the last axis."""
-    a0, a1, b0, b1 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+    """The pair of (1 + a)(1 + b) - 1 for pairs a = (a0, a1), b = (b0, b1) of arrays or numbers."""
+    (a0, a1), (b0, b1) = a, b
     p0, p1 = _pair_mul(a0, a1, b0, b1)
     return a0 + b0 + p0, a1 + b1 + p1
 
@@ -219,14 +249,21 @@ def _scan(e):
     o is associative, so the running products come from a tree: each odd
     entry absorbs the entry before it, the odd entries are scanned at half
     the length, and each even entry then absorbs the odd one before it.
-    log2(len(e)) levels of array arithmetic, no per-entry work in Python.
+    A level of at most _SCAN_TAIL entries, where numpy's per-call cost
+    outweighs the arithmetic, is a left fold on Python complex numbers.
     """
+    if len(e) <= _SCAN_TAIL:
+        rows = e.tolist()
+        for k in range(1, len(rows)):
+            rows[k] = _compose(rows[k - 1], rows[k])
+        if len(rows) > 1:
+            e[1:] = rows[1:]
+        return
     odd = e[1::2]
-    if len(odd):
-        odd[:, 0], odd[:, 1] = _compose(e[:-1:2], odd)
-        _scan(odd)
-        even = e[2::2]
-        even[:, 0], even[:, 1] = _compose(odd[: len(even)], even)
+    odd[:, 0], odd[:, 1] = _compose(e[:-1:2].T, odd.T)
+    _scan(odd)
+    even = e[2::2]
+    even[:, 0], even[:, 1] = _compose(odd[: len(even)].T, even.T)
 
 
 def integrate_hamiltonian(q0, xi0, T, h) -> HamiltonianTrajectory:
@@ -242,11 +279,21 @@ def integrate_hamiltonian(q0, xi0, T, h) -> HamiltonianTrajectory:
     by a fixed R and w_k = w_0 R^k in polar form.  The q stages are
     q sigma_s, with sigma_2 = 1 + (h/2) U_1, sigma_3 = 1 + (h/2) sigma_2 U_2
     and sigma_4 = 1 + h sigma_3 U_3, and a step is q <- q (1 + D) with
-    D = (h/6)(U_1 + 2 sigma_2 U_2 + 2 sigma_3 U_3 + sigma_4 U_4).  So
+    D = (h/6)(U_1 + 2 sigma_2 U_2 + 2 sigma_3 U_3 + sigma_4 U_4).  With
+    U_s = i w g_s these products collapse, exactly, to a polynomial in
+    m = |w_k|^2: in pairs (see _pair_mul)
+
+        D_k = (m K1 + m^2 K2, (L0 + L1 m) w_k),
+        K1 = (h/6)(-h (g2 + conj(g2) g3) - h conj(g3) g4),
+        K2 = (h/6) h (h/2)^2 g2 conj(g3) g4,
+        L0 = (h/6)(1 + 2 g2 + 2 g3 + g4),
+        L1 = (h/6)(-2 (h/2)^2 conj(g2) g3 - h (h/2) g2 conj(g3) g4),
+
+    still the classical scheme for any h, |R| < 1 included.  So
     q_k = q0 (1 + D_0) ... (1 + D_(k-1)): the running products come from
     _scan, whose tree order rounds less than a step-by-step fold, in place
     in the output table.  The costate samples are pair products
-    xi_k = q_k eta_k (see _pair_mul), eta_k = (e0 + i e2, w_k).
+    xi_k = q_k eta_k, eta_k = (e0 + i e2, w_k).
     """
     nsteps, dt = _grid(T, h)
     q0 = check_unit(q0, what="initial point q0")
@@ -264,44 +311,43 @@ def integrate_hamiltonian(q0, xi0, T, h) -> HamiltonianTrajectory:
         0.5 * math.log1p(t2 * t2 * t2 * (t2 / 576.0 - 1.0 / 72.0)),  # |R|^2 = 1 - t^6/72 + t^8/576
         math.atan2(t - t * t2 / 6.0, 1.0 - 0.5 * t2 + t2 * t2 / 24.0),
     )
-    w0 = complex(e1, e3)
+    # the coefficients K1, K2, L0 and L1 of the increments D_k
+    half, sixth = 0.5 * dt, dt / 6.0
+    k1 = sixth * -dt * (g2 + g2.conjugate() * g3 + g3.conjugate() * g4)
+    k2 = sixth * dt * half * half * g2 * g3.conjugate() * g4
+    l0 = sixth * (1.0 + 2.0 * g2 + 2.0 * g3 + g4)
+    l1 = sixth * -half * (2.0 * half * g2.conjugate() * g3 + dt * g2 * g3.conjugate() * g4)
     ys = np.empty((nsteps + 1, 8))
     ys[0, :4] = q0
-    ys[0, 4:] = xi0
-    # in pairs (see _pair_mul) U_s = i w_s is (0, w_s): (A, B) U_s = (-conj(B) w_s, conj(A) w_s).
     # The table is the only buffer over the horizon: the q columns of row k + 1
     # hold the pair of D_k, then of C_k = (1 + D_0) ... (1 + D_k) - 1, until
-    # q_(k+1) = q0 (1 + C_k) replaces it, and its xi columns hold w_(k+1) until xi_(k+1) does
+    # q_(k+1) = q0 (1 + C_k) replaces it, and the xi columns of row k hold w_k
+    # until xi_k does
     c = ys[1:, :4].view(complex)
-    w_next = ys[1:, 4:6].view(complex)[:, 0]
+    w = ys[:, 4:6].view(complex)[:, 0]
     qa, qb = complex(q0[0], q0[2]), complex(q0[1], q0[3])
     eta_a = complex(e0, e2)
-    half = 0.5 * dt
-    sixth = dt / 6.0
     with np.errstate(all="ignore"):  # a huge costate runs to inf and NaN, as any RK4 would
+        w[:] = complex(e1, e3) * _powers(log_r, nsteps + 1)  # w_k = w0 R^k
         for start in range(0, nsteps, _BLOCK):
             stop = min(start + _BLOCK, nsteps)
-            w = w0 * np.exp(np.arange(start, stop + 1) * log_r)  # w_k = w0 R^k, k = start..stop
-            w_next[start:stop] = w[1:]
-            w1 = w[:-1]
-            w2, w3, w4 = w1 * g2, w1 * g3, w1 * g4
-            p2 = -half * (w1.conj() * w2)  # sigma_2 U_2 = p2 + i w2
-            p3a = -half * (w2.conj() * w3)  # sigma_3 U_3 = p3a + i p3b
-            p3b = (1.0 + half * p2).conj() * w3
-            a4 = 1.0 + dt * p3a  # sigma_4 = a4 + i dt p3b
-            c[start:stop, 0] = sixth * (2.0 * (p2 + p3a) - dt * (p3b.conj() * w4))
-            c[start:stop, 1] = sixth * (w1 + 2.0 * (w2 + p3b) + a4.conj() * w4)
+            wk = w[start:stop]
+            m = wk.real * wk.real + wk.imag * wk.imag
+            c[start:stop, 0] = m * (k1 + k2 * m)
+            c[start:stop, 1] = (l0 + l1 * m) * wk
         _scan(c)
         for start in range(0, nsteps, _BLOCK):
             stop = min(start + _BLOCK, nsteps)
             a, b = _pair_mul(qa, qb, c[start:stop, 0], c[start:stop, 1])
             a, b = qa + a, qb + b
             # xi_k = q_k eta_k, eta_k = (e0 + i e2, w_k), reads w_k before its columns are written
-            xa, xb = _pair_mul(a, b, eta_a, w_next[start:stop])
+            xa, xb = _pair_mul(a, b, eta_a, w[start + 1 : stop + 1])
             _rows(a, b, out=ys[start + 1 : stop + 1, :4])
             _rows(xa, xb, out=ys[start + 1 : stop + 1, 4:])
+    ys[0, 4:] = xi0
     s = np.arange(nsteps + 1) * dt
-    return HamiltonianTrajectory(s, ys[:, :4], ys[:, 4:])
+    meta = {"tag": "hamiltonian", "method": "rk4_body", "T": T, "h": dt}
+    return HamiltonianTrajectory(s, ys[:, :4], ys[:, 4:], meta)
 
 
 def verify_velocity_energy(curve: SampledCurve):

@@ -8,7 +8,9 @@ from s3sr.curves import SampledCurve, omega_fd_residuals
 from s3sr.frames import I1, I3, frame_at, omega_eval
 from s3sr.io import CurveRecord
 from s3sr.geodesics import (
+    _POWERS_WIDTH,
     GeodesicParams,
+    _powers,
     ab_profile,
     acceleration_T_residual,
     angle_profile,
@@ -160,6 +162,10 @@ def test_closed_form_matches_the_three_factor_composition():
                 a, b = ab_profile(p, c.s)
                 control = np.stack([np.zeros_like(a), -a, np.zeros_like(a), -b], axis=-1)
                 assert np.max(np.abs(c.velocities - qmul(c.points, control))) <= 1.5e-13 * max(1.0, r)
+                # integrate_geodesic takes its phases from _powers and geodesic_point from
+                # np.exp at each s: on the same grid they are at most 1.2 eps (1 + (|lam| + r) s)
+                # apart here, 1.45 on 306 such cases
+                assert np.all(np.abs(c.points - geodesic_point(q0, p, c.s)) <= bound[:, None])
     # scalar, (n,) and (m, n) parameters give (4,), (n, 4) and (m, n, 4)
     p = GeodesicParams(1.3, 0.4, -2.5)
     q0 = random_unit(rng)
@@ -168,6 +174,24 @@ def test_closed_form_matches_the_three_factor_composition():
         assert got.shape == np.shape(s) + (4,)
         bound = 4.0 * eps * (1.0 + (abs(p.lam) + p.r) * np.asarray(s))
         assert np.all(np.abs(got - _three_factor_point(q0, p, s)) <= bound[..., None])
+
+
+@pytest.mark.parametrize("n", [1, _POWERS_WIDTH - 1, _POWERS_WIDTH, _POWERS_WIDTH + 1, 10001])
+def test_powers_match_the_exponential_at_each_k(n):
+    # a phase step of integrate_geodesic, and the step factor log R of the
+    # Hamiltonian's w at lambda = 200 and h = 1e-3, where |R| = 1 - 2.8e-5
+    t = 0.4
+    log_r = np.log(1.0 + 1j * t - t**2 / 2.0 - 1j * t**3 / 6.0 + t**4 / 24.0)
+    assert abs(abs(np.exp(log_r)) - (1.0 - 2.8e-5)) <= 1e-6
+    k = np.arange(n)
+    for z in (0.7e-3j, log_r):
+        got = _powers(z, n)
+        assert got.shape == (n,) and got[0] == 1.0
+        # exp(z k) rounds its argument by about eps |z| k, as does the table's
+        # product; the two are at most 0.78 eps (1 + |z| k) apart, relative, here
+        # (0.99 at n = 100001): a margin of 4
+        ref = np.exp(z * k)
+        assert np.all(np.abs(got - ref) <= 4.0 * np.finfo(float).eps * (1.0 + abs(z) * k) * np.abs(ref))
 
 
 def test_curve_and_its_file_record_the_closed_form(tmp_path):
@@ -301,11 +325,12 @@ def test_integrator_loops_make_no_per_step_calls(integrator):
     # T=2 and T=4 at h=1e-3 are 2 and 4 Hamiltonian blocks of at most 1024 steps;
     # the closed form makes the same calls at any length.  A call of a Python
     # function or builtin put back into a per-step loop adds 2,000 calls.  The
-    # numpy work of a block (w_k from arange and exp, the increments D from array
-    # arithmetic and conj(), then the q rows q0 (1 + C) and the costate rows from
-    # array arithmetic) makes about 9, and the scan over the whole horizon one
-    # more level of about 9 per doubling of its length.  (Calls of types, such
-    # as tuple(), and array operators are not profile events.)
+    # numpy work of a block (the increments D, a polynomial in |w_k|^2, from array
+    # arithmetic, then the q rows q0 (1 + C) and the costate rows from array
+    # arithmetic) makes about 9; w_k over the horizon from _powers' two tables a
+    # fixed few; and the scan one more level of about 9 per doubling of its
+    # length, above a scalar fold over the same 62 entries at both lengths.
+    # (Calls of types, such as tuple(), and array operators are not profile events.)
     p = GeodesicParams(1.0, 0.3, 0.7)
     h = 1e-3
 

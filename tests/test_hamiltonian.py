@@ -26,6 +26,13 @@ def test_zero_costate_is_stationary():
     assert np.max(traj.energy()) == 0.0
 
 
+def test_trajectory_records_its_method_and_grid():
+    # T / h = 1000.5 is cut into 1000 steps of 1.0005e-3
+    traj = integrate_hamiltonian(ONE, np.zeros(4), 1.0005, 1e-3)
+    assert traj.meta == {"tag": "hamiltonian", "method": "rk4_body", "T": 1.0005, "h": traj.s[1]}
+    assert integrate_hamiltonian(ONE, np.zeros(4), 0.0, 1e-3).meta["h"] == 0.0
+
+
 def test_argument_checks():
     with pytest.raises(ValueError):
         integrate_hamiltonian(ONE, np.zeros(4), 1.0, 0.0)
@@ -209,13 +216,16 @@ def test_blocked_kernel_matches_per_step_body_reference(nsteps):
             assert np.max(err) <= 1e-13
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7, 8, 9, 1023, 1024, 1025])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 129, 1023, 1024, 1025])
 def test_scan_matches_a_left_fold_of_compose(n):
     # increments of RK4 steps at h = 1e-3 are about 1e-3; as complex pairs (A, B)
     e = (1e-3 * np.random.default_rng(n).normal(size=(n, 4))).view(complex)
-    fold = e.copy()
+    # the fold on Python complex numbers, which the scan also makes on its
+    # levels of at most 64 entries
+    rows = e.tolist()
     for k in range(1, n):
-        fold[k : k + 1, 0], fold[k : k + 1, 1] = _compose(fold[k - 1 : k], e[k : k + 1])
+        rows[k] = _compose(rows[k - 1], rows[k])
+    fold = np.array(rows, dtype=complex).reshape(n, 2)
     got = e.copy()
     _scan(got)
     if n <= 2:
