@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .curves import SampledCurve, _first_difference, _second_difference, fd_velocities, unit_norm_error
-from .frames import I2, frame_at, omega_eval
+from .frames import _t_component, frame_at, omega_eval
 from .geodesics import (
     GeodesicParams,
     angle_profile,
@@ -33,7 +33,7 @@ from .geodesics import (
     match_costate,
 )
 from .io import CurveRecord
-from .quaternions import _row_sum, norm, norm2, normalize
+from .quaternions import norm, norm2, normalize
 
 # charts, connect and shooting are imported by the commands that use them, so the others start faster
 
@@ -200,8 +200,9 @@ def _cmd_check(args) -> int:
         results.append(("horizontality", float(np.max(np.abs(omega_eval(pts, vel)))), tol))
         a_col, b_col = record.data[inner, 5], record.data[inner, 6]
         results.append(("velocity-energy", float(np.max(np.abs(norm2(vel) - (a_col**2 + b_col**2)))), tol))
-        acc, _ = _extrapolated(_second_difference, curve)
-        results.append(("acceleration-T", float(np.max(np.abs(_row_sum(acc * -(pts @ I2))))), tol))
+        # _second_difference returns a (4, n - 2) block; _extrapolated works on rows
+        acc, _ = _extrapolated(lambda s, p: _second_difference(np.diff(s), p).T, curve)
+        results.append(("acceleration-T", float(np.max(np.abs(_t_component(acc.T, pts.T)))), tol))
 
     if record.header.get("tag") not in ("geodesic", "hamiltonian") or "lambda" not in record.header:
         print("SKIP angle-linearity (not a geodesic record)")

@@ -50,10 +50,19 @@ def _first_difference(s, p):
     return (p[2:] - p[:-2]) / (s[2:] - s[:-2])[:, None]
 
 
-def _second_difference(s, p):
-    """Three-point second differences on rows 1..n-2 of the grid s (exact on quadratics)."""
-    h0, h1 = (s[1:-1] - s[:-2])[:, None], (s[2:] - s[1:-1])[:, None]
-    return 2.0 * ((p[2:] - p[1:-1]) / h1 - (p[1:-1] - p[:-2]) / h0) / (h0 + h1)
+def _second_difference(steps, p):
+    """Three-point second differences of the samples p (n, m) at rows 1..n-2, exact on quadratics.
+
+    steps = np.diff(s).  Returns an (m, n-2) block, one component to a row:
+    the slopes (p[k+1] - p[k]) / steps[k] sit on contiguous rows, and each
+    difference of neighbouring slopes is divided by (steps[k] + steps[k+1]) / 2.
+    """
+    slopes = np.subtract(p[1:].T, p[:-1].T, out=np.empty((p.shape[1], len(p) - 1)))
+    slopes /= steps
+    acc = np.diff(slopes)
+    acc *= 2.0
+    acc /= steps[:-1] + steps[1:]
+    return acc
 
 
 def fd_velocities(curve: SampledCurve) -> np.ndarray:

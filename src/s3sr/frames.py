@@ -84,6 +84,16 @@ def frame_ab(points, velocities):
     return _row_sum(v * (-(p @ I1))), _row_sum(v * (-(p @ I3)))
 
 
+def _t_component(v, q):
+    """<v, T> = v0 y + v1 z - v2 w - v3 x from the components v = (v0, .., v3) and q = (w, x, y, z).
+
+    v and q are (4, ...) blocks, one component to a row, and T = -(q j) = (y, z, -w, -x).
+    The terms are added in _row_sum's column order, so the sum is np.sum(v * T, axis=0)
+    up to the sign of a zero.
+    """
+    return v[0] * q[2] + v[1] * q[3] - v[2] * q[0] - v[3] * q[1]
+
+
 def omega_eval(q, v):
     """The one-form omega = x1 dy1 - y1 dx1 + x2 dy2 - y2 dx2 applied to v."""
     q = np.asarray(q, dtype=float)

@@ -7,10 +7,13 @@ A unit-speed geodesic has frame components of its velocity
 with the multiplier lambda constant, so the curve solves the
 left-invariant equation q' = q * u(s) with pure control
 u(s) = -a(s) i - b(s) k.  Its closed-form solution q0 exp(s (u(0) -
-lambda j)) e(lambda s j) is evaluated in SU(2) complex pairs (see _pair_mul)
-by geodesic_point, and with its velocity q u by integrate_geodesic on a
-uniform grid: no step is integrated, so |q| stays 1 to rounding at any horizon.
-It needs only the phases e^(i lambda s) and e^(i omega s); on the uniform
+lambda j)) e(lambda s j) is evaluated by geodesic_point, and with its
+velocity q u by integrate_geodesic on a uniform grid: no step is
+integrated, so |q| stays 1 to rounding at any horizon.  In SU(2) complex
+pairs (see _pair_mul) the point is c g + d h with constant pairs g, h and
+two complex numbers c, d per sample, so each output is one product of a
+(n, 4) float array with a fixed 4 x 4 matrix (see _closed_form).  It
+needs only the phases e^(i lambda s) and e^(i omega s); on the uniform
 grid s = k dt they are powers, which _powers takes from two short tables.
 
 The same flow also arises from the Hamiltonian
@@ -36,13 +39,14 @@ for the angle between the velocity and the frame.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .curves import SampledCurve, _second_difference, unit_norm_error
-from .frames import I1, I2, I3, frame_ab
+from .frames import I1, I2, I3, _t_component, frame_ab
 from .quaternions import _conj_mul_floats, _row_sum, check_unit, norm, norm2
 
 __all__ = [
@@ -116,25 +120,37 @@ def _rows(a, b, out=None):
     return out
 
 
-def _closed_form(q0, params: GeodesicParams, s, rho, e_omega, velocities=False):
-    """Pairs of q(s) = q0 exp(s v) e(lam s j), v = u0 - lam j, and if asked of q(s) u(s).
+def _closed_form(q0, params: GeodesicParams, rho, e_omega, velocities=False):
+    """Rows (w, x, y, z) of q(s) = q0 exp(s v) e(lam s j), v = u0 - lam j, and if asked of q(s) u(s).
 
     rho = e^(i lam s) and e_omega = e^(i omega s), omega = |v|, are the caller's phases.
-    exp(s v) = cos(omega s) + f v, f = sin(omega s) / omega (s at omega = 0),
-    e(lam s j) = (rho, 0), and e(lam s j) u(s) = u0 e(lam s j):
-    so q = cos(omega s) rho q0 + f rho q0 v and q u = cos(omega s) rho q0 u0 + f rho q0 v u0.
-    Only scalars are multiplied as quaternions; at s = 0 the factors are exactly 1 and 0.
+    exp(s v) = cos(omega s) + sin(omega s) v / omega, whose sine term vanishes at omega = 0
+    (there v / omega is taken as 0), e(lam s j) = (rho, 0) and e(lam s j) u(s) = u0 e(lam s j):
+    in pairs (see _pair_mul) q = c g + d h and q u = c g u0 + d h u0, with c = cos(omega s) rho,
+    d = sin(omega s) rho and the constant pairs g = q0, h = q0 v / omega.  Each row is
+    therefore real-linear in (Re c, Im c, Re d, Im d), the four products of (cos, sin)(omega s)
+    with (Re, Im) rho: they fill the columns of one (..., 4) array, whose product with a fixed
+    4 x 4 matrix (see _linear_map) gives each output.  At s = 0, c and d are exactly 1 and 0,
+    so the first row is q0's.
     """
     q0 = np.asarray(q0, dtype=float)
     u0 = -params.r * complex(math.cos(params.theta0), math.sin(params.theta0))  # u(0) = (0, u0)
-    q = q0[..., 0] + 1j * q0[..., 2], q0[..., 1] + 1j * q0[..., 3]
-    terms = [(q, _pair_mul(*q, -1j * params.lam, u0))]
-    if velocities:
-        terms.append(tuple(_pair_mul(*g, 0.0, u0) for g in terms[0]))
     omega = math.hypot(params.r, params.lam)
-    cr = e_omega.real * rho
-    fr = (e_omega.imag / omega if omega else s) * rho
-    return [(cr * ga + fr * ha, cr * gb + fr * hb) for (ga, gb), (ha, hb) in terms]
+    v_unit = (complex(0.0, -params.lam / omega), u0 / omega) if omega else (0j, 0j)
+    q = complex(q0[0], q0[2]), complex(q0[1], q0[3])
+    pairs = [(q, _pair_mul(*q, *v_unit))]
+    if velocities:
+        pairs.append(tuple(_pair_mul(*x, 0.0, u0) for x in pairs[0]))
+    coords = np.empty(np.shape(rho) + (4,))
+    for k, (trig, phase) in enumerate(itertools.product((e_omega.real, e_omega.imag), (rho.real, rho.imag))):
+        np.multiply(trig, phase, out=coords[..., k])
+    return [coords @ _linear_map(g, h) for g, h in pairs]
+
+
+def _linear_map(g, h):
+    """The 4 x 4 matrix M with (Re c, Im c, Re d, Im d) @ M the row of c g + d h, for pairs g and h."""
+    (ga, gb), (ha, hb) = g, h
+    return _rows(np.array([ga, 1j * ga, ha, 1j * ha]), np.array([gb, 1j * gb, hb, 1j * hb]))
 
 
 def geodesic_point(q0, params: GeodesicParams, s):
@@ -142,13 +158,13 @@ def geodesic_point(q0, params: GeodesicParams, s):
 
         q(s) = q0 * exp(s*(u0 - lam j)) * e(lam s j),   u0 = -r (cos(theta0) i + sin(theta0) k)
 
-    evaluated in SU(2) complex pairs (see _closed_form), with its phases
-    from np.exp at each s, which need not lie on a grid; q(0) is q0 bit
-    for bit.  Broadcasts over array-valued s.
+    evaluated by _closed_form, with its phases from np.exp at each s,
+    which need not lie on a grid; q(0) is q0 bit for bit.  Broadcasts
+    over array-valued s.
     """
     s = np.asarray(s, dtype=float)
     phases = np.exp(1j * params.lam * s), np.exp(1j * math.hypot(params.r, params.lam) * s)
-    return _rows(*_closed_form(q0, params, s, *phases)[0])
+    return _closed_form(q0, params, *phases)[0]
 
 
 def _powers(z, n):
@@ -181,7 +197,7 @@ def integrate_geodesic(q0, params: GeodesicParams, T, h) -> SampledCurve:
     s = k * T / round(T / h), with the phases e^(i lam s) and e^(i omega s)
     taken as powers from _powers, so they stay unit to rounding at any
     horizon and the first is q0; the velocities a(s) X + b(s) Y = q(s) u(s)
-    come from the same pass.
+    are a second matrix product on the same phases (see _closed_form).
     meta["method"] records that the samples come from the closed form.
     """
     nsteps, dt = _grid(T, h)
@@ -189,7 +205,7 @@ def integrate_geodesic(q0, params: GeodesicParams, T, h) -> SampledCurve:
     s = np.arange(nsteps + 1) * dt
     omega = math.hypot(params.r, params.lam)
     phases = (_powers(complex(0.0, z * dt), nsteps + 1) for z in (params.lam, omega))
-    pts, vel = (_rows(*pair) for pair in _closed_form(q0, params, s, *phases, velocities=True))
+    pts, vel = _closed_form(q0, params, *phases, velocities=True)
     meta = {
         "tag": "geodesic",
         "r": params.r,
@@ -384,17 +400,19 @@ def acceleration_T_residual(curve: SampledCurve) -> float:
     """max |<gamma'', T>| with three-point second differences on a strictly increasing grid."""
     if curve.n < 3:
         raise ValueError("need at least 3 samples")
-    s, p = curve.s, curve.points
-    if np.any(np.diff(s) <= 0.0):
+    steps = np.diff(curve.s)
+    if np.any(steps <= 0.0):
         raise ValueError("finite differences need a strictly increasing grid")
-    return float(np.max(np.abs(_row_sum(_second_difference(s, p) * -(p[1:-1] @ I2)))))
+    p = curve.points
+    return float(np.max(np.abs(_t_component(_second_difference(steps, p), p[1:-1].T))))
 
 
 def angle_profile(curve: SampledCurve) -> np.ndarray:
     """Unwrapped angle between the stored velocity and X along the curve.
 
     For sampled geodesics this is 2*lam*s + theta0 up to rounding.
-    Raises on (numerically) zero velocities.
+    Raises on (numerically) zero velocities.  np.unwrap bit for bit, with
+    its correction computed only at the steps not below pi (NaN included).
     """
     if curve.velocities is None:
         raise ValueError("curve carries no velocities")
@@ -402,4 +420,15 @@ def angle_profile(curve: SampledCurve) -> np.ndarray:
     if np.any(norm(v) < 1e-15):
         raise ValueError("zero velocity has no direction")
     va, vb = frame_ab(curve.points, v)
-    return np.unwrap(np.arctan2(vb, va))
+    angles = np.arctan2(vb, va)
+    steps = np.diff(angles)
+    wraps = np.flatnonzero(~(np.abs(steps) < np.pi))
+    dd = steps[wraps]
+    # np.unwrap's arithmetic at period 2 pi: ddmod is dd shifted into [-pi, pi),
+    # with +pi kept for a positive dd that lands on -pi
+    ddmod = np.mod(dd + np.pi, 2.0 * np.pi) - np.pi
+    ddmod[(ddmod == -np.pi) & (dd > 0.0)] = np.pi
+    correction = np.zeros_like(steps)
+    correction[wraps] = ddmod - dd
+    angles[1:] += correction.cumsum()
+    return angles

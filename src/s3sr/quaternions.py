@@ -10,6 +10,9 @@ shape (4,) as well as on stacks (n, 4).
 
 Sums over a short last axis, here and in frames, curves and geodesics,
 go through _row_sum: np.sum(x, axis=-1) bit for bit, a column at a time.
+The T component <acc, T> that acceleration_T_residual and the CLI's check
+take on (4, n) blocks of component rows (frames._t_component) adds its
+terms in the same column order.
 
 The matrices of right multiplication by 1, i, j, k (frames.I1-I3
 among them) and the (source, sign) table that _right_terms reads are

@@ -77,7 +77,7 @@ PUBLIC_NAMES = {
     "fd_velocities": "io.CurveRecord.from_curve; the CLI's check",
     "omega_fd_residuals": "connect; io.CurveRecord.from_curve",
     "I1": "geodesics",
-    "I2": "geodesics.acceleration_T_residual; the CLI's check",
+    "I2": "geodesics.match_costate; frames.frame_at",
     "I3": "geodesics",
     "Frame": "frame_at's value, read by the CLI's frames",
     "LinearField": "bracket's value (c02)",

@@ -115,6 +115,20 @@ def _curves():
     for q0 in starts:
         for p in params:
             yield q0, p, integrate_geodesic(q0, p, 1.5, 1e-3)
+    # these wrap at most once; at lambda = +-20 over T = 10 the angle wraps about 64 times
+    rng = np.random.default_rng(34)
+    for lam in (20.0, -20.0):
+        q0, p = random_unit(rng), GeodesicParams(1.0, rng.uniform(0.0, 2.0 * np.pi), lam)
+        yield q0, p, integrate_geodesic(q0, p, 10.0, 1e-2)
+    # and velocity rows at angles exactly 0, pi, 0, which make the steps exactly +pi and -pi,
+    # and a NaN row; (x, 0, -z, 0) pairs with Y = (z, -y, x, -w) to an exact +0 (the rows are
+    # off the tangent space, so verify_velocity_energy raises on this curve)
+    c = integrate_geodesic(q0, p, 10.0, 1e-2)
+    for k, sign in ((500, 1.0), (501, -1.0), (502, 1.0)):
+        x, z = c.points[k, 1], c.points[k, 3]
+        c.velocities[k] = sign * np.array([x, 0.0, -z, 0.0])
+    c.velocities[700] = np.nan
+    yield q0, p, c
 
 
 def test_row_sum_callers_match_their_numpy_reductions():
