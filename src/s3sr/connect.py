@@ -25,18 +25,15 @@ gauge is kept only when min(sin(theta), cos(psi)) >= 0.02 at both
 translated endpoints, which already puts them off the poles and psi in
 the principal branch.  The leg is evaluated in one pass of the chart
 kernel, which shares its trigonometry between points and velocities,
-and the gauge g is undone inside that pass: conj(g) has two nonzero
-components, so each component of the right product by conj(g) is a
-sum of two terms, written straight into the output arrays.  When an
-output holds an exact zero, the two zero terms are added as well, so
-the sign of that zero, like every other bit, equals the full
-quaternion product.  Pairs that no gauge makes chart-friendly (and
-degenerate data such as k ~ 0) fall back to a waypoint route: two
-one-parameter-subgroup arcs with horizontal axes, glued with a smooth
-time warp whose first and second derivatives vanish at the junction.
-Such an arc a * exp(t n), with n a unit axis in span{i, k}, is the
-great circle cos(t) a + sin(t) (a n), evaluated in closed form from one
-cos/sin pass and the single product a n.
+and the gauge g is undone by one product with the 4x4 matrix of right
+multiplication by conj(g), built for each gauge at import.  Pairs that
+no gauge makes chart-friendly (and degenerate data such as k ~ 0) fall
+back to a waypoint route: two one-parameter-subgroup arcs with
+horizontal axes, glued with a smooth time warp whose first and second
+derivatives vanish at the junction.  Such an arc a * exp(t n), with n a
+unit axis in span{i, k}, is the great circle cos(t) a + sin(t) (a n),
+evaluated in closed form from one cos/sin pass and the single product
+a n.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ import numpy as np
 
 from .charts import EulerAngles, _angle_arrays, _chart_columns, to_cartesian, wrap_angle
 from .curves import SampledCurve, omega_fd_residuals
-from .quaternions import QUAT_I, _conj_mul_floats, _qmul_terms, _right_terms, check_unit, conj, qmul
+from .quaternions import QUAT_I, _conj_mul_floats, check_unit, conj, qmul
 
 __all__ = [
     "ConstructionError",
@@ -123,9 +120,11 @@ def _circle(a, n, angle, u, du):
     return np.outer(c, a) + np.outer(sn, an), np.outer(rate * c, an) - np.outer(rate * sn, a)
 
 
-def _chart_leg(gauge, phi0, k, q, log_tan, s):
-    """The chart leg in a translated gauge, from the coefficient tuples of q and log tan(theta/2)."""
-    undo = _right_terms(conj(gauge))    # conj(gauge) undoes the right translation
+def _chart_leg(undo, phi0, k, q, log_tan, s):
+    """The chart leg in a translated gauge, from the coefficient tuples of q and log tan(theta/2).
+
+    undo is the gauge's entry of _UNDO, which maps the leg back.
+    """
     qv = _horner(q, s)
     ell = _horner(log_tan, s)
     theta = 2.0 * np.arctan(np.exp(ell))
@@ -134,8 +133,7 @@ def _chart_leg(gauge, phi0, k, q, log_tan, s):
     dpsi = _horner((q[1], 2.0 * q[2]), s) / (1.0 + qv * qv)
     dtheta = -k * qv / np.cosh(ell)
     pts, vel = _chart_columns(phi, psi, theta, k, dpsi, dtheta)
-    shape = s.shape + (4,)
-    return _qmul_terms(pts, undo, np.empty(shape)), _qmul_terms(vel, undo, np.empty(shape))
+    return np.stack(pts, -1) @ undo, np.stack(vel, -1) @ undo
 
 
 def _smoothstep(u):
@@ -217,6 +215,9 @@ def _gauge_candidates():
 
 
 _GAUGES = _gauge_candidates()
+# p @ _UNDO[m] = p * conj(_GAUGES[m]) (row-vector convention): right
+# multiplication by the inverse gauge, which undoes the translation
+_UNDO = qmul(np.eye(4), conj(_GAUGES)[:, None])
 
 
 def _gauge_scores(qt, rx, ry):
@@ -279,7 +280,7 @@ def _single_leg(q_from, q_to, rel, s):
             "psi1": float(psi[1, j]),
             "gauge": tuple(float(g) for g in gauge),
         }
-        return (*_chart_leg(gauge, float(phi0[j]), kj, q, log_tan, s), meta)
+        return (*_chart_leg(_UNDO[idx[j]], float(phi0[j]), kj, q, log_tan, s), meta)
     return None
 
 

@@ -15,10 +15,9 @@ take on (4, n) blocks of component rows (frames._t_component) adds its
 terms in the same column order.
 
 The matrices of right multiplication by 1, i, j, k (frames.I1-I3
-among them) and the (source, sign) table that _right_terms reads are
-derived from qmul when the module is imported.  is_unit and check_unit
-accept a deviation | |q|^2 - 1 | up to UNIT_TOL, read when they are
-called.
+among them) are derived from qmul when the module is imported.
+is_unit and check_unit accept a deviation | |q|^2 - 1 | up to
+UNIT_TOL, read when they are called.
 """
 
 from __future__ import annotations
@@ -171,44 +170,3 @@ def _conj_mul_floats(p, q):
 # r of M is basis element r times e, so the table is qmul's
 _RIGHT_MATRICES = tuple(qmul(np.eye(4), e) for e in (QUAT_ONE, QUAT_I, QUAT_J, QUAT_K))
 
-# p * e for the same basis: component m of the product is sign * p[source],
-# listed as (source, sign) for m = 0..3 (each column of M has one nonzero)
-_RIGHT_BASIS = tuple(
-    tuple((src, float(col[src])) for col in mat.T for src in np.flatnonzero(col).tolist())
-    for mat in _RIGHT_MATRICES
-)
-
-
-def _right_terms(g):
-    """Right multiplication by g as four terms per component.
-
-    Returns, for m = 0..3, ((a, ca), (b, cb), (c, cc), (d, cd)) with
-    (p*g)[m] = p[a]*ca + p[b]*cb + p[c]*cc + p[d]*cd, each term the one
-    qmul forms with its sign moved into the coefficient.  g may have at
-    most two nonzero components, and they come first, so cc and cd are
-    signed zeros.
-    """
-    g = [float(c) for c in g]
-    support = [e for e in range(4) if g[e] != 0.0]
-    if len(support) > 2:
-        raise ValueError(f"right factor has more than two nonzero components: {g}")
-    order = support + [e for e in range(4) if e not in support]
-    return tuple(
-        tuple((_RIGHT_BASIS[e][m][0], _RIGHT_BASIS[e][m][1] * g[e]) for e in order) for m in range(4)
-    )
-
-
-def _qmul_terms(cols, terms, out):
-    """Write p*g into out[..., m] from p's component arrays cols and terms = _right_terms(g).
-
-    Equal to qmul bit for bit.  The two zero terms change only the sign
-    of an exact zero: a sum is -0.0 only when all its terms are, so they
-    are added only when out holds a zero.
-    """
-    for m, ((a, ca), (b, cb), _, _) in enumerate(terms):
-        np.add(cols[a] * ca, cols[b] * cb, out=out[..., m])
-    if not out.all():
-        for m, (_, _, (c, cc), (d, cd)) in enumerate(terms):
-            out[..., m] += cols[c] * cc
-            out[..., m] += cols[d] * cd
-    return out

@@ -19,12 +19,6 @@ def random_unit(rng, n=None):
     return v / np.linalg.norm(v, axis=-1, keepdims=n is not None)
 
 
-def _assert_same_bits(x, y):
-    """x and y hold the same floats, down to the sign of each zero."""
-    assert np.array_equal(x, y)
-    assert np.array_equal(np.signbit(x), np.signbit(y))  # array_equal has -0.0 == 0.0
-
-
 def _loaded_by_fresh_import(module, then=""):
     """Whether a fresh interpreter loads `module` or a submodule of it.
 

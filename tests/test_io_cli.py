@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from s3sr.charts import EulerAngles
 from s3sr.cli import main
+from s3sr.connect import connect
 from s3sr.geodesics import GeodesicParams, integrate_geodesic
 from s3sr.io import COLUMNS, CurveRecord
 from s3sr.quaternions import normalize, qexp_pure, qmul
@@ -190,6 +192,23 @@ def test_cli_connect(tmp_path, capsys):
     assert "max_omega_residual=" in captured
     rec = CurveRecord.from_csv(out)
     assert rec.data.shape == (256, 8)
+
+
+def test_cli_connect_deterministic_bytes(tmp_path, capsys):
+    # the README pair, whose chart route keeps the identity gauge, and one whose
+    # chart route runs in a translated gauge and is mapped back by its undo matrix
+    translated = EulerAngles(0.0, 0.5, 0.2), EulerAngles(1.0, 2.5, 1.5)
+    meta = connect(*translated).meta
+    assert meta["route"] == "chart" and meta["gauge"] != (1.0, 0.0, 0.0, 0.0)
+    for ends in (("0,0.5236,1.0472", "1,0.7854,1.5708"), ("0,0.5,0.2", "1,2.5,1.5")):
+        out_a = tmp_path / "a.csv"
+        out_b = tmp_path / "b.csv"
+        args = ["connect", "--from", ends[0], "--to", ends[1], "--samples", "256", "--format", "csv"]
+        assert run(*args, "--out", str(out_a)) == 0
+        assert run(*args, "--out", str(out_b)) == 0
+        assert out_a.read_bytes() == out_b.read_bytes()
+        assert CurveRecord.from_csv(out_a).header["route"] == "chart"
+    capsys.readouterr()
 
 
 def test_cli_connect_identical_endpoints(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """The lazy package: what `import s3sr` and each CLI command load, and the public signatures."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 
 import pytest
 
@@ -140,3 +142,45 @@ def test_every_defaulted_setting_names_its_caller():
             if param.default is not inspect.Parameter.empty:
                 found.add((name, param.name))
     assert found == set(DEFAULTED_SETTINGS)
+
+
+def _private_definitions(tree):
+    """(name, statement) for each private name a module binds at top level by def, class or =."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__") and name != "_":
+                yield name, stmt
+
+
+def _referenced_names(tree, skip=None):
+    """Names a module reads, imports or reaches as attributes, outside the statement skip."""
+    inside = set(map(id, ast.walk(skip))) if skip is not None else set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_private_name_has_a_caller_in_the_package():
+    # references from the tests do not count: a private name only they reach
+    # is dead code they keep alive
+    trees = {path: ast.parse(path.read_text()) for path in sorted(pathlib.Path(s3sr.__file__).parent.glob("*.py"))}
+    orphans = [
+        f"{path.stem}.{name}"
+        for path, tree in trees.items()
+        for name, stmt in _private_definitions(tree)
+        if not any(name in _referenced_names(t, stmt if p == path else None) for p, t in trees.items())
+    ]
+    assert orphans == []

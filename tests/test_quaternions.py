@@ -24,7 +24,7 @@ from s3sr.connect import connect
 from s3sr.frames import frame_at
 from s3sr.geodesics import GeodesicParams, integrate_geodesic
 from s3sr import quaternions
-from s3sr.quaternions import _conj_mul_floats, _right_terms
+from s3sr.quaternions import _conj_mul_floats
 from s3sr.shooting import shoot
 from conftest import random_unit
 
@@ -179,14 +179,6 @@ def test_check_unit_tolerance_edge_is_that_of_norm2(rng, monkeypatch):
         with pytest.raises(ValueError):
             check_unit(q)
         assert not is_unit(q)
-
-
-def test_right_terms_take_at_most_two_nonzero_components():
-    for g in ([0.6, 0.8, 0.0, 0.0], [0.0, 0.0, -0.6, 0.8], [0.0, 1.0, 0.0, -0.0]):
-        assert len(_right_terms(g)) == 4
-    for g in ([0.6, 0.0, 0.6, 0.5], [0.0, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5]):
-        with pytest.raises(ValueError, match="more than two nonzero components"):
-            _right_terms(g)
 
 
 def test_conj_mul_floats_is_qmul_of_conj_bit_for_bit(rng):
