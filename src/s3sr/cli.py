@@ -23,8 +23,15 @@ import sys
 
 import numpy as np
 
-from .curves import SampledCurve, _first_difference, _second_difference, fd_velocities, unit_norm_error
-from .frames import _t_component, frame_at, omega_eval
+from .curves import (
+    SampledCurve,
+    _grid_steps,
+    _first_difference,
+    _second_difference,
+    omega_fd_residuals,
+    unit_norm_error,
+)
+from .frames import frame_at, omega_eval
 from .geodesics import (
     GeodesicParams,
     angle_profile,
@@ -32,7 +39,7 @@ from .geodesics import (
     integrate_hamiltonian,
     match_costate,
 )
-from .io import CurveRecord
+from .io import COLUMNS, CurveRecord
 from .quaternions import norm, norm2, normalize
 
 # charts, connect and shooting are imported by the commands that use them, so the others start faster
@@ -98,10 +105,10 @@ def _write_record(curve: SampledCurve, args, **extra) -> str:
 
 
 def _cmd_connect(args) -> int:
-    from .connect import ConstructionError, connect
+    from .connect import _COINCIDENT_TOL, ConstructionError, connect
     p = _parse_endpoint(getattr(args, "from"))
     q = _parse_endpoint(args.to)
-    n = 2 if float(np.linalg.norm(p - q)) < 1e-13 else args.samples
+    n = 2 if float(np.linalg.norm(p - q)) < _COINCIDENT_TOL else args.samples
     try:
         curve = connect(p, q, n=n)
     except ConstructionError as exc:
@@ -170,8 +177,7 @@ def _extrapolated(diff, curve):
     central difference D_h, so the estimate is accurate to O(h^4) on the
     rows two or more from either end, where the +-2h stencil fits; D_2h
     is diff on the even and on the odd rows.  Below 5 samples it is D_h
-    on rows 1..n-2.  The one-sided end estimates are first order and
-    never used.
+    on rows 1..n-2.
     """
     s, p = curve.s, curve.points
     d_h = diff(s, p)
@@ -189,32 +195,29 @@ def _cmd_check(args) -> int:
     tol = args.tol
     results = [("unit-norm", unit_norm_error(curve), _UNIT_NORM_TOL)]
 
-    if curve.n >= 2:
-        curve.velocities = fd_velocities(curve)  # checks the grid; angle-linearity reads them
     if curve.n == 2:  # one chord, so only its one-sided difference
-        residual = np.abs(omega_eval(curve.points, curve.velocities))
-        results.append(("horizontality", float(np.max(residual)), tol))
+        results.append(("horizontality", float(np.max(omega_fd_residuals(curve))), tol))
     if curve.n >= 3:
+        _grid_steps(curve.s)  # raises before any difference divides by a zero step
         vel, inner = _extrapolated(_first_difference, curve)
         pts = curve.points[inner]
         results.append(("horizontality", float(np.max(np.abs(omega_eval(pts, vel)))), tol))
-        a_col, b_col = record.data[inner, 5], record.data[inner, 6]
+        a_col, b_col = (record.data[inner, COLUMNS.index(name)] for name in "ab")
         results.append(("velocity-energy", float(np.max(np.abs(norm2(vel) - (a_col**2 + b_col**2)))), tol))
-        # _second_difference returns a (4, n - 2) block; _extrapolated works on rows
-        acc, _ = _extrapolated(lambda s, p: _second_difference(np.diff(s), p).T, curve)
-        results.append(("acceleration-T", float(np.max(np.abs(_t_component(acc.T, pts.T)))), tol))
+        acc, _ = _extrapolated(_second_difference, curve)
+        results.append(("acceleration-T", float(np.max(np.abs(omega_eval(pts, acc)))), tol))
 
     if record.header.get("tag") not in ("geodesic", "hamiltonian") or "lambda" not in record.header:
         print("SKIP angle-linearity (not a geodesic record)")
-    elif curve.n < 3:
-        print("SKIP angle-linearity (fewer than 3 samples)")
+    elif curve.n < 7:  # fewer than 3 extrapolated velocities to fit a line to
+        print("SKIP angle-linearity (fewer than 7 samples)")
     else:
         try:
-            angles = angle_profile(curve)
+            angles = angle_profile(SampledCurve(curve.s[inner], pts, vel))
         except ValueError:  # a stationary curve's velocity has no direction
             print("SKIP angle-linearity (zero velocity)")
         else:
-            fit = np.polyfit(curve.s, angles, 1)
+            fit = np.polyfit(curve.s[inner], angles, 1)
             slope_dev = abs(float(fit[0]) - 2.0 * float(record.header["lambda"]))
             results.append(("angle-linearity", slope_dev, max(tol, 1e-3)))
 

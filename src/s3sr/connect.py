@@ -43,7 +43,7 @@ import operator
 
 import numpy as np
 
-from .charts import EulerAngles, _angle_arrays, _chart_columns, to_cartesian, wrap_angle
+from .charts import EulerAngles, _angle_arrays, _chart_columns, omega_euler, to_cartesian, wrap_angle
 from .curves import SampledCurve, omega_fd_residuals
 from .quaternions import QUAT_I, _conj_mul_floats, check_unit, conj, qmul
 
@@ -61,6 +61,7 @@ _LOG_TAN_MAX = float(np.arccosh(1.0 / _POLE_MARGIN))  # sin(theta) = 1/cosh(log 
 _SCORE_KEEP = 0.30    # identity-gauge margin below which gauges are searched
 _SCORE_MIN = 0.02     # gauge score below which construction is hopeless
 _ENDPOINT_TOL = 1e-8
+_COINCIDENT_TOL = 1e-13  # endpoints closer than this take the constant route
 
 
 class ConstructionError(RuntimeError):
@@ -301,7 +302,7 @@ def connect(P, Q, n=256) -> SampledCurve:
     q_to = _as_point(Q, "Q")
     s = np.linspace(0.0, 1.0, n)
 
-    if float(np.linalg.norm(q_from - q_to)) < 1e-13:
+    if float(np.linalg.norm(q_from - q_to)) < _COINCIDENT_TOL:
         pts = np.tile(q_from, (n, 1))
         vel = np.zeros_like(pts)
         meta = {"tag": "connect", "route": "constant", "endpoint_error": 0.0, "max_omega_fd": 0.0}
@@ -374,9 +375,7 @@ def connect_constant_psi(phi0, theta0, phi1, theta1, n):
     psi_arr = np.full_like(t, psi)
     dpsi = np.zeros_like(t)
     pts, vel = (np.stack(cols, axis=-1) for cols in _chart_columns(phi, psi_arr, theta, dphi, dpsi, dtheta))
-    residual = float(
-        np.max(np.abs(np.sin(theta) * np.sin(psi) * dphi + np.cos(psi) * dtheta))
-    )
+    residual = 2.0 * float(np.max(np.abs(omega_euler(EulerAngles(phi, psi, theta), (dphi, 0.0, dtheta)))))
     curve = SampledCurve(
         t,
         pts,

@@ -50,19 +50,28 @@ def _first_difference(s, p):
     return (p[2:] - p[:-2]) / (s[2:] - s[:-2])[:, None]
 
 
-def _second_difference(steps, p):
-    """Three-point second differences of the samples p (n, m) at rows 1..n-2, exact on quadratics.
+def _grid_steps(s):
+    """np.diff(s), after checking that the grid s is strictly increasing, as finite differences need."""
+    steps = np.diff(s)
+    if np.any(steps <= 0.0):
+        raise ValueError("finite differences need a strictly increasing grid")
+    return steps
 
-    steps = np.diff(s).  Returns an (m, n-2) block, one component to a row:
-    the slopes (p[k+1] - p[k]) / steps[k] sit on contiguous rows, and each
-    difference of neighbouring slopes is divided by (steps[k] + steps[k+1]) / 2.
+
+def _second_difference(s, p):
+    """Three-point second differences on rows 1..n-2 of a strictly increasing grid s, exact on quadratics.
+
+    Returns the (n-2, 4) transpose of a (4, n-2) block with one component to a row:
+    the slopes (p[k+1] - p[k]) / (s[k+1] - s[k]) sit on contiguous rows, and each
+    difference of neighbouring slopes is divided by (s[k+2] - s[k]) / 2.
     """
+    steps = _grid_steps(s)
     slopes = np.subtract(p[1:].T, p[:-1].T, out=np.empty((p.shape[1], len(p) - 1)))
     slopes /= steps
     acc = np.diff(slopes)
     acc *= 2.0
     acc /= steps[:-1] + steps[1:]
-    return acc
+    return acc.T
 
 
 def fd_velocities(curve: SampledCurve) -> np.ndarray:
@@ -74,8 +83,7 @@ def fd_velocities(curve: SampledCurve) -> np.ndarray:
     s, p = curve.s, curve.points
     if curve.n < 2:
         raise ValueError("need at least 2 samples to difference")
-    if np.any(np.diff(s) <= 0.0):
-        raise ValueError("finite differences need a strictly increasing grid")
+    _grid_steps(s)
     v = np.empty_like(p)
     v[1:-1] = _first_difference(s, p)
     v[0] = (p[1] - p[0]) / (s[1] - s[0])

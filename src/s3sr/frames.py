@@ -75,7 +75,7 @@ def frame_ab(points, velocities):
     """Horizontal frame components (a, b) = (<v, X>, <v, Y>), row by row.
 
     No tangency check: this is the bare pairing on stacked points and
-    velocities, and the third component <v, T> is -omega_eval(q, v).
+    velocities; the third component <v, T> is -omega_eval(points, v).
     The frame vectors come from BLAS products p @ I*, which decide the
     signs of their zeros.
     """
@@ -84,23 +84,17 @@ def frame_ab(points, velocities):
     return _row_sum(v * (-(p @ I1))), _row_sum(v * (-(p @ I3)))
 
 
-def _t_component(v, q):
-    """<v, T> = v0 y + v1 z - v2 w - v3 x from the components v = (v0, .., v3) and q = (w, x, y, z).
-
-    v and q are (4, ...) blocks, one component to a row, and T = -(q j) = (y, z, -w, -x).
-    The terms are added in _row_sum's column order, so the sum is np.sum(v * T, axis=0)
-    up to the sign of a zero.
-    """
-    return v[0] * q[2] + v[1] * q[3] - v[2] * q[0] - v[3] * q[1]
-
-
 def omega_eval(q, v):
-    """The one-form omega = x1 dy1 - y1 dx1 + x2 dy2 - y2 dx2 applied to v."""
+    """The one-form omega = x1 dy1 - y1 dx1 + x2 dy2 - y2 dx2 applied to v, row by row.
+
+    Computed as -<v, T>, T = (y1, y2, -x1, -x2), with its terms in _row_sum's
+    column order: -np.sum(v * T, axis=-1) up to the sign of a zero.
+    """
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     x1, x2, y1, y2 = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     vx1, vx2, vy1, vy2 = v[..., 0], v[..., 1], v[..., 2], v[..., 3]
-    return x1 * vy1 - y1 * vx1 + x2 * vy2 - y2 * vx2
+    return -(vx1 * y1 + vx2 * y2 - vy1 * x1 - vy2 * x2)
 
 
 class LinearField(NamedTuple):

@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curves import SampledCurve, _second_difference, unit_norm_error
-from .frames import I1, I2, I3, _t_component, frame_ab
+from .frames import I1, I2, I3, frame_ab, omega_eval
 from .quaternions import _conj_mul_floats, _row_sum, check_unit, norm, norm2
 
 __all__ = [
@@ -400,11 +400,8 @@ def acceleration_T_residual(curve: SampledCurve) -> float:
     """max |<gamma'', T>| with three-point second differences on a strictly increasing grid."""
     if curve.n < 3:
         raise ValueError("need at least 3 samples")
-    steps = np.diff(curve.s)
-    if np.any(steps <= 0.0):
-        raise ValueError("finite differences need a strictly increasing grid")
     p = curve.points
-    return float(np.max(np.abs(_t_component(_second_difference(steps, p), p[1:-1].T))))
+    return float(np.max(np.abs(omega_eval(p[1:-1], _second_difference(curve.s, p)))))
 
 
 def angle_profile(curve: SampledCurve) -> np.ndarray:

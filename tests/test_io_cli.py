@@ -437,8 +437,12 @@ def test_cli_check_stationary_geodesic_skips_angle_linearity(tmp_path, capsys):
     assert "FAIL" not in captured
 
 
-@pytest.mark.parametrize("T, rows", [("0", 1), ("0.001", 2)])
+@pytest.mark.parametrize(
+    "T, rows",
+    [("0", 1), ("0.001", 2), ("0.002", 3), ("0.003", 4), ("0.004", 5), ("0.005", 6)],
+)
 def test_cli_check_short_geodesic_skips_angle_linearity(tmp_path, capsys, T, rows):
+    # the line is fitted to the extrapolated velocities, rows 2..n-3 (1..n-2 below 5 samples)
     out = tmp_path / "short.csv"
     assert run("geodesic", "--q0", "1,0,0,0", "--T", T, "--out", str(out)) == 0
     assert len(CurveRecord.from_csv(out).data) == rows
@@ -446,8 +450,37 @@ def test_cli_check_short_geodesic_skips_angle_linearity(tmp_path, capsys, T, row
     code = run("check", str(out))
     captured = capsys.readouterr().out
     assert code == 0
-    assert "SKIP angle-linearity (fewer than 3 samples)" in captured
+    assert "SKIP angle-linearity (fewer than 7 samples)" in captured
     assert "FAIL" not in captured
+    assert ("PASS acceleration-T" in captured) == (rows >= 3)
+
+
+def test_cli_check_fits_angle_linearity_from_seven_samples(tmp_path, capsys):
+    out = tmp_path / "seven.csv"
+    assert run("geodesic", "--q0", "1,0,0,0", "--lambda", "0.5", "--T", "0.006", "--out", str(out)) == 0
+    assert len(CurveRecord.from_csv(out).data) == 7
+    capsys.readouterr()
+    assert run("check", str(out)) == 0
+    assert "PASS angle-linearity" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["geodesic", "hamiltonian"])
+def test_cli_check_passes_fast_turning_geodesics_on_a_coarse_grid(tmp_path, capsys, command):
+    # one-sided end velocities bias a fitted slope: fitted on every row of fd_velocities,
+    # these files read 5.8e-3 (geodesic) and 2.3e-3 (hamiltonian) against a bound of 1e-3
+    lam = {"geodesic": "5", "hamiltonian": "2"}[command]
+    out = tmp_path / f"{command}.csv"
+    assert run(command, "--q0", "1,0,0,0", "--lambda", lam, "--T", "1", "--step", "0.01", "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run("check", str(out)) == 0
+    captured = capsys.readouterr().out
+    assert "PASS angle-linearity" in captured and "FAIL" not in captured
+    # a header lambda off by 0.01 is caught
+    rec = CurveRecord.from_csv(out)
+    rec.header["lambda"] += 0.01
+    rec.to_csv(out)
+    assert run("check", str(out)) == 1
+    assert "FAIL angle-linearity" in capsys.readouterr().out
 
 
 def test_cli_check_malformed_file(tmp_path):

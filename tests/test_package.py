@@ -70,14 +70,14 @@ PUBLIC_NAMES = {
     "EulerAngles": "charts.from_cartesian; the CLI's angle endpoints; connect",
     "chart_velocity": "c03",
     "from_cartesian": "the CLI's frames; bench/tracer.py",
-    "omega_euler": "c03",
+    "omega_euler": "connect.connect_constant_psi; c03",
     "to_cartesian": "the CLI's angle endpoints; connect",
     "ConstructionError": "the CLI's connect (exit 3)",
     "connect": "the CLI's connect; bench/workloads.py",
     "connect_constant_psi": "c05",
     "SampledCurve": "connect, integrate_geodesic, shoot, io and the CLI",
-    "fd_velocities": "io.CurveRecord.from_curve; the CLI's check",
-    "omega_fd_residuals": "connect; io.CurveRecord.from_curve",
+    "fd_velocities": "io.CurveRecord.from_curve; curves.omega_fd_residuals",
+    "omega_fd_residuals": "connect; io.CurveRecord.from_curve; the CLI's check",
     "I1": "geodesics",
     "I2": "geodesics.match_costate; frames.frame_at",
     "I3": "geodesics",
@@ -86,7 +86,7 @@ PUBLIC_NAMES = {
     "bracket": "c02",
     "frame_ab": "io.CurveRecord.from_curve; geodesics",
     "frame_at": "the CLI's frames",
-    "omega_eval": "curves.omega_fd_residuals; the CLI's check",
+    "omega_eval": "curves.omega_fd_residuals; geodesics.acceleration_T_residual; the CLI's check",
     "GeodesicParams": "shoot; the CLI's geodesic and hamiltonian; bench/workloads.py",
     "HamiltonianTrajectory": "integrate_hamiltonian's value, read by the CLI's hamiltonian",
     "ab_profile": "match_costate",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from s3sr.curves import SampledCurve, unit_norm_error
-from s3sr.frames import I1, I2, I3, frame_ab
+from s3sr.frames import I1, I2, I3, frame_ab, omega_eval
 from s3sr.geodesics import (
     GeodesicParams,
     acceleration_T_residual,
@@ -89,6 +89,10 @@ def _acceleration_T_residual_ref(curve):
     return float(np.max(np.abs(np.sum(acc * -(p[1:-1] @ I2), axis=1))))
 
 
+def _omega_eval_ref(p, v):
+    return -np.sum(v * -(p @ I2), axis=1)
+
+
 def _angle_profile_ref(curve):
     v = curve.velocities
     if np.any(np.linalg.norm(v, axis=1) < 1e-15):
@@ -140,6 +144,7 @@ def test_row_sum_callers_match_their_numpy_reductions():
         assert unit_norm_error(c) == _unit_norm_error_ref(c)
         assert _outcome(verify_velocity_energy, c) == _outcome(_verify_velocity_energy_ref, c)
         assert acceleration_T_residual(c) == _acceleration_T_residual_ref(c)
+        np.testing.assert_array_equal(omega_eval(c.points, c.velocities), _omega_eval_ref(c.points, c.velocities))
         got, ref = _outcome(angle_profile, c), _outcome(_angle_profile_ref, c)
         if isinstance(ref, str):
             assert got == ref
