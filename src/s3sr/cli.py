@@ -219,7 +219,7 @@ def _cmd_check(args) -> int:
         else:
             fit = np.polyfit(curve.s[inner], angles, 1)
             slope_dev = abs(float(fit[0]) - 2.0 * float(record.header["lambda"]))
-            results.append(("angle-linearity", slope_dev, max(tol, 1e-3)))
+            results.append(("angle-linearity", slope_dev, tol))
 
     all_pass = True
     for name, value, bound in results:

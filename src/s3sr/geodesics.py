@@ -29,8 +29,9 @@ powers of one complex factor, again from _powers.  q moves by
 q <- q (1 + D) with an increment D per step that is a polynomial in
 |eta1 + i eta3|^2 with coefficients fixed for the run; the running product
 of the factors 1 + D is associative, so it is taken as a log-depth scan
-over the horizon, whose short levels are a fold on Python numbers; no loop
-over the steps runs in Python, and xi = q eta is a pair product.
+over the horizon on two contiguous complex arrays, composed in place, whose
+short levels are a fold on Python numbers; no loop over the steps runs in
+Python, and xi = q eta is a pair product.
 Matching initial data must place -lambda in the <q I2, .> component
 of the costate; the component along q itself is pure gauge.  The
 checks at the bottom verify energy, horizontality and the linear law
@@ -62,18 +63,18 @@ __all__ = [
     "angle_profile",
 ]
 
-# steps of integrate_hamiltonian per block: a block's increments D, a
-# polynomial in |w_k|^2, and later its q and costate rows are numpy arithmetic
-# on arrays of this length, which bounds their temporaries (whole-horizon ones
-# would cost several MB on a long horizon); only the powers w_k and the scan
-# span the horizon, in place in the output table, with temporaries of one or
-# two times the size of its w column
+# steps of integrate_hamiltonian per block: a block's q and costate rows are
+# numpy arithmetic on arrays of this length, which bounds their temporaries
+# (over the whole horizon they would take the peak from 1.24 to 1.92 MB at
+# 10^4 steps); the powers w_k, the increments D_k and the scan span the
+# horizon, the scan in place in two complex arrays of 16 B a step, with
+# temporaries no larger than the two together
 _BLOCK = 1024
 # the fine table's length in _powers: exp(z k) for n samples takes
 # n / _POWERS_WIDTH + _POWERS_WIDTH complex exponentials
 _POWERS_WIDTH = 128
-# the length at or below which _scan folds on Python numbers: a numpy call
-# costs about as much as a few dozen scalar products
+# the length at or below which _scan folds on Python numbers: a numpy call on
+# one of its strided levels costs about as much as a few dozen scalar products
 _SCAN_TAIL = 64
 
 
@@ -253,33 +254,48 @@ def match_costate(q0, params: GeodesicParams):
 
 
 def _compose(a, b):
-    """The pair of (1 + a)(1 + b) - 1 for pairs a = (a0, a1), b = (b0, b1) of arrays or numbers."""
+    """The pair of (1 + a)(1 + b) - 1 for pairs a = (a0, a1), b = (b0, b1) of arrays or numbers.
+
+    Written into b's arrays by augmented assignment and returned; on numbers, which
+    are immutable, only returned.  The float operations are those of
+    (a0 + b0 + p0, a1 + b1 + p1) with (p0, p1) = _pair_mul(a0, a1, b0, b1), each
+    product with its operands in that order, as numpy's complex product is not
+    bit-commutative; only a0 + b0 is taken as b0 + a0, which differs at most in
+    the payload of a NaN.
+    """
     (a0, a1), (b0, b1) = a, b
-    p0, p1 = _pair_mul(a0, a1, b0, b1)
-    return a0 + b0 + p0, a1 + b1 + p1
+    p0 = a0 * b0
+    p0 -= a1.conjugate() * b1
+    p1 = a0.conjugate() * b1
+    p1 += a1 * b0
+    b0 += a0
+    b0 += p0
+    b1 += a1
+    b1 += p1
+    return b0, b1
 
 
-def _scan(e):
-    """In place, e[k] <- e[0] o e[1] o ... o e[k] for the product o of _compose.
+def _scan(a, b):
+    """In place, c[k] <- c[0] o c[1] o ... o c[k] for the pairs c[k] = (a[k], b[k]) and o of _compose.
 
     o is associative, so the running products come from a tree: each odd
     entry absorbs the entry before it, the odd entries are scanned at half
-    the length, and each even entry then absorbs the odd one before it.
+    the length, and each even entry then absorbs the odd one before it
+    (Blelloch's up- and down-sweep); the levels are strided views of a and b.
     A level of at most _SCAN_TAIL entries, where numpy's per-call cost
     outweighs the arithmetic, is a left fold on Python complex numbers.
     """
-    if len(e) <= _SCAN_TAIL:
-        rows = e.tolist()
-        for k in range(1, len(rows)):
-            rows[k] = _compose(rows[k - 1], rows[k])
-        if len(rows) > 1:
-            e[1:] = rows[1:]
+    if len(a) <= _SCAN_TAIL:
+        xa, xb = a.tolist(), b.tolist()
+        for k in range(1, len(xa)):
+            xa[k], xb[k] = _compose((xa[k - 1], xb[k - 1]), (xa[k], xb[k]))
+        a[:], b[:] = xa, xb
         return
-    odd = e[1::2]
-    odd[:, 0], odd[:, 1] = _compose(e[:-1:2].T, odd.T)
-    _scan(odd)
-    even = e[2::2]
-    even[:, 0], even[:, 1] = _compose(odd[: len(even)].T, even.T)
+    odd_a, odd_b = a[1::2], b[1::2]
+    _compose((a[:-1:2], b[:-1:2]), (odd_a, odd_b))
+    _scan(odd_a, odd_b)
+    n_even = (len(a) - 1) // 2
+    _compose((odd_a[:n_even], odd_b[:n_even]), (a[2::2], b[2::2]))
 
 
 def integrate_hamiltonian(q0, xi0, T, h) -> HamiltonianTrajectory:
@@ -306,10 +322,12 @@ def integrate_hamiltonian(q0, xi0, T, h) -> HamiltonianTrajectory:
         L1 = (h/6)(-2 (h/2)^2 conj(g2) g3 - h (h/2) g2 conj(g3) g4),
 
     still the classical scheme for any h, |R| < 1 included.  So
-    q_k = q0 (1 + D_0) ... (1 + D_(k-1)): the running products come from
-    _scan, whose tree order rounds less than a step-by-step fold, in place
-    in the output table.  The costate samples are pair products
-    xi_k = q_k eta_k, eta_k = (e0 + i e2, w_k).
+    q_k = q0 (1 + D_0) ... (1 + D_(k-1)): the increments are built in one
+    pass over the horizon into two contiguous complex arrays, which _scan
+    turns in place into the running products, in a tree order that rounds
+    less than a step-by-step fold.  The q rows and the costate samples, pair
+    products xi_k = q_k eta_k with eta_k = (e0 + i e2, w_k), are then written
+    a block at a time.
     """
     nsteps, dt = _grid(T, h)
     q0 = check_unit(q0, what="initial point q0")
@@ -335,26 +353,24 @@ def integrate_hamiltonian(q0, xi0, T, h) -> HamiltonianTrajectory:
     l1 = sixth * -half * (2.0 * half * g2.conjugate() * g3 + dt * g2 * g3.conjugate() * g4)
     ys = np.empty((nsteps + 1, 8))
     ys[0, :4] = q0
-    # The table is the only buffer over the horizon: the q columns of row k + 1
-    # hold the pair of D_k, then of C_k = (1 + D_0) ... (1 + D_k) - 1, until
-    # q_(k+1) = q0 (1 + C_k) replaces it, and the xi columns of row k hold w_k
-    # until xi_k does
-    c = ys[1:, :4].view(complex)
+    # the xi columns of row k hold w_k until xi_k replaces it; the pairs of the
+    # increments D_k, then of C_k = (1 + D_0) ... (1 + D_k) - 1, are the
+    # contiguous arrays ca and cb, and the q columns of row k + 1 get
+    # q_(k+1) = q0 (1 + C_k)
     w = ys[:, 4:6].view(complex)[:, 0]
     qa, qb = complex(q0[0], q0[2]), complex(q0[1], q0[3])
     eta_a = complex(e0, e2)
     with np.errstate(all="ignore"):  # a huge costate runs to inf and NaN, as any RK4 would
         w[:] = complex(e1, e3) * _powers(log_r, nsteps + 1)  # w_k = w0 R^k
+        wk = w[:-1]
+        m = wk.real * wk.real + wk.imag * wk.imag
+        ca = m * (k1 + k2 * m)
+        cb = (l0 + l1 * m) * wk
+        del m
+        _scan(ca, cb)
         for start in range(0, nsteps, _BLOCK):
             stop = min(start + _BLOCK, nsteps)
-            wk = w[start:stop]
-            m = wk.real * wk.real + wk.imag * wk.imag
-            c[start:stop, 0] = m * (k1 + k2 * m)
-            c[start:stop, 1] = (l0 + l1 * m) * wk
-        _scan(c)
-        for start in range(0, nsteps, _BLOCK):
-            stop = min(start + _BLOCK, nsteps)
-            a, b = _pair_mul(qa, qb, c[start:stop, 0], c[start:stop, 1])
+            a, b = _pair_mul(qa, qb, ca[start:stop], cb[start:stop])
             a, b = qa + a, qb + b
             # xi_k = q_k eta_k, eta_k = (e0 + i e2, w_k), reads w_k before its columns are written
             xa, xb = _pair_mul(a, b, eta_a, w[start + 1 : stop + 1])

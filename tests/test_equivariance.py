@@ -1,0 +1,73 @@
+"""The isometries of the structure as an oracle: geodesics move with them.
+
+Left translation q -> g q and the T-flow q -> q e^{j alpha} preserve the
+distribution and its metric, so the geodesic through g q0 is g times the
+geodesic through q0, and the T-flow turns the frame angle theta0 by
+2 alpha.  Each test draws seeded cases over g, alpha in [-8, 8],
+lambda in [-8, 8], r in [0, 2] and horizons T <= 10; each bound is about
+ten times the worst gap measured over 200 such cases (5 seeds of 40).
+"""
+
+import numpy as np
+import pytest
+
+from s3sr.geodesics import GeodesicParams, geodesic_point, integrate_geodesic, integrate_hamiltonian, match_costate
+from s3sr.quaternions import qmul
+from conftest import random_unit
+
+
+def _cases(seed, n=40):
+    """n seeded (g, q0, params, T, h) with |lambda| <= 8 and T <= 10."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        params = GeodesicParams(rng.uniform(0.0, 2.0), rng.uniform(-np.pi, np.pi), rng.uniform(-8.0, 8.0))
+        yield random_unit(rng), random_unit(rng), params, rng.uniform(0.0, 10.0), rng.choice([1e-3, 1e-2]), rng
+
+
+def _e_j(alpha):
+    """e^{j alpha} = cos(alpha) + sin(alpha) j."""
+    return np.array([np.cos(alpha), 0.0, np.sin(alpha), 0.0])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_integrate_geodesic_commutes_with_left_translation(seed):
+    # worst gap measured: 8.9e-16
+    for g, q0, params, T, h, _ in _cases(seed):
+        moved = integrate_geodesic(qmul(g, q0), params, T, h)
+        curve = integrate_geodesic(q0, params, T, h)
+        assert np.array_equal(moved.s, curve.s)
+        assert np.max(np.abs(moved.points - qmul(g, curve.points))) <= 1e-14
+        assert np.max(np.abs(moved.velocities - qmul(g, curve.velocities))) <= 1e-14
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_integrate_hamiltonian_commutes_with_left_translation(seed):
+    # (q0, xi0) -> (g q0, g xi0) keeps the body costate conj(q0) xi0, so the RK4
+    # run is the same up to rounding; the costate carries a gauge component.
+    # Worst gaps measured: 9.2e-15 in q, 1.0e-14 in xi relative to |xi0|
+    for g, q0, params, T, h, rng in _cases(seed):
+        xi0 = match_costate(q0, params) + rng.uniform(-1.0, 1.0) * q0
+        moved = integrate_hamiltonian(qmul(g, q0), qmul(g, xi0), T, h)
+        traj = integrate_hamiltonian(q0, xi0, T, h)
+        assert np.max(np.abs(moved.q - qmul(g, traj.q))) <= 1e-13
+        assert np.max(np.abs(moved.xi - qmul(g, traj.xi))) <= 1e-13 * np.linalg.norm(xi0)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_geodesic_point_moves_with_the_T_flow(seed):
+    # q e^{j alpha} turns the frame by 2 alpha: geodesic_point(q0 e^{j alpha},
+    # (r, theta0 + 2 alpha, lambda), s) = geodesic_point(q0, (r, theta0, lambda), s) e^{j alpha}.
+    # Worst gap measured: 1.1e-15
+    for _, q0, params, T, _, rng in _cases(seed):
+        alpha = rng.uniform(-8.0, 8.0)
+        s = np.linspace(0.0, T, 257)
+        turned = params._replace(theta0=params.theta0 + 2.0 * alpha)
+        moved = geodesic_point(qmul(q0, _e_j(alpha)), turned, s)
+        assert np.max(np.abs(moved - qmul(geodesic_point(q0, params, s), _e_j(alpha)))) <= 1e-14
+
+
+def test_the_T_flow_turns_theta0_forward():
+    # with theta0 - 2 alpha the two sides differ at order one, so the sign is pinned
+    q0, params, alpha, s = np.array([1.0, 0.0, 0.0, 0.0]), GeodesicParams(1.0, 0.3, 0.5), 0.4, np.linspace(0.0, 3.0, 31)
+    wrong = geodesic_point(qmul(q0, _e_j(alpha)), params._replace(theta0=params.theta0 - 2.0 * alpha), s)
+    assert np.max(np.abs(wrong - qmul(geodesic_point(q0, params, s), _e_j(alpha)))) > 0.1

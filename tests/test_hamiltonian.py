@@ -8,6 +8,7 @@ from s3sr.geodesics import (
     _BLOCK,
     GeodesicParams,
     _compose,
+    _pair_mul,
     _scan,
     geodesic_point,
     integrate_geodesic,
@@ -226,17 +227,70 @@ def test_scan_matches_a_left_fold_of_compose(n):
     for k in range(1, n):
         rows[k] = _compose(rows[k - 1], rows[k])
     fold = np.array(rows, dtype=complex).reshape(n, 2)
-    got = e.copy()
-    _scan(got)
-    if n <= 2:
-        # no product, or the one product e0 o e1 that both take in the same way
-        assert got.tobytes() == fold.tobytes()
-    else:
-        # each product rounds the pair by about eps |C|, with |C| <= 0.25 here; the
-        # fold makes n - 1 products in a chain and the tree fewer, so they differ
-        # by less than n eps
-        assert np.max(np.abs(fold)) <= 0.25
-        assert np.max(np.abs(got - fold)) <= n * np.finfo(float).eps
+    # the A and B columns as strided views of the (n, 2) table, and as
+    # contiguous arrays of their own
+    strided = e.copy()
+    for a, b in [(strided[:, 0], strided[:, 1]), (e[:, 0].copy(), e[:, 1].copy())]:
+        _scan(a, b)
+        got = np.stack([a, b], axis=1)
+        if n <= 2:
+            # no product, or the one product e0 o e1 that both take in the same way
+            assert got.tobytes() == fold.tobytes()
+        else:
+            # each product rounds the pair by about eps |C|, with |C| <= 0.25 here; the
+            # fold makes n - 1 products in a chain and the tree fewer, so they differ
+            # by less than n eps
+            assert np.max(np.abs(fold)) <= 0.25
+            assert np.max(np.abs(got - fold)) <= n * np.finfo(float).eps
+    # the layout does not change a bit
+    assert got.tobytes() == strided.tobytes()
+
+
+def _compose_inputs():
+    """Pairs (a0, a1), (b0, b1) for _compose, as four complex arrays.
+
+    Parts drawn from +-0, +-inf, NaN, +-1e+-300, subnormals and moderate numbers,
+    each of them in every one of the 8 real slots at least once, then random
+    normal pairs and pairs spread over the whole exponent range.
+    """
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -2.2e-308, 1.0, -0.5]
+    rng = np.random.default_rng(31)
+    special = rng.choice(specials, size=(8, 20000))
+    special[:, : len(specials)] = specials
+    spread = 10.0 ** rng.integers(-300, 301, size=(8, 4000)) * rng.normal(size=(8, 4000))
+    parts = np.concatenate([special, rng.normal(size=(8, 4000)), spread], axis=1)
+    z = np.empty((4, parts.shape[1]), dtype=complex)
+    z.real, z.imag = parts[:4], parts[4:]
+    return z
+
+
+def _compose_out_of_place(a, b):
+    """_compose as new values: (a0 + b0 + p0, a1 + b1 + p1) with (p0, p1) = _pair_mul(a0, a1, b0, b1)."""
+    (a0, a1), (b0, b1) = a, b
+    p0, p1 = _pair_mul(a0, a1, b0, b1)
+    return a0 + b0 + p0, a1 + b1 + p1
+
+
+def test_compose_in_place_matches_its_out_of_place_form():
+    # the scan's array levels write _compose into their second pair, and its fold
+    # on Python numbers rebinds it; both must make the float operations of the
+    # out-of-place form in its order, byte for byte.  Numbers and arrays are
+    # compared each with their own arithmetic: numpy's vectorized complex product
+    # rounds differently from Python's (about half of the random pairs differ in
+    # the last bit, and inf - inf can read as inf there)
+    z = _compose_inputs()
+    with np.errstate(all="ignore"):
+        a0, a1, b0, b1 = z.copy()
+        ref = np.stack(_compose_out_of_place((a0, a1), (b0, b1)), axis=1)
+        out = _compose((a0, a1), (b0, b1))
+        assert out[0] is b0 and out[1] is b1
+        assert np.stack([b0, b1], axis=1).tobytes() == ref.tobytes()
+        # the first pair is read only
+        assert np.stack([a0, a1]).tobytes() == z[:2].tobytes()
+        rows = list(zip(*(v.tolist() for v in z)))
+        got = [_compose((x0, x1), (y0, y1)) for x0, x1, y0, y1 in rows]
+        want = [_compose_out_of_place((x0, x1), (y0, y1)) for x0, x1, y0, y1 in rows]
+    assert np.array(got, dtype=complex).tobytes() == np.array(want, dtype=complex).tobytes()
 
 
 def test_body_scheme_agrees_with_the_ambient_rk4(rng):
@@ -273,7 +327,10 @@ def test_long_horizon_accuracy():
 
 
 def test_hamiltonian_memory_is_one_table():
-    # the (10001, 8) float table is 0.64 MB; a per-step list over the horizon would add ~3 MB
+    # the (10001, 8) float table is 0.64 MB and the scan's two complex arrays,
+    # 32 B a step, 0.32 MB; the peak reads 1.24 MB with the temporaries of the
+    # scan's first level. A per-step list over the horizon would add ~3 MB, and
+    # the q and costate rows taken over the whole horizon at once read 1.92 MB
     q0 = np.array([1.0, 0.0, 0.0, 0.0])
     xi0 = match_costate(q0, GeodesicParams(1.0, 0.3, 0.7))
     tracemalloc.start()

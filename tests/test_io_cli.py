@@ -10,6 +10,7 @@ from s3sr.connect import connect
 from s3sr.geodesics import GeodesicParams, integrate_geodesic
 from s3sr.io import COLUMNS, CurveRecord
 from s3sr.quaternions import normalize, qexp_pure, qmul
+from test_cli_lifecycle import README_SESSION
 
 
 def run(*args):
@@ -481,6 +482,28 @@ def test_cli_check_passes_fast_turning_geodesics_on_a_coarse_grid(tmp_path, caps
     rec.to_csv(out)
     assert run("check", str(out)) == 1
     assert "FAIL angle-linearity" in capsys.readouterr().out
+
+
+def test_cli_check_bounds_angle_linearity_by_tol(tmp_path, capsys):
+    # the README's curve files pass every row at the default --tol 1e-4
+    for argv in README_SESSION[:4]:
+        out = tmp_path / f"{argv[0]}.csv"
+        assert run(*argv, "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run("check", str(out)) == 0, argv[0]
+        assert "FAIL" not in capsys.readouterr().out
+    # a header lambda off by 4e-4 moves the slope by 8e-4: over --tol, and under
+    # the former bound of max(tol, 1e-3)
+    out = tmp_path / "geo.csv"
+    assert run("geodesic", "--q0", "1,0,0,0", "--lambda", "0.5", "--T", "3", "--step", "0.001", "--out", str(out)) == 0
+    rec = CurveRecord.from_csv(out)
+    rec.header["lambda"] += 4e-4
+    rec.to_csv(out)
+    capsys.readouterr()
+    assert run("check", str(out)) == 1
+    captured = capsys.readouterr().out
+    assert "FAIL angle-linearity max_residual=8.0000" in captured and "tol=1.0e-04" in captured
+    assert captured.count("FAIL") == 1
 
 
 def test_cli_check_malformed_file(tmp_path):
