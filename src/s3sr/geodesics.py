@@ -26,12 +26,11 @@ fourth-order one-step method on the pair (q, eta), the numerical
 integrator that the closed form is checked against.  There eta1 + i eta3
 obeys a linear constant-coefficient equation, so its RK4 iterates are
 powers of one complex factor, again from _powers.  q moves by
-q <- q (1 + D) with an increment D per step that is a polynomial in
-|eta1 + i eta3|^2 with coefficients fixed for the run; the running product
-of the factors 1 + D is associative, so it is taken as a log-depth scan
-over the horizon on two contiguous complex arrays, composed in place, whose
-short levels are a fold on Python numbers; no loop over the steps runs in
-Python, and xi = q eta is a pair product.
+q <- q (1 + D), D a polynomial in |eta1 + i eta3|^2 with coefficients
+fixed for the run; the associative product q0 (1 + D_0) (1 + D_1) ...
+is a log-depth scan in place on two complex arrays that start with
+q0 - 1, its short levels a fold on Python numbers, and xi = q eta is
+formed in the same arrays: no loop over the steps runs in Python.
 Matching initial data must place -lambda in the <q I2, .> component
 of the costate; the component along q itself is pure gauge.  The
 checks at the bottom verify energy, horizontality and the linear law
@@ -63,13 +62,6 @@ __all__ = [
     "angle_profile",
 ]
 
-# steps of integrate_hamiltonian per block: a block's q and costate rows are
-# numpy arithmetic on arrays of this length, which bounds their temporaries
-# (over the whole horizon they would take the peak from 1.24 to 1.92 MB at
-# 10^4 steps); the powers w_k, the increments D_k and the scan span the
-# horizon, the scan in place in two complex arrays of 16 B a step, with
-# temporaries no larger than the two together
-_BLOCK = 1024
 # the fine table's length in _powers: exp(z k) for n samples takes
 # n / _POWERS_WIDTH + _POWERS_WIDTH complex exponentials
 _POWERS_WIDTH = 128
@@ -322,12 +314,11 @@ def integrate_hamiltonian(q0, xi0, T, h) -> HamiltonianTrajectory:
         L1 = (h/6)(-2 (h/2)^2 conj(g2) g3 - h (h/2) g2 conj(g3) g4),
 
     still the classical scheme for any h, |R| < 1 included.  So
-    q_k = q0 (1 + D_0) ... (1 + D_(k-1)): the increments are built in one
-    pass over the horizon into two contiguous complex arrays, which _scan
-    turns in place into the running products, in a tree order that rounds
-    less than a step-by-step fold.  The q rows and the costate samples, pair
-    products xi_k = q_k eta_k with eta_k = (e0 + i e2, w_k), are then written
-    a block at a time.
+    q_k = q0 (1 + D_0) ... (1 + D_(k-1)): _scan turns the pair of q0 - 1 and
+    the D_k, built in one pass in two contiguous complex arrays, in place into
+    the pairs of q_k - 1, in a tree order that rounds less than a step-by-step
+    fold and with no 1 + D_k, which would round away D_k's low digits.  Then
+    q_k and xi_k = q_k eta_k, eta_k = (e0 + i e2, w_k), are formed in place.
     """
     nsteps, dt = _grid(T, h)
     q0 = check_unit(q0, what="initial point q0")
@@ -352,31 +343,39 @@ def integrate_hamiltonian(q0, xi0, T, h) -> HamiltonianTrajectory:
     l0 = sixth * (1.0 + 2.0 * g2 + 2.0 * g3 + g4)
     l1 = sixth * -half * (2.0 * half * g2.conjugate() * g3 + dt * g2 * g3.conjugate() * g4)
     ys = np.empty((nsteps + 1, 8))
-    ys[0, :4] = q0
-    # the xi columns of row k hold w_k until xi_k replaces it; the pairs of the
-    # increments D_k, then of C_k = (1 + D_0) ... (1 + D_k) - 1, are the
-    # contiguous arrays ca and cb, and the q columns of row k + 1 get
-    # q_(k+1) = q0 (1 + C_k)
+    # the xi columns of row k hold w_k and conj(B_k) w_k until xi_k replaces them;
+    # a and b, allocated once the temporaries of w_k and m are gone, hold the
+    # pairs of q0 - 1 and of the increments D_k, then of q_k - 1 after the scan
     w = ys[:, 4:6].view(complex)[:, 0]
-    qa, qb = complex(q0[0], q0[2]), complex(q0[1], q0[3])
+    bw = ys[:, 6:8].view(complex)[:, 0]
     eta_a = complex(e0, e2)
     with np.errstate(all="ignore"):  # a huge costate runs to inf and NaN, as any RK4 would
         w[:] = complex(e1, e3) * _powers(log_r, nsteps + 1)  # w_k = w0 R^k
         wk = w[:-1]
         m = wk.real * wk.real + wk.imag * wk.imag
-        ca = m * (k1 + k2 * m)
-        cb = (l0 + l1 * m) * wk
+        a, b = np.empty((2, nsteps + 1), dtype=complex)
+        a[0], b[0] = complex(q0[0] - 1.0, q0[2]), complex(q0[1], q0[3])
+        da, db = a[1:], b[1:]
+        np.multiply(m, k2, out=da)
+        da += k1
+        da *= m
+        np.multiply(m, l1, out=db)
+        db += l0
+        db *= wk
         del m
-        _scan(ca, cb)
-        for start in range(0, nsteps, _BLOCK):
-            stop = min(start + _BLOCK, nsteps)
-            a, b = _pair_mul(qa, qb, ca[start:stop], cb[start:stop])
-            a, b = qa + a, qb + b
-            # xi_k = q_k eta_k, eta_k = (e0 + i e2, w_k), reads w_k before its columns are written
-            xa, xb = _pair_mul(a, b, eta_a, w[start + 1 : stop + 1])
-            _rows(a, b, out=ys[start + 1 : stop + 1, :4])
-            _rows(xa, xb, out=ys[start + 1 : stop + 1, 4:])
-    ys[0, 4:] = xi0
+        _scan(a, b)
+        a += 1.0
+        _rows(a, b, out=ys[:, :4])
+        # xi_k = q_k eta_k = (A eta_a - conj(B) w_k, conj(A) w_k + B eta_a), eta_k = (eta_a, w_k)
+        np.conjugate(b, out=bw)
+        bw *= w
+        np.multiply(a.conjugate(), w, out=w)
+        a *= eta_a
+        a -= bw
+        b *= eta_a
+        b += w
+        _rows(a, b, out=ys[:, 4:])
+    ys[0, :4], ys[0, 4:] = q0, xi0
     s = np.arange(nsteps + 1) * dt
     meta = {"tag": "hamiltonian", "method": "rk4_body", "T": T, "h": dt}
     return HamiltonianTrajectory(s, ys[:, :4], ys[:, 4:], meta)

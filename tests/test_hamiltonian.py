@@ -5,7 +5,6 @@ import pytest
 
 from s3sr.frames import I1, I2, I3
 from s3sr.geodesics import (
-    _BLOCK,
     GeodesicParams,
     _compose,
     _pair_mul,
@@ -180,7 +179,9 @@ def _body_stage_hamiltonian(q0, xi0, T, h):
     return ys
 
 
-@pytest.mark.parametrize("nsteps", [0, 1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 5000])
+# the scan runs over nsteps + 1 entries: 1023 steps make it 2^10 long, and
+# 1024, 1025 and 2049 steps one or two entries past 2^10 and 2^11
+@pytest.mark.parametrize("nsteps", [0, 1, 2, 3, 1023, 1024, 1025, 2049, 5000])
 def test_blocked_kernel_matches_per_step_body_reference(nsteps):
     rng = np.random.default_rng(nsteps)
     q0 = random_unit(rng)
@@ -328,9 +329,8 @@ def test_long_horizon_accuracy():
 
 def test_hamiltonian_memory_is_one_table():
     # the (10001, 8) float table is 0.64 MB and the scan's two complex arrays,
-    # 32 B a step, 0.32 MB; the peak reads 1.24 MB with the temporaries of the
-    # scan's first level. A per-step list over the horizon would add ~3 MB, and
-    # the q and costate rows taken over the whole horizon at once read 1.92 MB
+    # 32 B a step, 0.32 MB; the peak reads 1.2 MB with the temporaries of the
+    # scan's first level. A per-step list over the horizon would add ~3 MB
     q0 = np.array([1.0, 0.0, 0.0, 0.0])
     xi0 = match_costate(q0, GeodesicParams(1.0, 0.3, 0.7))
     tracemalloc.start()

@@ -539,7 +539,7 @@ def test_cli_hamiltonian(tmp_path, capsys):
 
 
 def test_cli_hamiltonian_deterministic_bytes(tmp_path, capsys):
-    # five blocks of steps, so the blocked passes and the scan over the horizon all run
+    # 5,000 steps, so the scan runs its array levels as well as its fold on Python numbers
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     args = ["hamiltonian", "--q0", "1,0,0,0", "--theta0", "0.4", "--lambda", "0.5", "--T", "5", "--step", "0.001"]
