@@ -16,10 +16,10 @@ phi and psi are stored unnormalized (curves may wind); the chart is
 singular on the circles theta = 0 and theta = pi, where one of alpha,
 beta is undefined.
 
-The chart map _chart_columns (points and velocities from one trig pass)
-and its inverse _angle_arrays are the vectorized kernels;
-to_cartesian, chart_velocity and from_cartesian are their single-point
-forms.
+The chart map _chart_columns (points and velocities from one trig pass,
+written column by column into two (..., 4) arrays) and its inverse
+_angle_arrays are the vectorized kernels; to_cartesian, chart_velocity
+and from_cartesian are their single-point forms.
 """
 
 from __future__ import annotations
@@ -64,33 +64,45 @@ def wrap_angle(x):
 def _chart_columns(phi, psi, theta, dphi=0.0, dpsi=0.0, dtheta=0.0):
     """Vectorized chart map and pushforward of chart rates, in one trig pass.
 
-    Returns the point components (x1, x2, y1, y2) and the velocity
-    components (x1', x2', y1', y2'), each broadcast over the inputs.
+    Returns the points (x1, x2, y1, y2) and the velocities
+    (x1', x2', y1', y2') as two (..., 4) arrays over the broadcast
+    inputs, each column written in place.  The velocities reuse the
+    point products, with the sign of a term moved onto its rate:
+    x1' = x2 (-alpha') - cos(alpha) sin(theta/2) theta'/2, and so on.
     """
     alpha = 0.5 * (phi + psi)
     beta = 0.5 * (phi - psi)
-    c = np.cos(0.5 * theta)
-    s = np.sin(0.5 * theta)
+    half = 0.5 * theta
+    c, s = np.cos(half), np.sin(half)
     ca, sa = np.cos(alpha), np.sin(alpha)
     cb, sb = np.cos(beta), np.sin(beta)
     da = 0.5 * (dphi + dpsi)
     db = 0.5 * (dphi - dpsi)
     dt = 0.5 * dtheta
-    points = (ca * c, sa * c, cb * s, sb * s)
-    velocities = (
-        -sa * c * da - ca * s * dt,
-        ca * c * da - sa * s * dt,
-        -sb * s * db + cb * c * dt,
-        cb * s * db + sb * c * dt,
-    )
-    return points, velocities
+    shape = np.broadcast(alpha, beta, c, da, db, dt).shape + (4,)
+    pts, vel = np.empty(shape), np.empty(shape)
+    x1, x2, y1, y2 = (pts[..., m] for m in range(4))
+    v0, v1, v2, v3 = (vel[..., m] for m in range(4))
+    np.multiply(ca, c, out=x1)
+    np.multiply(sa, c, out=x2)
+    np.multiply(cb, s, out=y1)
+    np.multiply(sb, s, out=y2)
+    np.multiply(x2, -da, out=v0)
+    v0 -= ca * s * dt
+    np.multiply(x1, da, out=v1)
+    v1 -= sa * s * dt
+    np.multiply(y2, -db, out=v2)
+    v2 += cb * c * dt
+    np.multiply(y1, db, out=v3)
+    v3 += sb * c * dt
+    return pts, vel
 
 
 def to_cartesian(e: EulerAngles) -> np.ndarray:
     """Cartesian point of the chart triple.  theta must lie in [0, pi]."""
     if not 0.0 <= e.theta <= np.pi:
         raise ValueError(f"theta must lie in [0, pi], got {e.theta}")
-    return np.stack(_chart_columns(e.phi, e.psi, e.theta)[0], axis=-1)
+    return _chart_columns(e.phi, e.psi, e.theta)[0]
 
 
 def _angle_arrays(q):
@@ -123,7 +135,7 @@ def from_cartesian(q) -> EulerAngles:
 def chart_velocity(e: EulerAngles, rates) -> np.ndarray:
     """Cartesian velocity of a chart curve with rates (phi', psi', theta')."""
     dphi, dpsi, dtheta = rates
-    return np.stack(_chart_columns(e.phi, e.psi, e.theta, dphi, dpsi, dtheta)[1], axis=-1)
+    return _chart_columns(e.phi, e.psi, e.theta, dphi, dpsi, dtheta)[1]
 
 
 def omega_euler(e: EulerAngles, rates) -> float:

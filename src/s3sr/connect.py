@@ -20,20 +20,23 @@ of the form exp(chi*j), or those times i, preserves the horizontal
 distribution, so the construction is run in a translated gauge chosen
 by a deterministic score and mapped back afterwards.  The boundary data
 of all 32 candidate gauges come from one array pass of the chart
-inverse, on the 64 translated endpoints of one broadcast product.  A
-gauge is kept only when min(sin(theta), cos(psi)) >= 0.02 at both
-translated endpoints, which already puts them off the poles and psi in
-the principal branch.  The leg is evaluated in one pass of the chart
-kernel, which shares its trigonometry between points and velocities,
-and the gauge g is undone by one product with the 4x4 matrix of right
-multiplication by conj(g), built for each gauge at import.  Pairs that
+inverse, on the 64 translated endpoints.  These are qmul's products bit
+for bit, but formed without it: the endpoints' factors times a table of
+signed gauge factors built at import, summed term by term in qmul's
+order.  A gauge is kept only when min(sin(theta), cos(psi)) >= 0.02 at
+both translated endpoints, which already puts them off the poles and
+psi in the principal branch.  The leg is evaluated in one pass of the
+chart kernel, which shares its trigonometry between points and
+velocities and writes both row arrays in place, and the gauge g is
+undone by one product with the 4x4 matrix of right multiplication by
+conj(g), built for each gauge at import.  Pairs that
 no gauge makes chart-friendly (and degenerate data such as k ~ 0) fall
 back to a waypoint route: two one-parameter-subgroup arcs with
 horizontal axes, glued with a smooth time warp whose first and second
 derivatives vanish at the junction.  Such an arc a * exp(t n), with n a
 unit axis in span{i, k}, is the great circle cos(t) a + sin(t) (a n),
 evaluated in closed form from one cos/sin pass and the single product
-a n.
+a n, taken on Python floats.  No route calls qmul at run time.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import numpy as np
 
 from .charts import EulerAngles, _angle_arrays, _chart_columns, omega_euler, to_cartesian, wrap_angle
 from .curves import SampledCurve, omega_fd_residuals
-from .quaternions import QUAT_I, _conj_mul_floats, check_unit, conj, qmul
+from .quaternions import QUAT_I, _conj_mul_floats, _mul_floats, check_unit, conj, qmul
 
 __all__ = [
     "ConstructionError",
@@ -114,7 +117,7 @@ def _circle(a, n, angle, u, du):
     n is a unit pure quaternion in span{i, k}, so the arc is a
     horizontal great circle; du is the derivative of u with respect to s.
     """
-    an = qmul(a, n)
+    an = _mul_floats(a, n)
     t = angle * u
     c, sn = np.cos(t), np.sin(t)
     rate = angle * du
@@ -134,7 +137,7 @@ def _chart_leg(undo, phi0, k, q, log_tan, s):
     dpsi = _horner((q[1], 2.0 * q[2]), s) / (1.0 + qv * qv)
     dtheta = -k * qv / np.cosh(ell)
     pts, vel = _chart_columns(phi, psi, theta, k, dpsi, dtheta)
-    return np.stack(pts, -1) @ undo, np.stack(vel, -1) @ undo
+    return pts @ undo, vel @ undo
 
 
 def _smoothstep(u):
@@ -193,7 +196,7 @@ def _two_arcs(q_from, rel, s):
     sig = c1 * z - s1 * y
     u2 = float(np.arctan2(np.hypot(tau, sig), c2))
     chi2 = float(np.arctan2(sig, tau))
-    mid = c1 * q_from + s1 * qmul(q_from, QUAT_I)
+    mid = c1 * q_from + s1 * np.array(_mul_floats(q_from, QUAT_I))
     pts = np.empty(s.shape + (4,))
     vel = np.empty_like(pts)
     first = s <= 0.5
@@ -220,6 +223,29 @@ _GAUGES = _gauge_candidates()
 # multiplication by the inverse gauge, which undoes the translation
 _UNDO = qmul(np.eye(4), conj(_GAUGES)[:, None])
 
+# qmul's terms: component m of p * q is the sum over k of
+# sign * p[_P_IDX[m][k]] * q[_Q_IDX[m][k]], added in k order as qmul adds them
+_P_IDX = ((0, 1, 2, 3), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
+_Q_IDX = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 0, 1, 3), (3, 0, 2, 1))
+_SIGNS = ((1.0, -1.0, -1.0, -1.0), (1.0, 1.0, 1.0, -1.0), (1.0, 1.0, 1.0, -1.0), (1.0, 1.0, 1.0, -1.0))
+# the signed gauge factors, (term k, component m, 1, gauge), and the indices of
+# the point factors into [q_from, q_to] concatenated, (term k, component m, 2, 1)
+_GAUGE_TERMS = (np.array(_SIGNS)[..., None] * _GAUGES.T[np.array(_Q_IDX)]).transpose(1, 0, 2)[:, :, None]
+_POINT_TERMS = (np.array(_P_IDX).T[..., None] + np.array([0, 4]))[..., None]
+
+
+def _gauge_batch(q_from, q_to):
+    """qmul(np.stack([q_from, q_to])[:, None], _GAUGES) bit for bit, as a (2, 32, 4) view.
+
+    One product of the point factors with _GAUGE_TERMS, summed term by
+    term into a component-major (4, 2, 32) array.
+    """
+    terms = np.concatenate((q_from, q_to))[_POINT_TERMS] * _GAUGE_TERMS
+    out = terms[0] + terms[1]
+    out += terms[2]
+    out += terms[3]
+    return out.transpose(1, 2, 0)
+
 
 def _gauge_scores(qt, rx, ry):
     """min(sin(theta), cos(psi)) row by row, from qt and its _angle_arrays rx, ry; -inf near poles."""
@@ -239,7 +265,7 @@ def _single_leg(q_from, q_to, rel, s):
         return pts, vel, {"route": "subgroup-arc", "angle": angle, "axis": axis}
     # one array pass over the 32 gauges, row 0 for P and row 1 for Q, with
     # psi wrapped into (-pi, pi] and phi shifted to match
-    qt = qmul(np.stack([q_from, q_to])[:, None], _GAUGES)
+    qt = _gauge_batch(q_from, q_to)
     phi, psi_raw, theta, rx, ry = _angle_arrays(qt)
     margins = _gauge_scores(qt, rx, ry).min(axis=0)
     psi = wrap_angle(psi_raw)
@@ -374,7 +400,7 @@ def connect_constant_psi(phi0, theta0, phi1, theta1, n):
 
     psi_arr = np.full_like(t, psi)
     dpsi = np.zeros_like(t)
-    pts, vel = (np.stack(cols, axis=-1) for cols in _chart_columns(phi, psi_arr, theta, dphi, dpsi, dtheta))
+    pts, vel = _chart_columns(phi, psi_arr, theta, dphi, dpsi, dtheta)
     residual = 2.0 * float(np.max(np.abs(omega_euler(EulerAngles(phi, psi, theta), (dphi, 0.0, dtheta)))))
     curve = SampledCurve(
         t,

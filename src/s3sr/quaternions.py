@@ -151,6 +151,18 @@ def check_unit(q, what="quaternion"):
     return q
 
 
+def _mul_floats(p, q):
+    """p * q for two (4,) arrays, as Python floats equal bit for bit to qmul(p, q)."""
+    pw, px, py, pz = p.tolist()
+    qw, qx, qy, qz = q.tolist()
+    return (
+        pw * qw - px * qx - py * qy - pz * qz,
+        pw * qx + px * qw + py * qz - pz * qy,
+        pw * qy + py * qw + pz * qx - px * qz,
+        pw * qz + pz * qw + px * qy - py * qx,
+    )
+
+
 def _conj_mul_floats(p, q):
     """conj(p) * q for two (4,) arrays, as Python floats equal bit for bit to qmul(conj(p), q)."""
     pw, px, py, pz = p.tolist()

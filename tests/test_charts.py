@@ -185,12 +185,13 @@ def test_chart_columns_match_separate_point_and_velocity_passes(rng):
     theta[:10], theta[10:20], theta[20:30] = 0.0, np.pi, -0.0
     rates[:, 30:60] = rng.choice([0.0, -0.0], (3, 30))
     pts, vel = _chart_columns(phi, psi, theta, *rates)
-    assert np.stack(pts, axis=-1).tobytes() == point_arrays_ref(phi, psi, theta).tobytes()
-    assert np.stack(vel, axis=-1).tobytes() == velocity_arrays_ref(phi, psi, theta, *rates).tobytes()
+    assert pts.shape == vel.shape == (n, 4)
+    assert pts.tobytes() == point_arrays_ref(phi, psi, theta).tobytes()
+    assert vel.tobytes() == velocity_arrays_ref(phi, psi, theta, *rates).tobytes()
     # a scalar phi' (connect passes k) gives the bytes of the full array
     _, vel_k = _chart_columns(phi, psi, theta, -0.7, rates[1], rates[2])
     ref = velocity_arrays_ref(phi, psi, theta, np.full(n, -0.7), rates[1], rates[2])
-    assert np.stack(vel_k, axis=-1).tobytes() == ref.tobytes()
+    assert vel_k.tobytes() == ref.tobytes()
     # the single-point forms
     for j in range(0, n, 7):
         e = EulerAngles(float(phi[j]), float(psi[j]), float(theta[j]))

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from s3sr.connect import (
     QMAX,
     _abs_max,
     _chart_leg,
+    _gauge_batch,
     _gauge_scores,
     _hermite_coeffs,
     _horner,
@@ -412,6 +414,22 @@ def test_batched_gauge_scores_match_scalar_scores(rng):
     assert _gauge_scores(qt, *_angle_arrays(qt)[3:])[0] == -np.inf
 
 
+def test_gauge_batch_is_qmul_bit_for_bit(rng):
+    # seeded unit pairs, and pairs from the grid {0, -0, +-1, +-1/2, sqrt(1/2)}^4,
+    # where products vanish and signs of zero decide.  The rotation form
+    # cos(chi) p + sin(chi) (p j) gives the same values but not the same signs
+    # of zero: among the 1,024 pairs of unit points with coordinates in {0, +-1}
+    # or {0, +-sqrt(1/2)} it changes 6 legs, two of them by flipping k between +-2 pi
+    grid = np.array(list(itertools.product([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, np.sqrt(0.5)], repeat=4)))
+    assert len(grid) == 2401
+    pairs = [tuple(random_unit(rng, 2)) for _ in range(1000)]
+    pairs += [(grid[i], grid[(7 * i + 3) % len(grid)]) for i in range(len(grid))]
+    for p, q in pairs:
+        qt = _gauge_batch(p, q)
+        assert qt.shape == (2, len(_GAUGES), 4)
+        assert qt.tobytes() == qmul(np.stack([p, q])[:, None], _GAUGES).tobytes()
+
+
 def _principal(e):
     """(phi, psi) representative with psi wrapped into (-pi, pi]."""
     psi_w = float(wrap_angle(e.psi))
@@ -505,47 +523,35 @@ def _guard_pairs(rng):
 
 
 def test_connect_builds_no_polynomial_and_calls_no_moveaxis(monkeypatch):
-    counts = {"Polynomial": 0, "moveaxis": 0}
-    init, moveaxis = Polynomial.__init__, np.moveaxis
-    qmul_shapes = []
+    counts = {"Polynomial": 0, "moveaxis": 0, "qmul": 0, "stack": 0}
+    init, moveaxis, stack = Polynomial.__init__, np.moveaxis, np.stack
 
     def counting_init(self, *args, **kwargs):
         counts["Polynomial"] += 1
         init(self, *args, **kwargs)
 
-    def counting_moveaxis(*args, **kwargs):
-        counts["moveaxis"] += 1
-        return moveaxis(*args, **kwargs)
-
-    def recording_qmul(p, q):
-        out = qmul(p, q)
-        qmul_shapes[-1].append(out.shape)
-        return out
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
 
     monkeypatch.setattr(Polynomial, "__init__", counting_init)
-    monkeypatch.setattr(np, "moveaxis", counting_moveaxis)
-    monkeypatch.setattr(connect_module, "qmul", recording_qmul)
-    routes = {}
-    for p, q in _guard_pairs(np.random.default_rng(5)):
-        qmul_shapes.append([])
-        route = connect(p, q, n=40).meta["route"]
-        routes.setdefault(route, []).append(qmul_shapes[-1])
-    assert set(routes) == {"chart", "two-arc", "subgroup-arc", "constant"}
-    assert counts == {"Polynomial": 0, "moveaxis": 0}
-    # a chart-route connect makes one qmul, the gauge batch, and none on the
-    # (n, 4) leg arrays: the gauge is undone by one product with a 4x4 matrix
-    assert all(shapes == [(2, len(_GAUGES), 4)] for shapes in routes["chart"])
-    assert all(shapes == [] for shapes in routes["constant"])
-    # the arcs are great circles: their qmul calls take one (4,) point each,
-    # after the gauge batch on the two-arc route; no route maps (n, 4) samples
-    assert all(shapes == [(4,)] for shapes in routes["subgroup-arc"])
-    assert all(shapes == [(2, len(_GAUGES), 4), (4,), (4,), (4,)] for shapes in routes["two-arc"])
+    monkeypatch.setattr(np, "moveaxis", counting("moveaxis", moveaxis))
+    monkeypatch.setattr(np, "stack", counting("stack", stack))
+    monkeypatch.setattr(connect_module, "qmul", counting("qmul", qmul))
+    routes = {connect(p, q, n=40).meta["route"] for p, q in _guard_pairs(np.random.default_rng(5))}
+    assert routes == {"chart", "two-arc", "subgroup-arc", "constant"}
+    # no route calls qmul or np.stack: the gauge batch sums qmul's terms from
+    # _GAUGE_TERMS, the chart rows are written in place, the gauge is undone by
+    # a 4x4 matrix and the arcs take their products on floats
+    assert counts == {"Polynomial": 0, "moveaxis": 0, "qmul": 0, "stack": 0}
     # the counters see what they guard against
-    qmul_shapes.append([])
     connect_module.qmul(np.ones((40, 4)), QUAT_I)
-    assert qmul_shapes[-1] == [(40, 4)]
+    np.stack([QUAT_I, QUAT_K])
     hermite_f(1.0, 0.0, 0.0).deriv()
     assert counts["Polynomial"] == 2 and counts["moveaxis"] >= 1
+    assert counts["qmul"] == 1 and counts["stack"] >= 1
 
 
 # -- the fallback arcs ----------------------------------------------------------

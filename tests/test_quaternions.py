@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -24,7 +25,7 @@ from s3sr.connect import connect
 from s3sr.frames import frame_at
 from s3sr.geodesics import GeodesicParams, integrate_geodesic
 from s3sr import quaternions
-from s3sr.quaternions import _conj_mul_floats
+from s3sr.quaternions import _conj_mul_floats, _mul_floats
 from s3sr.shooting import shoot
 from conftest import random_unit
 
@@ -189,6 +190,30 @@ def test_conj_mul_floats_is_qmul_of_conj_bit_for_bit(rng):
         rel = _conj_mul_floats(p, q)
         assert all(type(c) is float for c in rel)
         assert np.array(rel).tobytes() == qmul(conj(p), q).tobytes()
+
+
+def test_mul_floats_is_qmul_bit_for_bit(rng):
+    # the axis points and their signed zeros, rows of +-0, +-inf and NaN, and
+    # generic pairs.  Every finite or infinite result matches qmul's bytes; a
+    # NaN result is NaN in both, but its sign bit is not pinned: on x86-64
+    # numpy's scalar arithmetic and Python's floats propagate different NaN
+    # operands (428 of these 1,251 special pairs, 1,197 of them with a NaN, differ there)
+    axes = [s * e for e in np.eye(4) for s in (1.0, -1.0)] + [np.array([0.0, -0.0, 0.6, -0.8])]
+    special = [np.array(r) for r in itertools.product([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.0], repeat=4)]
+    pairs = [(p, q) for p in axes for q in axes] + [tuple(random_unit(rng, 2)) for _ in range(500)]
+    pairs += [(p, special[(7 * i + 3) % len(special)]) for i, p in enumerate(special[::3])]
+    pairs += [(p, q) for p in axes for q in special[::97]] + [(q, p) for p in axes for q in special[::97]]
+    nan_rows = 0
+    with np.errstate(invalid="ignore"):
+        for p, q in pairs:
+            out = _mul_floats(p, q)
+            assert all(type(c) is float for c in out)
+            out, ref = np.array(out), qmul(p, q)
+            nan = np.isnan(ref)
+            assert np.array_equal(np.isnan(out), nan)
+            assert out[~nan].tobytes() == ref[~nan].tobytes()
+            nan_rows += bool(nan.any())
+    assert nan_rows > 100
 
 
 _NAN = [np.nan, 0.0, 0.0, 0.0]
