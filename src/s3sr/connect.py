@@ -15,21 +15,20 @@ coefficient tuples.
 
 The chart construction needs both endpoints at chart-friendly
 positions: away from the circles theta in {0, pi} and with psi in the
-principal branch (cos psi > 0).  Right translation by unit quaternions
-of the form exp(chi*j), or those times i, preserves the horizontal
-distribution, so the construction is run in a translated gauge chosen
-by a deterministic score and mapped back afterwards.  The boundary data
-of all 32 candidate gauges come from one array pass of the chart
-inverse, on the 64 translated endpoints.  These are qmul's products bit
-for bit, but formed without it: the endpoints' factors times a table of
-signed gauge factors built at import, summed term by term in qmul's
-order.  A gauge is kept only when min(sin(theta), cos(psi)) >= 0.02 at
-both translated endpoints, which already puts them off the poles and
-psi in the principal branch.  The leg is evaluated in one pass of the
-chart kernel, which shares its trigonometry between points and
-velocities and writes both row arrays in place, and the gauge g is
-undone by one product with the 4x4 matrix of right multiplication by
-conj(g), built for each gauge at import.  Pairs that
+principal branch (cos psi > 0).  Right translation by the T-flow turns
+exp(chi*j) preserves the horizontal distribution, so the construction is
+run in a translated gauge chosen by a deterministic score and mapped
+back afterwards.  The boundary data of all 16 candidate gauges come from
+one array pass of the chart inverse, on the 32 translated endpoints:
+qmul's products bit for bit, formed without it from the endpoints'
+factors times a table of signed gauge factors built at import, summed
+term by term in qmul's order.  A gauge is kept only when
+min(sin(theta), cos(psi)) >= 0.02 at both translated endpoints, which
+puts them off the poles and psi in the principal branch.  The leg is
+evaluated in one pass of the chart kernel, which shares its trigonometry
+between points and velocities and writes both row arrays in place, and
+the gauge g is undone by one product with the 4x4 matrix of right
+multiplication by conj(g), built for each gauge at import.  Pairs that
 no gauge makes chart-friendly (and degenerate data such as k ~ 0) fall
 back to a waypoint route: two one-parameter-subgroup arcs with
 horizontal axes, glued with a smooth time warp whose first and second
@@ -111,13 +110,12 @@ def _abs_max(c) -> float:
 # legs: points and velocities on a parameter array s in [0, 1]
 
 
-def _circle(a, n, angle, u, du):
-    """a * exp(angle*u*n) = cos(angle*u) a + sin(angle*u) (a n) and its s-derivative.
+def _circle(a, an, angle, u, du):
+    """a * exp(angle*u*n) = cos(angle*u) a + sin(angle*u) (a n) and its s-derivative, from a and an = a n.
 
     n is a unit pure quaternion in span{i, k}, so the arc is a
     horizontal great circle; du is the derivative of u with respect to s.
     """
-    an = _mul_floats(a, n)
     t = angle * u
     c, sn = np.cos(t), np.sin(t)
     rate = angle * du
@@ -196,26 +194,27 @@ def _two_arcs(q_from, rel, s):
     sig = c1 * z - s1 * y
     u2 = float(np.arctan2(np.hypot(tau, sig), c2))
     chi2 = float(np.arctan2(sig, tau))
-    mid = c1 * q_from + s1 * np.array(_mul_floats(q_from, QUAT_I))
+    qi = _mul_floats(q_from, QUAT_I)
+    mid = c1 * q_from + s1 * np.array(qi)
+    mid_n = _mul_floats(mid, np.array([0.0, np.cos(chi2), 0.0, np.sin(chi2)]))
     pts = np.empty(s.shape + (4,))
     vel = np.empty_like(pts)
     first = s <= 0.5
-    axis2 = np.array([0.0, np.cos(chi2), 0.0, np.sin(chi2)])
-    for mask, a, n, angle, offset in ((first, q_from, QUAT_I, u1, 0.0), (~first, mid, axis2, u2, 0.5)):
+    for mask, a, an, angle, offset in ((first, q_from, qi, u1, 0.0), (~first, mid, mid_n, u2, 0.5)):
         u = 2.0 * (s[mask] - offset)
-        pts[mask], vel[mask] = _circle(a, n, angle, _smoothstep(u), 2.0 * _smoothstep_d(u))
+        pts[mask], vel[mask] = _circle(a, an, angle, _smoothstep(u), 2.0 * _smoothstep_d(u))
     return pts, vel, (u1, u2, chi2)
 
 
 def _gauge_candidates():
-    """Right translations preserving the horizontal distribution, stacked (32, 4)."""
-    gauges = [np.array([1.0, 0.0, 0.0, 0.0])]
-    for chi in np.linspace(0.0, np.pi, 16, endpoint=False):
-        g = np.array([np.cos(chi), 0.0, np.sin(chi), 0.0])
-        if chi != 0.0:
-            gauges.append(g)
-        gauges.append(qmul(g, np.array([0.0, 1.0, 0.0, 0.0])))
-    return np.stack(gauges)
+    """The T-flow turns exp(chi j) = (cos chi, 0, sin chi, 0), chi = m pi/16 for m = 0..15, as (16, 4).
+
+    Right multiplication by -k maps the chart point (phi, psi, theta) to
+    (phi - pi, -psi, pi - theta) and a chart leg to a chart leg, so the
+    turns times -k would repeat these gauges' margins, wildness, |k| and curves.
+    """
+    chi = np.linspace(0.0, np.pi, 16, endpoint=False)
+    return np.column_stack((np.cos(chi), np.zeros(16), np.sin(chi), np.zeros(16)))
 
 
 _GAUGES = _gauge_candidates()
@@ -235,10 +234,10 @@ _POINT_TERMS = (np.array(_P_IDX).T[..., None] + np.array([0, 4]))[..., None]
 
 
 def _gauge_batch(q_from, q_to):
-    """qmul(np.stack([q_from, q_to])[:, None], _GAUGES) bit for bit, as a (2, 32, 4) view.
+    """qmul(np.stack([q_from, q_to])[:, None], _GAUGES) bit for bit, as a (2, 16, 4) view.
 
     One product of the point factors with _GAUGE_TERMS, summed term by
-    term into a component-major (4, 2, 32) array.
+    term into a component-major (4, 2, 16) array.
     """
     terms = np.concatenate((q_from, q_to))[_POINT_TERMS] * _GAUGE_TERMS
     out = terms[0] + terms[1]
@@ -261,9 +260,9 @@ def _single_leg(q_from, q_to, rel, s):
     arc = _single_arc(rel)
     if arc is not None:
         axis, angle = arc
-        pts, vel = _circle(q_from, np.array([0.0, *axis]), angle, s, 1.0)
+        pts, vel = _circle(q_from, _mul_floats(q_from, np.array([0.0, *axis])), angle, s, 1.0)
         return pts, vel, {"route": "subgroup-arc", "angle": angle, "axis": axis}
-    # one array pass over the 32 gauges, row 0 for P and row 1 for Q, with
+    # one array pass over the 16 gauges, row 0 for P and row 1 for Q, with
     # psi wrapped into (-pi, pi] and phi shifted to match
     qt = _gauge_batch(q_from, q_to)
     phi, psi_raw, theta, rx, ry = _angle_arrays(qt)
@@ -288,7 +287,7 @@ def _single_leg(q_from, q_to, rel, s):
     identity_ok = idx.size and idx[0] == 0 and margins[0] >= _SCORE_KEEP
     if identity_ok and wildness[0] <= max(4.0 * wildness[order[0]], 3.0):
         order = np.concatenate([[0], order[order != 0]])
-    for j in order[:6].tolist():
+    for j in order[:3].tolist():
         kj = float(k[j])
         q, log_tan = _leg_coeffs(float(integral[j]), float(tan_psi[0, j]), float(tan_psi[1, j]),
                                  kj, float(np.log(half_tan[0, j])))

@@ -8,15 +8,18 @@ lambda in [-8, 8], r in [0, 2] and horizons T <= 10, or for shoot the
 points P, Q and g uniform on S^3 and alpha in [-8, 8]; each bound is about
 ten times the worst gap measured over 200 such cases (5 seeds of 40).
 frame_at moves with both actions; connect only keeps its endpoints and
-its horizontality, since its curve is not equivariant.
+its horizontality, since its curve is not equivariant.  check reads a
+geodesic file moved by either action as it reads the file itself.
 """
 
 import numpy as np
 import pytest
 
+from s3sr.cli import main
 from s3sr.connect import connect
 from s3sr.frames import frame_at, omega_eval
 from s3sr.geodesics import GeodesicParams, geodesic_point, integrate_geodesic, integrate_hamiltonian, match_costate
+from s3sr.io import CurveRecord
 from s3sr.quaternions import qmul
 from s3sr.shooting import ShootingConfig, shoot
 from conftest import random_unit
@@ -156,3 +159,50 @@ def test_connect_stays_horizontal_under_left_translation_and_the_T_flow(seed):
             speed = np.linalg.norm(c.velocities, axis=1)
             assert np.all(np.abs(omega_eval(c.points, c.velocities)) <= 1e-14 * np.maximum(1.0, speed))
     assert {"chart", "two-arc"} <= routes
+
+
+# each bound is about ten times the worst gap measured over the 40 files of
+# test_check_reads_a_moved_geodesic_file_as_the_original, 6 of which FAIL a row
+_ROW_GAPS = {"unit-norm": 2e-15, "horizontality": 7e-13, "velocity-energy": 4e-12,
+             "acceleration-T": 3e-9, "angle-linearity": 6e-13}
+
+
+def _check_lines(path, tol, capsys):
+    """check's exit code and its lines as (verdict, row, value), with the reason for value on SKIP lines."""
+    code = main(["check", str(path), f"--tol={tol}"])
+    lines = [line.split(maxsplit=2) for line in capsys.readouterr().out.splitlines()]
+    return code, [(v, row, rest if v == "SKIP" else float(rest.split()[0].split("=")[1])) for v, row, rest in lines]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_check_reads_a_moved_geodesic_file_as_the_original(seed, tmp_path, capsys):
+    # The point columns of a geodesic file are moved to g q or q e^{j alpha}.
+    # check reads the a, b columns only through a^2 + b^2 and the header only
+    # through lambda, and both actions keep those and the distribution, so the
+    # verdicts match and each row moves by rounding.  Worst gaps measured:
+    # 2.8e-10 acceleration-T, 3.9e-13 velocity-energy, 6.6e-14 horizontality,
+    # 6.0e-14 angle-linearity, 2.2e-16 unit-norm
+    rng = np.random.default_rng(seed)
+    out, moved_out = tmp_path / "geo.csv", tmp_path / "moved.csv"
+    for _ in range(8):
+        q0 = ",".join(repr(v) for v in random_unit(rng).tolist())
+        r, theta0 = rng.uniform(0.0, 2.0), rng.uniform(-np.pi, np.pi)
+        lam, T = rng.uniform(-8.0, 8.0), rng.uniform(0.0, 5.0)
+        step, tol = rng.choice(["0.001", "0.01"]), rng.choice(["1e-4", "1e-6"])
+        assert main(["geodesic", f"--q0={q0}", f"--r={r!r}", f"--theta0={theta0!r}", f"--lambda={lam!r}",
+                     f"--T={T!r}", "--step", step, "--out", str(out)]) == 0
+        capsys.readouterr()
+        code, lines = _check_lines(out, tol, capsys)
+        g, alpha = random_unit(rng), rng.uniform(-8.0, 8.0)
+        for move in (lambda p: qmul(g, p), lambda p: qmul(p, _e_j(alpha))):
+            rec = CurveRecord.from_csv(out)
+            rec.data[:, 1:5] = move(rec.data[:, 1:5])
+            rec.to_csv(moved_out)
+            moved_code, moved_lines = _check_lines(moved_out, tol, capsys)
+            assert moved_code == code
+            assert [line[:2] for line in moved_lines] == [line[:2] for line in lines]
+            for (verdict, row, value), (_, _, moved_value) in zip(lines, moved_lines):
+                if verdict == "SKIP":
+                    assert moved_value == value
+                else:
+                    assert abs(moved_value - value) <= _ROW_GAPS[row], row
