@@ -95,15 +95,19 @@ def _horner(c, s):
 
 def _abs_max(c) -> float:
     """Exact max of |p| on [0, 1] for coefficients c of degree <= 3: at 0, 1 or a real root of p'."""
-    _, d0, d1, d2 = (j * cj for j, cj in enumerate((*c, 0.0, 0.0, 0.0)[:4]))  # p' = d0 + d1 s + d2 s^2
-    s = [0.0, 1.0]
+    _, c1, c2, c3 = (*c, 0.0, 0.0, 0.0)[:4]
+    d0, d1, d2 = c1, 2 * c2, 3 * c3  # p' = d0 + d1 s + d2 s^2
+    roots = ()
     if d2 == 0.0:
-        s += [-d0 / d1] if d1 != 0.0 else []
+        roots = (-d0 / d1,) if d1 != 0.0 else ()
     elif (disc := d1 * d1 - 4.0 * d2 * d0) >= 0.0:  # a negative discriminant leaves p monotone
         # the stable quadratic formula; t = 0 only for a double root at 0
         t = -0.5 * (d1 + math.copysign(math.sqrt(disc), d1))
-        s += [t / d2, d0 / t] if t != 0.0 else [0.0]
-    return float(max(abs(_horner(c, min(max(x, 0.0), 1.0))) for x in s))
+        roots = (t / d2, d0 / t) if t != 0.0 else (0.0,)
+    best = max(abs(_horner(c, 0.0)), abs(_horner(c, 1.0)))
+    for x in roots:
+        best = max(best, abs(_horner(c, min(max(x, 0.0), 1.0))))
+    return float(best)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +123,7 @@ def _circle(a, an, angle, u, du):
     t = angle * u
     c, sn = np.cos(t), np.sin(t)
     rate = angle * du
-    return np.outer(c, a) + np.outer(sn, an), np.outer(rate * c, an) - np.outer(rate * sn, a)
+    return c[:, None] * a + sn[:, None] * an, (rate * c)[:, None] * an - (rate * sn)[:, None] * a
 
 
 def _chart_leg(undo, phi0, k, q, log_tan, s):
@@ -165,6 +169,12 @@ def _sample_count(n):
     if count is None or count < 2:
         raise ValueError(f"n must be an integer of at least 2 samples, got {n!r}")
     return count
+
+
+def _dist(p, q):
+    """float(np.linalg.norm(p - q)) for two (4,) arrays: the root of the difference's dot product."""
+    d = p - q
+    return math.sqrt(d.dot(d))
 
 
 def _single_arc(rel):
@@ -268,12 +278,12 @@ def _single_leg(q_from, q_to, rel, s):
     phi, psi_raw, theta, rx, ry = _angle_arrays(qt)
     margins = _gauge_scores(qt, rx, ry).min(axis=0)
     psi = wrap_angle(psi_raw)
-    phi = phi + 2.0 * np.pi * np.round((psi - psi_raw) / (2.0 * np.pi))
+    phi = phi + 2.0 * np.pi * ((psi - psi_raw) / (2.0 * np.pi)).round()
     k = phi[1] - phi[0]
-    k -= 4.0 * np.pi * np.round(k / (4.0 * np.pi))
+    k -= 4.0 * np.pi * (k / (4.0 * np.pi)).round()
     # margin >= _SCORE_MIN forces 2 rx ry >= 0.02, so rx, ry >= 0.01 (far off
     # the poles), and cos(psi) >= 0.02, so the wrapped psi is principal
-    idx = np.flatnonzero((margins >= _SCORE_MIN) & (np.abs(k) >= _K_MIN))
+    idx = ((margins >= _SCORE_MIN) & (np.abs(k) >= _K_MIN)).nonzero()[0]
     phi0, psi, theta, k = phi[0, idx], psi[:, idx], theta[:, idx], k[idx]
     tan_psi = np.tan(psi)
     half_tan = np.tan(0.5 * theta)
@@ -325,9 +335,11 @@ def connect(P, Q, n=256) -> SampledCurve:
     n = _sample_count(n)
     q_from = _as_point(P, "P")
     q_to = _as_point(Q, "Q")
-    s = np.linspace(0.0, 1.0, n)
+    # np.linspace(0.0, 1.0, n) bit for bit, without its Python-level wrapper
+    s = np.arange(n) * (1.0 / (n - 1))
+    s[-1] = 1.0
 
-    if float(np.linalg.norm(q_from - q_to)) < _COINCIDENT_TOL:
+    if _dist(q_from, q_to) < _COINCIDENT_TOL:
         pts = np.tile(q_from, (n, 1))
         vel = np.zeros_like(pts)
         meta = {"tag": "connect", "route": "constant", "endpoint_error": 0.0, "max_omega_fd": 0.0}
@@ -340,9 +352,7 @@ def connect(P, Q, n=256) -> SampledCurve:
         meta = {"route": "two-arc", "arcs": arcs}
     else:
         pts, vel, meta = leg
-    endpoint_error = max(
-        float(np.linalg.norm(pts[0] - q_from)), float(np.linalg.norm(pts[-1] - q_to))
-    )
+    endpoint_error = max(_dist(pts[0], q_from), _dist(pts[-1], q_to))
     if not endpoint_error <= _ENDPOINT_TOL:  # NaN fails too
         raise ConstructionError(
             f"constructed curve misses the endpoints by {endpoint_error:.3e}",
@@ -350,7 +360,7 @@ def connect(P, Q, n=256) -> SampledCurve:
         )
     curve = SampledCurve(s, pts, vel, dict(meta, tag="connect"))
     curve.meta["endpoint_error"] = endpoint_error
-    curve.meta["max_omega_fd"] = float(np.max(omega_fd_residuals(curve)))
+    curve.meta["max_omega_fd"] = float(omega_fd_residuals(curve).max())
     return curve
 
 

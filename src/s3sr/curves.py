@@ -33,7 +33,7 @@ class SampledCurve:
             raise ValueError("points must have shape (len(s), 4)")
         if self.velocities is not None and self.velocities.shape != self.points.shape:
             raise ValueError("velocities must match points in shape")
-        if np.any(np.diff(self.s) < 0.0):
+        if (self.s[1:] < self.s[:-1]).any():
             raise ValueError("parameter grid must be non-decreasing")
 
     @property
@@ -52,8 +52,8 @@ def _first_difference(s, p):
 
 def _grid_steps(s):
     """np.diff(s), after checking that the grid s is strictly increasing, as finite differences need."""
-    steps = np.diff(s)
-    if np.any(steps <= 0.0):
+    steps = s[1:] - s[:-1]
+    if (steps <= 0.0).any():
         raise ValueError("finite differences need a strictly increasing grid")
     return steps
 

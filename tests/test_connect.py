@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -349,28 +350,29 @@ def test_leg_coefficient_tuples_match_polynomial_path():
     assert zero_coeffs >= 100
 
 
-@pytest.mark.parametrize(
-    "coef",
-    [
-        (0.0, 1.0, -1.0, 0.0),            # zero leading coefficient: max 1/4 at the root of p' = 1 - 2s
-        (0.0, 1.0, -1.0),                 # the quadratic s - s^2, root -c1/(2 c2) = 1/2
-        (0.3, 0.7, 0.0, 0.0),             # p' constant
-        (0.0, 0.0, 0.0, 0.0),             # all zero
-        (0.0, 0.0, 0.0),
-        (-0.125, 0.75, -1.5, 1.0),        # (s - 1/2)^3: double root of p' at 1/2
-        (0.0, 0.0, 0.0, -2.0),            # -2 s^3: double root at 0
-        (1.0, 2.0, 1.0, 1.0),             # negative discriminant
-        (0.0, 1.0, 0.0, 1.0),
-        (0.0, 4.0, -1.0),                 # critical point 2, outside [0, 1]
-        (0.0, -9.0, -3.0, 1.0),           # critical points -1 and 3
-        (0.2, -0.5, 1e-9, 0.25),          # critical points 0.8165 and ~ -0.8165
-        (0.0, -1.0, 5e7, 1.0 / 3.0),      # b^2 >> 4ac: roots ~ 1e-8 and -1e8
-        (1e-3, 1e-3, -5e7, 1.0 / 3.0),    # roots ~ 1e-11 and 1e8
-        (0.0, 1.0, 2.0, -3.0),            # max at the root t / d2 of the stable formula
-        (0.0, 1.0, -2.0, 1.0),            # s (1 - s)^2: max 4/27 at the root d0 / t = 1/3
-        (0.0, 1.0, -1.0, 1e-15 / 3.0),    # d1 < 0 and d1^2 >> 4 d2 d0: max ~1/4 at the root d0 / t ~ 1/2
-    ],
-)
+# coefficient tuples at the closed form's branches and edge cases
+_ABS_MAX_SPECIAL = [
+    (0.0, 1.0, -1.0, 0.0),            # zero leading coefficient: max 1/4 at the root of p' = 1 - 2s
+    (0.0, 1.0, -1.0),                 # the quadratic s - s^2, root -c1/(2 c2) = 1/2
+    (0.3, 0.7, 0.0, 0.0),             # p' constant
+    (0.0, 0.0, 0.0, 0.0),             # all zero
+    (0.0, 0.0, 0.0),
+    (-0.125, 0.75, -1.5, 1.0),        # (s - 1/2)^3: double root of p' at 1/2
+    (0.0, 0.0, 0.0, -2.0),            # -2 s^3: double root at 0
+    (1.0, 2.0, 1.0, 1.0),             # negative discriminant
+    (0.0, 1.0, 0.0, 1.0),
+    (0.0, 4.0, -1.0),                 # critical point 2, outside [0, 1]
+    (0.0, -9.0, -3.0, 1.0),           # critical points -1 and 3
+    (0.2, -0.5, 1e-9, 0.25),          # critical points 0.8165 and ~ -0.8165
+    (0.0, -1.0, 5e7, 1.0 / 3.0),      # b^2 >> 4ac: roots ~ 1e-8 and -1e8
+    (1e-3, 1e-3, -5e7, 1.0 / 3.0),    # roots ~ 1e-11 and 1e8
+    (0.0, 1.0, 2.0, -3.0),            # max at the root t / d2 of the stable formula
+    (0.0, 1.0, -2.0, 1.0),            # s (1 - s)^2: max 4/27 at the root d0 / t = 1/3
+    (0.0, 1.0, -1.0, 1e-15 / 3.0),    # d1 < 0 and d1^2 >> 4 d2 d0: max ~1/4 at the root d0 / t ~ 1/2
+]
+
+
+@pytest.mark.parametrize("coef", _ABS_MAX_SPECIAL)
 def test_closed_form_abs_max_matches_roots_reference(coef):
     exact = _abs_max(coef)
     assert type(exact) is float
@@ -383,6 +385,32 @@ def test_closed_form_abs_max_matches_roots_reference_random(rng):
         coef = rng.standard_normal(3 + n % 2) * 10.0 ** rng.uniform(-3.0, 3.0, 3 + n % 2)
         ref = _abs_max_roots(Polynomial(coef))
         assert abs(_abs_max(tuple(coef.tolist())) - ref) <= 1e-14 * ref
+
+
+def _abs_max_generator_ref(c):
+    """_abs_max as first written: p' and the candidates from generators over enumerate and a slice."""
+    _, d0, d1, d2 = (j * cj for j, cj in enumerate((*c, 0.0, 0.0, 0.0)[:4]))
+    s = [0.0, 1.0]
+    if d2 == 0.0:
+        s += [-d0 / d1] if d1 != 0.0 else []
+    elif (disc := d1 * d1 - 4.0 * d2 * d0) >= 0.0:
+        t = -0.5 * (d1 + math.copysign(math.sqrt(disc), d1))
+        s += [t / d2, d0 / t] if t != 0.0 else [0.0]
+    return float(max(abs(_horner(c, min(max(x, 0.0), 1.0))) for x in s))
+
+
+def test_abs_max_matches_the_generator_form_bit_for_bit():
+    rng = np.random.default_rng(3571)
+    cases = list(_ABS_MAX_SPECIAL)
+    for n in range(2000):
+        if n % 4 == 0:
+            # entries from a small set, so that p' loses degrees and roots coincide
+            coef = rng.choice([0.0, -0.0, 0.5, 1.0, -1.0, 2.0, -3.0], 3 + n % 2)
+        else:
+            coef = rng.standard_normal(3 + n % 2) * 10.0 ** rng.uniform(-3.0, 3.0, 3 + n % 2)
+        cases.append(tuple(coef.tolist()))
+    for coef in cases:
+        assert _abs_max(coef).hex() == _abs_max_generator_ref(coef).hex()
 
 
 def _scalar_gauge_score(qt):
@@ -574,24 +602,20 @@ def test_no_gauge_is_a_twin_of_another(rng):
     assert legs >= 1000
 
 
+def _counting(counts, name, func):
+    """func, counting its calls in counts[name]."""
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return func(*args, **kwargs)
+    return wrapper
+
+
 def test_connect_builds_no_polynomial_and_calls_no_moveaxis(monkeypatch):
     counts = {"Polynomial": 0, "moveaxis": 0, "qmul": 0, "stack": 0}
-    init, moveaxis, stack = Polynomial.__init__, np.moveaxis, np.stack
-
-    def counting_init(self, *args, **kwargs):
-        counts["Polynomial"] += 1
-        init(self, *args, **kwargs)
-
-    def counting(name, func):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return func(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(Polynomial, "__init__", counting_init)
-    monkeypatch.setattr(np, "moveaxis", counting("moveaxis", moveaxis))
-    monkeypatch.setattr(np, "stack", counting("stack", stack))
-    monkeypatch.setattr(connect_module, "qmul", counting("qmul", qmul))
+    monkeypatch.setattr(Polynomial, "__init__", _counting(counts, "Polynomial", Polynomial.__init__))
+    monkeypatch.setattr(np, "moveaxis", _counting(counts, "moveaxis", np.moveaxis))
+    monkeypatch.setattr(np, "stack", _counting(counts, "stack", np.stack))
+    monkeypatch.setattr(connect_module, "qmul", _counting(counts, "qmul", qmul))
     routes = {connect(p, q, n=40).meta["route"] for p, q in _guard_pairs(np.random.default_rng(5))}
     assert routes == {"chart", "two-arc", "subgroup-arc", "constant"}
     # no route calls qmul or np.stack: the gauge batch sums qmul's terms from
@@ -604,6 +628,33 @@ def test_connect_builds_no_polynomial_and_calls_no_moveaxis(monkeypatch):
     hermite_f(1.0, 0.0, 0.0).deriv()
     assert counts["Polynomial"] == 2 and counts["moveaxis"] >= 1
     assert counts["qmul"] == 1 and counts["stack"] >= 1
+
+
+# numpy functions written in Python, each a few microseconds a call over the
+# ufunc, array method or float arithmetic it reduces to
+_WRAPPERS = ((np.linalg, "norm"), (np, "linspace"), (np, "round"), (np, "flatnonzero"),
+             (np, "diff"), (np, "any"), (np, "max"), (np, "outer"))
+
+
+def test_connect_calls_no_python_level_numpy_wrapper(monkeypatch):
+    counts = dict.fromkeys((name for _, name in _WRAPPERS), 0)
+    pairs = _guard_pairs(np.random.default_rng(5))  # drawn with np.linalg.norm
+    for module, name in _WRAPPERS:
+        monkeypatch.setattr(module, name, _counting(counts, name, getattr(module, name)))
+    routes = {connect(p, q, n=40).meta["route"] for p, q in pairs}
+    assert routes == {"chart", "two-arc", "subgroup-arc", "constant"}
+    assert set(counts.values()) == {0}, counts
+    # the counters see a call when one is made
+    x = np.array([0.5, -1.5, 2.5])
+    np.linalg.norm(x), np.linspace(0.0, 1.0, 3), np.round(x), np.flatnonzero(x)
+    np.diff(x), np.any(x), np.max(x), np.outer(x, x)
+    assert set(counts.values()) == {1}, counts
+
+
+def test_connect_grid_is_linspace_bit_for_bit():
+    # s = arange(n) / (n - 1) as linspace forms it: times the step 1 / (n - 1), end set to 1
+    for n in range(2, 4098):
+        assert connect(P_EX, Q_EX, n).s.tobytes() == np.linspace(0.0, 1.0, n).tobytes()
 
 
 # -- the fallback arcs ----------------------------------------------------------
