@@ -21,7 +21,7 @@ _EXPORTS = {
     "curves": "SampledCurve fd_velocities omega_fd_residuals",
     "frames": "I1 I2 I3 Frame LinearField bracket frame_ab frame_at omega_eval",
     "geodesics": "GeodesicParams HamiltonianTrajectory ab_profile acceleration_T_residual angle_profile "
-    "geodesic_point integrate_geodesic integrate_hamiltonian match_costate verify_velocity_energy",
+    "check_rows geodesic_point integrate_geodesic integrate_hamiltonian match_costate verify_velocity_energy",
     "io": "CurveRecord",
     "quaternions": "QUAT_I QUAT_J QUAT_K QUAT_ONE conj norm norm2 normalize qexp_pure qmul",
     "shooting": "ShootingConfig ShootingResult shoot",

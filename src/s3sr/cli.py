@@ -19,28 +19,23 @@ if __name__ == "__main__":
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
 
-from .curves import (
-    SampledCurve,
-    _grid_steps,
-    _first_difference,
-    _second_difference,
-    omega_fd_residuals,
-    unit_norm_error,
-)
-from .frames import frame_at, omega_eval
+from .curves import SampledCurve, unit_norm_error
+from .frames import frame_at
 from .geodesics import (
+    _UNIT_NORM_TOL,
     GeodesicParams,
-    angle_profile,
+    check_rows,
     integrate_geodesic,
     integrate_hamiltonian,
     match_costate,
 )
 from .io import COLUMNS, CurveRecord
-from .quaternions import norm, norm2, normalize
+from .quaternions import norm, normalize
 
 # charts, connect and shooting are imported by the commands that use them, so the others start faster
 
@@ -48,9 +43,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CONSTRUCTION = 3
 EXIT_NO_CONVERGENCE = 4
-
-# check's bound on | |q| - 1 | of a curve file
-_UNIT_NORM_TOL = 1e-8
 
 
 def _floats(text: str) -> list[float]:
@@ -170,63 +162,16 @@ def _cmd_shoot(args) -> int:
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
-def _extrapolated(diff, curve):
-    """(estimates, rows): the central difference diff, Richardson-extrapolated where it fits.
-
-    On a uniform grid (4 D_h - D_2h) / 3 cancels the h^2 term of the
-    central difference D_h, so the estimate is accurate to O(h^4) on the
-    rows two or more from either end, where the +-2h stencil fits; D_2h
-    is diff on the even and on the odd rows.  Below 5 samples it is D_h
-    on rows 1..n-2.
-    """
-    s, p = curve.s, curve.points
-    d_h = diff(s, p)
-    if curve.n < 5:
-        return d_h, slice(1, -1)
-    d_2h = np.empty_like(d_h[2:])
-    for k in (0, 1):
-        d_2h[k::2] = diff(s[k::2], p[k::2])
-    return (4.0 * d_h[1:-1] - d_2h) / 3.0, slice(2, -2)
-
-
 def _cmd_check(args) -> int:
     record = CurveRecord.read(args.file)
-    curve = record.to_sampled_curve()
-    tol = args.tol
-    results = [("unit-norm", unit_norm_error(curve), _UNIT_NORM_TOL)]
-
-    if curve.n == 2:  # one chord, so only its one-sided difference
-        results.append(("horizontality", float(np.max(omega_fd_residuals(curve))), tol))
-    if curve.n >= 3:
-        _grid_steps(curve.s)  # raises before any difference divides by a zero step
-        vel, inner = _extrapolated(_first_difference, curve)
-        pts = curve.points[inner]
-        results.append(("horizontality", float(np.max(np.abs(omega_eval(pts, vel)))), tol))
-        a_col, b_col = (record.data[inner, COLUMNS.index(name)] for name in "ab")
-        results.append(("velocity-energy", float(np.max(np.abs(norm2(vel) - (a_col**2 + b_col**2)))), tol))
-        acc, _ = _extrapolated(_second_difference, curve)
-        results.append(("acceleration-T", float(np.max(np.abs(omega_eval(pts, acc)))), tol))
-
-    if record.header.get("tag") not in ("geodesic", "hamiltonian") or "lambda" not in record.header:
-        print("SKIP angle-linearity (not a geodesic record)")
-    elif curve.n < 7:  # fewer than 3 extrapolated velocities to fit a line to
-        print("SKIP angle-linearity (fewer than 7 samples)")
-    else:
-        try:
-            angles = angle_profile(SampledCurve(curve.s[inner], pts, vel))
-        except ValueError:  # a stationary curve's velocity has no direction
-            print("SKIP angle-linearity (zero velocity)")
-        else:
-            fit = np.polyfit(curve.s[inner], angles, 1)
-            slope_dev = abs(float(fit[0]) - 2.0 * float(record.header["lambda"]))
-            results.append(("angle-linearity", slope_dev, tol))
-
-    all_pass = True
-    for name, value, bound in results:
-        ok = value <= bound
-        all_pass &= ok
-        print(f"{'PASS' if ok else 'FAIL'} {name} max_residual={value:.6e} tol={bound:.1e}")
-    return EXIT_OK if all_pass else 1
+    ab = [record.data[:, COLUMNS.index(name)] for name in "ab"]
+    lam = record.header.get("lambda") if record.header.get("tag") in ("geodesic", "hamiltonian") else None
+    rows, skips = check_rows(record.to_sampled_curve(), ab, lam, args.tol)
+    for skip in skips:
+        print(f"SKIP {skip}")
+    for name, value, bound in rows:
+        print(f"{'PASS' if value <= bound else 'FAIL'} {name} max_residual={value:.6e} tol={bound:.1e}")
+    return EXIT_OK if all(value <= bound for _, value, bound in rows) else 1
 
 
 def _cmd_frames(args) -> int:
@@ -315,6 +260,11 @@ def _check_options(args):
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads "--to -1,0,0,0" as --to without its value: join a negative number to its option
+    for k in range(len(argv) - 1, 0, -1):
+        if re.fullmatch(r"--[^=]+", argv[k - 1]) and re.match(r"-[\d.]", argv[k]):
+            argv[k - 1 : k + 1] = [f"{argv[k - 1]}={argv[k]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

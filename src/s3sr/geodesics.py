@@ -34,7 +34,8 @@ formed in the same arrays: no loop over the steps runs in Python.
 Matching initial data must place -lambda in the <q I2, .> component
 of the costate; the component along q itself is pure gauge.  The
 checks at the bottom verify energy, horizontality and the linear law
-for the angle between the velocity and the frame.
+for the angle between the velocity and the frame; check_rows gives the
+verdict of the CLI's check on any sampled curve.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import SampledCurve, _second_difference, unit_norm_error
+from .curves import SampledCurve, _first_difference, _second_difference, omega_fd_residuals, unit_norm_error
 from .frames import I1, I2, I3, frame_ab, omega_eval
 from .quaternions import _conj_mul_floats, _row_sum, check_unit, norm, norm2
 
@@ -60,6 +61,7 @@ __all__ = [
     "verify_velocity_energy",
     "acceleration_T_residual",
     "angle_profile",
+    "check_rows",
 ]
 
 # the fine table's length in _powers: exp(z k) for n samples takes
@@ -68,6 +70,8 @@ _POWERS_WIDTH = 128
 # the length at or below which _scan folds on Python numbers: a numpy call on
 # one of its strided levels costs about as much as a few dozen scalar products
 _SCAN_TAIL = 64
+# check_rows' bound on | |q| - 1 |
+_UNIT_NORM_TOL = 1e-8
 
 
 class GeodesicParams(NamedTuple("GeodesicParams", [("r", float), ("theta0", float), ("lam", float)])):
@@ -444,3 +448,53 @@ def angle_profile(curve: SampledCurve) -> np.ndarray:
     correction[wraps] = ddmod - dd
     angles[1:] += correction.cumsum()
     return angles
+
+
+def _extrapolated(diff, curve):
+    """(estimates, rows): the central difference diff, Richardson-extrapolated where it fits.
+
+    On a uniform grid (4 D_h - D_2h) / 3 cancels the h^2 term of D_h, so the estimate is
+    accurate to O(h^4) on the rows two or more from either end, where the +-2h stencil fits;
+    D_2h is diff on the even and on the odd rows.  Below 5 samples it is D_h on rows 1..n-2.
+    """
+    s, p = curve.s, curve.points
+    d_h = diff(s, p)
+    if curve.n < 5:
+        return d_h, slice(1, -1)
+    d_2h = np.empty_like(d_h[2:])
+    for k in (0, 1):
+        d_2h[k::2] = diff(s[k::2], p[k::2])
+    return (4.0 * d_h[1:-1] - d_2h) / 3.0, slice(2, -2)
+
+
+def check_rows(curve: SampledCurve, ab, lam, tol):
+    """The CLI's check of a curve: (rows, skips) of (name, value, bound) and 'name (why it is left out)'.
+
+    Velocity-energy compares |v|^2 with a^2 + b^2 from the per-sample ab = (a, b), and angle-linearity
+    the slope of angle_profile with 2 lam, None for a curve with no lam.  Past unit norm the derivatives
+    are _extrapolated central differences; a grid that is not strictly increasing raises first.
+    """
+    rows, skips = [("unit-norm", unit_norm_error(curve), _UNIT_NORM_TOL)], []
+    if curve.n == 2:  # one chord, so only its one-sided difference
+        rows.append(("horizontality", float(np.max(omega_fd_residuals(curve))), tol))
+    if curve.n >= 3:
+        acc, inner = _extrapolated(_second_difference, curve)  # raises before any division by a zero step
+        vel, _ = _extrapolated(_first_difference, curve)
+        pts = curve.points[inner]
+        rows.append(("horizontality", float(np.max(np.abs(omega_eval(pts, vel)))), tol))
+        a, b = (np.asarray(c)[inner] for c in ab)
+        rows.append(("velocity-energy", float(np.max(np.abs(norm2(vel) - (a**2 + b**2)))), tol))
+        rows.append(("acceleration-T", float(np.max(np.abs(omega_eval(pts, acc)))), tol))
+    if lam is None:
+        skips.append("angle-linearity (not a geodesic record)")
+    elif curve.n < 7:  # fewer than 3 extrapolated velocities to fit a line to
+        skips.append("angle-linearity (fewer than 7 samples)")
+    else:
+        try:
+            angles = angle_profile(SampledCurve(curve.s[inner], pts, vel))
+        except ValueError:  # a stationary curve's velocity has no direction
+            skips.append("angle-linearity (zero velocity)")
+        else:
+            slope = np.polyfit(curve.s[inner], angles, 1)[0]
+            rows.append(("angle-linearity", abs(float(slope) - 2.0 * float(lam)), tol))
+    return rows, skips

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from s3sr.curves import SampledCurve, omega_fd_residuals
-from s3sr.frames import I1, I3, frame_at, omega_eval
+from s3sr.connect import connect
+from s3sr.frames import I1, I3, frame_ab, frame_at, omega_eval
 from s3sr.io import CurveRecord
 from s3sr.geodesics import (
     _POWERS_WIDTH,
@@ -14,6 +15,7 @@ from s3sr.geodesics import (
     ab_profile,
     acceleration_T_residual,
     angle_profile,
+    check_rows,
     geodesic_point,
     integrate_geodesic,
     integrate_hamiltonian,
@@ -560,3 +562,27 @@ def test_fd_omega_residual_small_on_geodesics():
     c = integrate_geodesic(ONE, GeodesicParams(1.0, 0.4, 0.7), 2.0, 1e-3)
     # (h^2/6)*2*lam*r^2 scale
     assert np.max(omega_fd_residuals(c)) <= 1e-6
+
+
+def test_check_rows_pass_library_curves():
+    # the kernel judges curves made in memory, not only files: a geodesic, a shot one and a chart connect
+    q0, q1 = random_unit(np.random.default_rng(36)), random_unit(np.random.default_rng(37))
+    params = GeodesicParams(1.0, 0.4, -0.7)
+    shot = shoot(q0, q1)
+    chart = connect(q0, q1, n=1024)
+    assert chart.meta["route"] == "chart"
+    geodesic = integrate_geodesic(q0, params, 3.0, 1e-3)
+    for curve, lam in [(geodesic, params.lam), (shot.curve, shot.params.lam), (chart, None)]:
+        rows, skips = check_rows(curve, frame_ab(curve.points, curve.velocities), lam, 1e-4)
+        names = ["unit-norm", "horizontality", "velocity-energy", "acceleration-T"]
+        assert [name for name, _, _ in rows] == names + (["angle-linearity"] if lam is not None else [])
+        assert skips == ([] if lam is not None else ["angle-linearity (not a geodesic record)"])
+        assert all(value <= bound for _, value, bound in rows), rows
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_check_rows_rejects_a_repeated_s(n):
+    curve = integrate_geodesic(ONE, GeodesicParams(1.0, 0.0, 0.5), 1.0, 1.0 / (n - 1))
+    curve.s[1] = curve.s[0]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        check_rows(curve, frame_ab(curve.points, curve.velocities), 0.5, 1e-4)

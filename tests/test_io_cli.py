@@ -228,15 +228,38 @@ def test_cli_connect_malformed_angles(tmp_path):
 
 
 def test_cli_connect_arc_routes_pass_check(tmp_path, capsys):
-    # an endpoint with a leading minus is passed as --to=...; argparse reads
-    # "--to -1,0,0,0" as an option with its value missing (exit 2)
     for to, route in ((["--to=-1,0,0,0"], "subgroup-arc"), (["--to", "0,0,1,0"], "two-arc")):
         out = tmp_path / f"{route}.csv"
         assert run("connect", "--from", "1,0,0,0", *to, "--out", str(out)) == 0
         assert CurveRecord.from_csv(out).header["route"] == route
         assert run("check", str(out)) == 0
-    assert run("connect", "--from", "1,0,0,0", "--to", "-1,0,0,0") == 2
+    # a value with a leading minus may also follow its option as a token of its own
+    assert run("connect", "--from", "1,0,0,0", "--to", "-1,0,0,0", "--out", str(out)) == 0
+    assert CurveRecord.from_csv(out).header["route"] == "subgroup-arc"
     capsys.readouterr()
+
+
+# each option that takes a point, with a negative first coordinate, joined to it by "="
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["connect", "--from=-0.6,0,0.8,0", "--to=-0.5,0.5,-0.5,0.5"],
+        ["shoot", "--from=-0.6,0,0.8,0", "--to=-0.5,0.5,-0.5,0.5"],
+        ["geodesic", "--q0=-0.6,0,0.8,0", "--theta0=-1", "--lambda=-.5", "--T", "1", "--step", "0.01"],
+        ["hamiltonian", "--q0=-0.6,0,0.8,0", "--xi0=-0.8,0.1,-0.6,0.2", "--T", "1", "--step", "0.01"],
+        ["frames", "--at=-0.5,0.5,0.5,0.5"],
+    ],
+)
+def test_cli_takes_a_negative_value_joined_or_as_its_own_token(tmp_path, capsys, argv):
+    spaced = [part for token in argv for part in token.split("=", 1)]
+    assert spaced != argv
+    outputs = []
+    for form in (argv, spaced):
+        out = tmp_path / "curve.csv"
+        assert run(*form, *([] if form[0] == "frames" else ["--out", str(out)])) == 0
+        outputs.append((capsys.readouterr(), out.read_bytes() if out.exists() else None))
+        out.unlink(missing_ok=True)
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_usage_errors(capsys):
@@ -524,6 +547,35 @@ def test_cli_check_rejects_a_non_increasing_s(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_cli_check_prints_the_rows_of_check_rows(tmp_path, capsys, monkeypatch, fail):
+    out = tmp_path / "geo.csv"
+    assert run("geodesic", "--q0", "1,0,0,0", "--lambda", "0.3", "--T", "1", "--step", "0.01", "--out", str(out)) == 0
+    rec = CurveRecord.from_csv(out)
+    calls = []
+
+    def stub(curve, ab, lam, tol):
+        calls.append((curve.points, [np.asarray(c) for c in ab], lam, tol))
+        rows = [("first", 1.0, 2.0), ("second", 3.0 if fail else 0.5, 2.0), ("third", 0.0, 0.0)]
+        return rows, ["one (a reason)", "two (another)"]
+
+    monkeypatch.setattr("s3sr.cli.check_rows", stub)
+    capsys.readouterr()
+    assert run("check", str(out), "--tol", "0.25") == (1 if fail else 0)
+    assert capsys.readouterr().out.splitlines() == [
+        "SKIP one (a reason)",
+        "SKIP two (another)",
+        "PASS first max_residual=1.000000e+00 tol=2.0e+00",
+        f"{'FAIL' if fail else 'PASS'} second max_residual={3.0 if fail else 0.5:.6e} tol=2.0e+00",
+        "PASS third max_residual=0.000000e+00 tol=0.0e+00",
+    ]
+    # the stub is handed the file's points, its a and b columns, its lambda and --tol
+    [(points, (a, b), lam, tol)] = calls
+    assert np.array_equal(points, rec.data[:, 1:5])
+    assert np.array_equal(a, rec.data[:, COLUMNS.index("a")]) and np.array_equal(b, rec.data[:, COLUMNS.index("b")])
+    assert (lam, tol) == (0.3, 0.25)
 
 
 def test_cli_hamiltonian(tmp_path, capsys):

@@ -77,7 +77,7 @@ PUBLIC_NAMES = {
     "connect_constant_psi": "c05",
     "SampledCurve": "connect, integrate_geodesic, shoot, io and the CLI",
     "fd_velocities": "io.CurveRecord.from_curve; curves.omega_fd_residuals",
-    "omega_fd_residuals": "connect; io.CurveRecord.from_curve; the CLI's check",
+    "omega_fd_residuals": "connect; io.CurveRecord.from_curve; geodesics.check_rows",
     "I1": "geodesics",
     "I2": "geodesics.match_costate; frames.frame_at",
     "I3": "geodesics",
@@ -86,12 +86,13 @@ PUBLIC_NAMES = {
     "bracket": "c02",
     "frame_ab": "io.CurveRecord.from_curve; geodesics",
     "frame_at": "the CLI's frames",
-    "omega_eval": "curves.omega_fd_residuals; geodesics.acceleration_T_residual; the CLI's check",
+    "omega_eval": "curves.omega_fd_residuals; geodesics.acceleration_T_residual; geodesics.check_rows",
     "GeodesicParams": "shoot; the CLI's geodesic and hamiltonian; bench/workloads.py",
     "HamiltonianTrajectory": "integrate_hamiltonian's value, read by the CLI's hamiltonian",
     "ab_profile": "match_costate",
     "acceleration_T_residual": "bench/workloads.py",
-    "angle_profile": "the CLI's check; bench/workloads.py",
+    "angle_profile": "geodesics.check_rows; bench/workloads.py",
+    "check_rows": "the CLI's check",
     "geodesic_point": "bench/workloads.py; c09",
     "integrate_geodesic": "shoot; the CLI's geodesic; bench/workloads.py",
     "integrate_hamiltonian": "the CLI's hamiltonian; bench/workloads.py",
@@ -104,7 +105,7 @@ PUBLIC_NAMES = {
     "QUAT_ONE": "c01",
     "conj": "connect",
     "norm": "the CLI's unit-norm policy; geodesics.angle_profile; curves",
-    "norm2": "frames.frame_at; geodesics.verify_velocity_energy; the CLI's check",
+    "norm2": "frames.frame_at; geodesics.verify_velocity_energy; geodesics.check_rows",
     "normalize": "the CLI's unit-norm policy",
     "qexp_pure": "c08; c09",
     "qmul": "connect; frames",
