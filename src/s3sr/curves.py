@@ -25,9 +25,11 @@ class SampledCurve:
     """
 
     def __init__(self, s, points, velocities=None, meta=None):
-        self.s = np.atleast_1d(np.asarray(s, dtype=float))
-        self.points = np.atleast_2d(np.asarray(points, dtype=float))
-        self.velocities = None if velocities is None else np.atleast_2d(np.asarray(velocities, dtype=float))
+        s, points = np.asarray(s, dtype=float), np.asarray(points, dtype=float)
+        self.s = s.reshape(1) if s.ndim == 0 else s  # as np.atleast_1d and np.atleast_2d shape them
+        self.points = points.reshape(1, -1) if points.ndim < 2 else points
+        vel = None if velocities is None else np.asarray(velocities, dtype=float)
+        self.velocities = vel.reshape(1, -1) if vel is not None and vel.ndim < 2 else vel
         self.meta = {} if meta is None else meta
         if self.points.shape != (len(self.s), 4):
             raise ValueError("points must have shape (len(s), 4)")
@@ -68,7 +70,7 @@ def _second_difference(s, p):
     steps = _grid_steps(s)
     slopes = np.subtract(p[1:].T, p[:-1].T, out=np.empty((p.shape[1], len(p) - 1)))
     slopes /= steps
-    acc = np.diff(slopes)
+    acc = slopes[:, 1:] - slopes[:, :-1]
     acc *= 2.0
     acc /= steps[:-1] + steps[1:]
     return acc.T
@@ -99,4 +101,4 @@ def omega_fd_residuals(curve: SampledCurve) -> np.ndarray:
 
 def unit_norm_error(curve: SampledCurve) -> float:
     """max | |point| - 1 | over the samples."""
-    return float(np.max(np.abs(norm(curve.points) - 1.0)))
+    return float(np.abs(norm(curve.points) - 1.0).max())

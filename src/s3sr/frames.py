@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quaternions import _RIGHT_MATRICES, UNIT_TOL, _row_sum, is_unit, norm2
+from .quaternions import _RIGHT_MATRICES, UNIT_TOL, is_unit, norm2
 
 __all__ = [
     "I1",
@@ -76,12 +76,25 @@ def frame_ab(points, velocities):
 
     No tangency check: this is the bare pairing on stacked points and
     velocities; the third component <v, T> is -omega_eval(points, v).
-    The frame vectors come from BLAS products p @ I*, which decide the
-    signs of their zeros.
+    X = (x, -w, -z, y) and Y = (z, -y, x, -w) at p = (w, x, y, z) pair with v by columns in
+    _row_sum's order, from its +0.0 start, so an infinite point component spreads only through
+    the terms it enters: frame_ab([inf, 0, 0, 0], [0, 1, 0, 0]) is (-inf, NaN).
     """
     p = np.asarray(points, dtype=float)
     v = np.asarray(velocities, dtype=float)
-    return _row_sum(v * (-(p @ I1))), _row_sum(v * (-(p @ I3)))
+    w, x, y, z = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
+    v0, v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2], v[..., 3]
+    a = v0 * x
+    a += 0.0
+    a -= v1 * w
+    a -= v2 * z
+    a += v3 * y
+    b = v0 * z
+    b += 0.0
+    b -= v1 * y
+    b += v2 * x
+    b -= v3 * w
+    return a, b
 
 
 def omega_eval(q, v):

@@ -229,8 +229,11 @@ class HamiltonianTrajectory(NamedTuple):
         return -a, -b
 
     def qdot(self):
+        """p1 q i + p3 q k by columns, with q i = (-x, w, z, -y) and q k = (-z, y, -x, w)."""
         p1, p3 = self.momenta()
-        return p1[:, None] * (self.q @ I1) + p3[:, None] * (self.q @ I3)
+        w, x, y, z = self.q.T + 0.0  # a zero coordinate enters as +0, as in the BLAS products q @ I1, q @ I3
+        _, nx, ny, nz = 0.0 - self.q.T
+        return np.column_stack([p1 * nx + p3 * nz, p1 * w + p3 * y, p1 * z + p3 * nx, p1 * ny + p3 * w])
 
     def energy(self):
         p1, p3 = self.momenta()
@@ -409,10 +412,11 @@ def verify_velocity_energy(curve: SampledCurve):
         raise ValueError(f"frame matrix degenerate: | |q| - 1 | = {norm_dev:.3e}")
     radial = np.abs(_row_sum(v * q))
     vv = norm2(v)
-    if np.any(radial > 1e-6 * np.maximum(1.0, np.sqrt(vv))):
-        raise ValueError(f"vector is not tangent: |<v, q>| = {float(np.max(radial)):.3e}")
+    if (radial > 1e-6 * np.maximum(1.0, np.sqrt(vv))).any():
+        raise ValueError(f"vector is not tangent: |<v, q>| = {float(radial.max()):.3e}")
     a, b = frame_ab(q, v)
-    return float(np.max(np.abs(vv - (a * a + b * b))))
+    vv -= a * a + b * b
+    return float(np.abs(vv, out=vv).max())
 
 
 def acceleration_T_residual(curve: SampledCurve) -> float:
@@ -420,7 +424,8 @@ def acceleration_T_residual(curve: SampledCurve) -> float:
     if curve.n < 3:
         raise ValueError("need at least 3 samples")
     p = curve.points
-    return float(np.max(np.abs(omega_eval(p[1:-1], _second_difference(curve.s, p)))))
+    residual = omega_eval(p[1:-1], _second_difference(curve.s, p))
+    return float(np.abs(residual, out=residual).max())
 
 
 def angle_profile(curve: SampledCurve) -> np.ndarray:
@@ -433,12 +438,12 @@ def angle_profile(curve: SampledCurve) -> np.ndarray:
     if curve.velocities is None:
         raise ValueError("curve carries no velocities")
     v = curve.velocities
-    if np.any(norm(v) < 1e-15):
+    if (norm(v) < 1e-15).any():
         raise ValueError("zero velocity has no direction")
     va, vb = frame_ab(curve.points, v)
-    angles = np.arctan2(vb, va)
-    steps = np.diff(angles)
-    wraps = np.flatnonzero(~(np.abs(steps) < np.pi))
+    angles = np.arctan2(vb, va, out=va)
+    steps = angles[1:] - angles[:-1]
+    wraps = (~(np.abs(steps) < np.pi)).nonzero()[0]
     dd = steps[wraps]
     # np.unwrap's arithmetic at period 2 pi: ddmod is dd shifted into [-pi, pi),
     # with +pi kept for a positive dd that lands on -pi

@@ -10,7 +10,7 @@ shape (4,) as well as on stacks (n, 4).
 
 Sums over a short last axis, here and in frames, curves and geodesics,
 go through _row_sum: np.sum(x, axis=-1) bit for bit, a column at a time.
-frames.omega_eval, -<v, T>, adds its terms in the same column order.
+frames.frame_ab and frames.omega_eval add their terms in the same order.
 
 The matrices of right multiplication by 1, i, j, k (frames.I1-I3
 among them) are derived from qmul when the module is imported.

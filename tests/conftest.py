@@ -19,6 +19,14 @@ def random_unit(rng, n=None):
     return v / np.linalg.norm(v, axis=-1, keepdims=n is not None)
 
 
+def _counting(counts, name, func):
+    """func, counting its calls in counts[name]."""
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return func(*args, **kwargs)
+    return wrapper
+
+
 def _loaded_by_fresh_import(module, then=""):
     """Whether a fresh interpreter loads `module` or a submodule of it.
 

@@ -37,7 +37,7 @@ from s3sr.frames import omega_eval
 from s3sr.quaternions import (
     QUAT_I, QUAT_K, QUAT_ONE, _conj_mul_floats, conj, qexp_pure, qmul,
 )
-from conftest import _loaded_by_fresh_import, point_arrays_ref, random_unit, velocity_arrays_ref
+from conftest import _counting, _loaded_by_fresh_import, point_arrays_ref, random_unit, velocity_arrays_ref
 
 connect_module = importlib.import_module("s3sr.connect")
 
@@ -600,14 +600,6 @@ def test_no_gauge_is_a_twin_of_another(rng):
                 speed = np.linalg.norm(vel, axis=1, keepdims=True)
                 assert np.all(np.abs(vel_t - vel) <= 1e-12 * np.maximum(1.0, speed))
     assert legs >= 1000
-
-
-def _counting(counts, name, func):
-    """func, counting its calls in counts[name]."""
-    def wrapper(*args, **kwargs):
-        counts[name] += 1
-        return func(*args, **kwargs)
-    return wrapper
 
 
 def test_connect_builds_no_polynomial_and_calls_no_moveaxis(monkeypatch):

@@ -119,6 +119,17 @@ def test_frame_ab_matches_components(rng):
     assert a1 == a[0] and b1 == b[0]
 
 
+def test_frame_ab_spreads_an_infinite_point_component_only_through_its_terms():
+    # a = ((v0 x + 0) - v1 w) - v2 z + v3 y and b = ((v0 z + 0) - v1 y) + v2 x - v3 w: w = inf
+    # meets v1 = 1 in a and v3 = 0 in b; a matrix product p @ I1 would put inf * 0 = NaN in every entry
+    with np.errstate(invalid="ignore"):
+        a, b = frame_ab([np.inf, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0])
+        stacked = frame_ab([[np.inf, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]], [[0.0, 1.0, 0.0, 0.0]] * 2)
+    assert a == -np.inf and np.isnan(b)
+    np.testing.assert_array_equal(stacked[0], [-np.inf, -1.0])
+    np.testing.assert_array_equal(stacked[1], [np.nan, 0.0])
+
+
 def test_omega_on_frame(rng):
     for q in random_unit(rng, 50):
         f = frame_at(q)

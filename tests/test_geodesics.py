@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from s3sr import frames, geodesics
 from s3sr.curves import SampledCurve, omega_fd_residuals
 from s3sr.connect import connect
 from s3sr.frames import I1, I3, frame_ab, frame_at, omega_eval
@@ -24,7 +25,7 @@ from s3sr.geodesics import (
 )
 from s3sr.quaternions import qexp_pure, qmul
 from s3sr.shooting import _TURN, shoot
-from conftest import random_unit
+from conftest import _counting, random_unit
 
 ONE = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -395,6 +396,45 @@ def test_integrator_loops_make_no_per_step_calls(integrator):
         return _profiled_calls(integrate_geodesic, ONE, p, T, h)
 
     assert 0 <= run(4.0) - run(2.0) <= 32
+
+
+# numpy functions written in Python, each a few microseconds a call over the
+# ufunc or array method it reduces to
+_FLOW_WRAPPERS = ("diff", "any", "max", "flatnonzero", "atleast_1d", "atleast_2d")
+
+
+class _CountedMatrix(np.ndarray):
+    """A right-multiplication matrix that counts every ufunc it takes part in, matmul included."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self.counts["I"] += 1
+        inputs = [np.asarray(x) if isinstance(x, _CountedMatrix) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_geodesic_flow_calls_no_python_level_numpy_wrapper_and_no_matrix_product(monkeypatch):
+    counts = dict.fromkeys(_FLOW_WRAPPERS + ("I",), 0)
+    p = GeodesicParams(1.0, 0.3, 20.0)  # the angle wraps about 64 times over T = 10
+    xi0 = match_costate(ONE, p)
+    off_tangent = integrate_geodesic(ONE, p, 1.0, 1e-2)
+    off_tangent.velocities += 1e-3 * off_tangent.points
+    for name in _FLOW_WRAPPERS:
+        monkeypatch.setattr(np, name, _counting(counts, name, getattr(np, name)))
+    _CountedMatrix.counts = counts
+    for module, name in ((frames, "I1"), (frames, "I3"), (geodesics, "I1"), (geodesics, "I3")):
+        monkeypatch.setattr(module, name, getattr(module, name).view(_CountedMatrix))
+    c = integrate_geodesic(ONE, p, 10.0, 1e-3)
+    traj = integrate_hamiltonian(ONE, xi0, 10.0, 1e-3)
+    traj.qdot(), traj.energy(), frame_ab(c.points, c.velocities)
+    verify_velocity_energy(c), acceleration_T_residual(c), angle_profile(c)
+    with pytest.raises(ValueError, match="not tangent"):
+        verify_velocity_energy(off_tangent)
+    assert set(counts.values()) == {0}, counts
+    # the counters see a call when one is made
+    x = np.array([0.5, -1.5, 2.5])
+    np.diff(x), np.any(x), np.max(x), np.flatnonzero(x), np.atleast_1d(x), np.atleast_2d(x)
+    np.ones(4) @ frames.I1
+    assert set(counts.values()) == {1}, counts
 
 
 def test_engine_memory_is_a_few_arrays():

@@ -27,6 +27,25 @@ def test_sampled_curve_checks_its_shapes_and_grid():
     assert SampledCurve(0.0, pts[0]).points.shape == (1, 4)
 
 
+def test_sampled_curve_shapes_single_samples_as_atleast_nd_does():
+    # scalar s and (4,) points or velocities are one sample, shaped as np.atleast_1d and np.atleast_2d shape them
+    q, v = [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]
+    curve = SampledCurve(0.5, q, v)
+    assert curve.s.shape == (1,) and curve.points.shape == curve.velocities.shape == (1, 4)
+    for s, pts, vel in ((0.5, q, v), (0.5, [q], [v]), ([0.5], q, [v]), (np.float64(0.5), np.array(q), None)):
+        curve = SampledCurve(s, pts, vel)
+        assert curve.s.shape == np.atleast_1d(s).shape and curve.points.shape == np.atleast_2d(pts).shape
+        assert vel is None or curve.velocities.shape == np.atleast_2d(vel).shape
+    with pytest.raises(ValueError, match=r"^velocities must match points in shape$"):
+        SampledCurve(0.5, q, [0.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match=r"^velocities must match points in shape$"):
+        SampledCurve([0.0, 1.0], [q, q], v)
+    with pytest.raises(ValueError, match=r"^points must have shape \(len\(s\), 4\)$"):
+        SampledCurve(0.5, [q, q])
+    with pytest.raises(ValueError, match=r"^points must have shape \(len\(s\), 4\)$"):
+        SampledCurve(0.5, 1.0)
+
+
 def test_sampled_curve_meta_is_its_own_dict():
     pts = np.tile([1.0, 0.0, 0.0, 0.0], (2, 1))
     a, b = SampledCurve([0.0, 1.0], pts), SampledCurve([0.0, 1.0], pts)
