@@ -22,6 +22,11 @@ class SampledCurve:
     points      : (n, 4) samples on the sphere
     velocities  : optional (n, 4) tangent vectors at the samples
     meta        : construction tag and parameters (a new dict if None)
+
+    Float arrays of either layout are kept without a copy: row-major
+    (n, 4) samples, or the transposed view of (4, n) component rows that
+    the integrators in geodesics return.  The kernels give the same bits
+    on both.
     """
 
     def __init__(self, s, points, velocities=None, meta=None):

@@ -12,9 +12,15 @@ velocity q u by integrate_geodesic on a uniform grid: no step is
 integrated, so |q| stays 1 to rounding at any horizon.  In SU(2) complex
 pairs (see _pair_mul) the point is c g + d h with constant pairs g, h and
 two complex numbers c, d per sample, so each output is one product of a
-(n, 4) float array with a fixed 4 x 4 matrix (see _closed_form).  It
+fixed 4 x 4 matrix with a (4, n) float array (see _closed_form).  It
 needs only the phases e^(i lambda s) and e^(i omega s); on the uniform
 grid s = k dt they are powers, which _powers takes from two short tables.
+
+Samples are stored by component: both integrators write (4, n) blocks, one
+contiguous row per coordinate w, x, y, z, and return their (n, 4)
+transposes, so the per-sample kernels (frames.frame_ab, frames.omega_eval,
+norm2, the checks below) read each component as a contiguous column.
+Only the strides differ from row-major samples, never the values.
 
 The same flow also arises from the Hamiltonian
 
@@ -111,24 +117,28 @@ def _pair_mul(a, b, c, d):
 
 
 def _rows(a, b, out=None):
-    """The (..., 4) rows (w, x, y, z) of the quaternions held as pairs (a, b), in out if given."""
-    out = np.empty(np.broadcast(a, b).shape + (4,)) if out is None else out
-    out[..., 0], out[..., 1], out[..., 2], out[..., 3] = a.real, b.real, a.imag, b.imag
+    """The (4, ...) component rows w, x, y, z of the quaternions held as pairs (a, b), in out if given.
+
+    Each component is one contiguous row; the (..., 4) samples are the transpose.
+    """
+    out = np.empty((4,) + np.broadcast(a, b).shape) if out is None else out
+    out[0], out[1], out[2], out[3] = a.real, b.real, a.imag, b.imag
     return out
 
 
 def _closed_form(q0, params: GeodesicParams, rho, e_omega, velocities=False):
-    """Rows (w, x, y, z) of q(s) = q0 exp(s v) e(lam s j), v = u0 - lam j, and if asked of q(s) u(s).
+    """Samples (w, x, y, z) of q(s) = q0 exp(s v) e(lam s j), v = u0 - lam j, and if asked of q(s) u(s).
 
     rho = e^(i lam s) and e_omega = e^(i omega s), omega = |v|, are the caller's phases.
     exp(s v) = cos(omega s) + sin(omega s) v / omega, whose sine term vanishes at omega = 0
     (there v / omega is taken as 0), e(lam s j) = (rho, 0) and e(lam s j) u(s) = u0 e(lam s j):
     in pairs (see _pair_mul) q = c g + d h and q u = c g u0 + d h u0, with c = cos(omega s) rho,
-    d = sin(omega s) rho and the constant pairs g = q0, h = q0 v / omega.  Each row is
+    d = sin(omega s) rho and the constant pairs g = q0, h = q0 v / omega.  Each sample is
     therefore real-linear in (Re c, Im c, Re d, Im d), the four products of (cos, sin)(omega s)
-    with (Re, Im) rho: they fill the columns of one (..., 4) array, whose product with a fixed
-    4 x 4 matrix (see _linear_map) gives each output.  At s = 0, c and d are exactly 1 and 0,
-    so the first row is q0's.
+    with (Re, Im) rho: they fill the four rows of one (4, n) block, n the size of rho, and a fixed
+    4 x 4 matrix L (see _linear_map) times that block gives each output's (4, n) component
+    rows, returned transposed to the shape of rho plus (4,).  At s = 0, c and d are exactly 1
+    and 0, so the first sample is q0's.
     """
     q0 = np.asarray(q0, dtype=float)
     u0 = -params.r * complex(math.cos(params.theta0), math.sin(params.theta0))  # u(0) = (0, u0)
@@ -138,16 +148,23 @@ def _closed_form(q0, params: GeodesicParams, rho, e_omega, velocities=False):
     pairs = [(q, _pair_mul(*q, *v_unit))]
     if velocities:
         pairs.append(tuple(_pair_mul(*x, 0.0, u0) for x in pairs[0]))
-    coords = np.empty(np.shape(rho) + (4,))
-    for k, (trig, phase) in enumerate(itertools.product((e_omega.real, e_omega.imag), (rho.real, rho.imag))):
-        np.multiply(trig, phase, out=coords[..., k])
-    return [coords @ _linear_map(g, h) for g, h in pairs]
+    shape = np.shape(rho)
+    coords = np.empty((4, math.prod(shape)))
+    for row, (trig, phase) in zip(coords, itertools.product((e_omega.real, e_omega.imag), (rho.real, rho.imag))):
+        np.multiply(trig, phase, out=row.reshape(shape))
+    return [(_linear_map(g, h) @ coords).T.reshape(shape + (4,)) for g, h in pairs]
 
 
 def _linear_map(g, h):
-    """The 4 x 4 matrix M with (Re c, Im c, Re d, Im d) @ M the row of c g + d h, for pairs g and h."""
+    """The 4 x 4 matrix L with L @ (Re c, Im c, Re d, Im d) the components of c g + d h, for pairs g and h.
+
+    L is laid out in Fortran order, as the transpose of the C-ordered matrix that multiplies
+    (n, 4) rows: BLAS then reads the same memory, so the values are those of the row-major
+    product, a single sample (matrix times vector) included.
+    """
     (ga, gb), (ha, hb) = g, h
-    return _rows(np.array([ga, 1j * ga, ha, 1j * ha]), np.array([gb, 1j * gb, hb, 1j * hb]))
+    out = np.empty((4, 4), order="F")
+    return _rows(np.array([ga, 1j * ga, ha, 1j * ha]), np.array([gb, 1j * gb, hb, 1j * hb]), out=out)
 
 
 def geodesic_point(q0, params: GeodesicParams, s):
@@ -229,11 +246,15 @@ class HamiltonianTrajectory(NamedTuple):
         return -a, -b
 
     def qdot(self):
-        """p1 q i + p3 q k by columns, with q i = (-x, w, z, -y) and q k = (-z, y, -x, w)."""
+        """p1 q i + p3 q k, with q i = (-x, w, z, -y) and q k = (-z, y, -x, w), as (4, n) rows transposed."""
         p1, p3 = self.momenta()
         w, x, y, z = self.q.T + 0.0  # a zero coordinate enters as +0, as in the BLAS products q @ I1, q @ I3
         _, nx, ny, nz = 0.0 - self.q.T
-        return np.column_stack([p1 * nx + p3 * nz, p1 * w + p3 * y, p1 * z + p3 * nx, p1 * ny + p3 * w])
+        out = np.empty((4, len(p1)))
+        for row, c1, c3 in zip(out, (nx, w, z, ny), (nz, y, nx, w)):
+            np.multiply(p1, c1, out=row)
+            row += p3 * c3
+        return out.T
 
     def energy(self):
         p1, p3 = self.momenta()
@@ -325,7 +346,9 @@ def integrate_hamiltonian(q0, xi0, T, h) -> HamiltonianTrajectory:
     the D_k, built in one pass in two contiguous complex arrays, in place into
     the pairs of q_k - 1, in a tree order that rounds less than a step-by-step
     fold and with no 1 + D_k, which would round away D_k's low digits.  Then
-    q_k and xi_k = q_k eta_k, eta_k = (e0 + i e2, w_k), are formed in place.
+    q_k and xi_k = q_k eta_k, eta_k = (e0 + i e2, w_k), are formed in place and
+    written as the component rows of one (8, n) table, whose (n, 4) transposes
+    are returned.
     """
     nsteps, dt = _grid(T, h)
     q0 = check_unit(q0, what="initial point q0")
@@ -349,15 +372,15 @@ def integrate_hamiltonian(q0, xi0, T, h) -> HamiltonianTrajectory:
     k2 = sixth * dt * half * half * g2 * g3.conjugate() * g4
     l0 = sixth * (1.0 + 2.0 * g2 + 2.0 * g3 + g4)
     l1 = sixth * -half * (2.0 * half * g2.conjugate() * g3 + dt * g2 * g3.conjugate() * g4)
-    ys = np.empty((nsteps + 1, 8))
-    # the xi columns of row k hold w_k and conj(B_k) w_k until xi_k replaces them;
-    # a and b, allocated once the temporaries of w_k and m are gone, hold the
-    # pairs of q0 - 1 and of the increments D_k, then of q_k - 1 after the scan
-    w = ys[:, 4:6].view(complex)[:, 0]
-    bw = ys[:, 6:8].view(complex)[:, 0]
+    ys = np.empty((8, nsteps + 1))
+    # the four xi rows hold w_k and conj(B_k) w_k, as one flat complex buffer,
+    # until xi_k replaces them; a and b, allocated once the temporaries of w_k
+    # and m are gone, hold the pairs of q0 - 1 and of the increments D_k, then
+    # of q_k - 1 after the scan
+    w, bw = ys[4:].reshape(-1).view(complex).reshape(2, -1)
     eta_a = complex(e0, e2)
     with np.errstate(all="ignore"):  # a huge costate runs to inf and NaN, as any RK4 would
-        w[:] = complex(e1, e3) * _powers(log_r, nsteps + 1)  # w_k = w0 R^k
+        np.multiply(complex(e1, e3), _powers(log_r, nsteps + 1), out=w)  # w_k = w0 R^k
         wk = w[:-1]
         m = wk.real * wk.real + wk.imag * wk.imag
         a, b = np.empty((2, nsteps + 1), dtype=complex)
@@ -372,7 +395,7 @@ def integrate_hamiltonian(q0, xi0, T, h) -> HamiltonianTrajectory:
         del m
         _scan(a, b)
         a += 1.0
-        _rows(a, b, out=ys[:, :4])
+        _rows(a, b, out=ys[:4])
         # xi_k = q_k eta_k = (A eta_a - conj(B) w_k, conj(A) w_k + B eta_a), eta_k = (eta_a, w_k)
         np.conjugate(b, out=bw)
         bw *= w
@@ -381,11 +404,11 @@ def integrate_hamiltonian(q0, xi0, T, h) -> HamiltonianTrajectory:
         a -= bw
         b *= eta_a
         b += w
-        _rows(a, b, out=ys[:, 4:])
-    ys[0, :4], ys[0, 4:] = q0, xi0
+        _rows(a, b, out=ys[4:])
+    ys[:4, 0], ys[4:, 0] = q0, xi0
     s = np.arange(nsteps + 1) * dt
     meta = {"tag": "hamiltonian", "method": "rk4_body", "T": T, "h": dt}
-    return HamiltonianTrajectory(s, ys[:, :4], ys[:, 4:], meta)
+    return HamiltonianTrajectory(s, ys[:4].T, ys[4:].T, meta)
 
 
 def verify_velocity_energy(curve: SampledCurve):

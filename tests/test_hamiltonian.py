@@ -328,7 +328,7 @@ def test_long_horizon_accuracy():
 
 
 def test_hamiltonian_memory_is_one_table():
-    # the (10001, 8) float table is 0.64 MB and the scan's two complex arrays,
+    # the (8, 10001) float table is 0.64 MB and the scan's two complex arrays,
     # 32 B a step, 0.32 MB; the peak reads 1.2 MB with the temporaries of the
     # scan's first level. A per-step list over the horizon would add ~3 MB
     q0 = np.array([1.0, 0.0, 0.0, 0.0])

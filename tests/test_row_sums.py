@@ -1,16 +1,22 @@
-"""The column-order row sum against numpy's reductions, and its callers against their np.sum forms."""
+"""The column-order row sum against numpy's reductions, and its callers against their np.sum forms.
+
+The callers also read the same bits from row-major (n, 4) samples and from the
+transposed views of (4, n) component rows that the integrators return.
+"""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from s3sr.curves import SampledCurve, unit_norm_error
+from s3sr.curves import SampledCurve, _second_difference, unit_norm_error
 from s3sr.frames import I1, I2, I3, frame_ab, omega_eval
 from s3sr.geodesics import (
     GeodesicParams,
+    HamiltonianTrajectory,
     acceleration_T_residual,
     angle_profile,
+    check_rows,
     integrate_geodesic,
     integrate_hamiltonian,
     match_costate,
@@ -174,3 +180,67 @@ def test_qexp_pure_matches_its_numpy_reduction():
     with np.errstate(over="ignore", invalid="ignore"):
         for v in (rows, rand, rand.reshape(50, 10, 3), rand[0], np.zeros(3), -np.zeros(3)):
             _assert_same_floats(qexp_pure(v), _qexp_pure_ref(v))
+
+
+def _layouts(x):
+    """Row-major and component-major copies of x: C-contiguous (n, 4), and the transpose of C-contiguous (4, n)."""
+    return np.ascontiguousarray(x), np.ascontiguousarray(x.T).T
+
+
+def _special_curve():
+    """Points and velocities that run over every row of +-0, +-1, tiny, huge, +-inf and NaN components."""
+    rows = np.array(list(itertools.product(_VALUES + (np.nan,), repeat=4)))
+    return SampledCurve(np.arange(len(rows)) * 0.5, rows, rows[np.random.default_rng(35).permutation(len(rows))])
+
+
+def _kernels(c):
+    """What each per-sample kernel returns on curve c, or the message of the ValueError it raises."""
+    p, v = c.points, c.velocities
+    out = {
+        "frame_ab": frame_ab(p, v),
+        "omega_eval": omega_eval(p, v),
+        "norm2": norm2(p),
+        "check_rows": _outcome(check_rows, c, frame_ab(p, v), 0.5, 1e-4),
+    }
+    if c.n >= 3:
+        out["second_difference"] = _second_difference(c.s, p)
+    traj = HamiltonianTrajectory(c.s, p, v, {})
+    out["qdot"], out["energy"] = traj.qdot(), traj.energy()
+    for fn in (verify_velocity_energy, acceleration_T_residual, angle_profile):
+        out[fn.__name__] = _outcome(fn, c)
+    return out
+
+
+def _assert_same_outcome(x, y):
+    """x and y agree bit for bit, through tuples and lists, and on the messages of raised errors."""
+    if isinstance(x, (tuple, list)):
+        assert type(x) is type(y) and len(x) == len(y)
+        for xk, yk in zip(x, y):
+            _assert_same_outcome(xk, yk)
+    elif isinstance(x, str):
+        assert x == y
+    else:
+        _assert_same_floats(np.float64(x) if isinstance(x, float) else x, np.float64(y) if isinstance(y, float) else y)
+
+
+def test_kernels_read_the_same_bits_from_either_layout():
+    for c in [c for _, _, c in _curves()] + [_special_curve()]:
+        with np.errstate(all="ignore"):
+            rows_first, columns_first = (
+                _kernels(SampledCurve(c.s, *layout)) for layout in zip(_layouts(c.points), _layouts(c.velocities))
+            )
+        assert rows_first.keys() == columns_first.keys()
+        for name, ref in rows_first.items():
+            _assert_same_outcome(columns_first[name], ref)
+
+
+def test_integrators_return_transposed_component_rows():
+    q0, p = random_unit(np.random.default_rng(36)), GeodesicParams(1.3, 0.4, -2.5)
+    c = integrate_geodesic(q0, p, 2.0, 1e-3)
+    traj = integrate_hamiltonian(q0, match_costate(q0, p), 2.0, 1e-3)
+    for x in (c.points, c.velocities, traj.q, traj.xi, traj.qdot()):
+        assert x.shape == (2001, 4) and x.dtype == float
+        assert x.T.flags.c_contiguous
+    # a curve keeps the samples it is given, in either layout
+    for x in _layouts(c.points):
+        assert SampledCurve(c.s, x, x).points is x
