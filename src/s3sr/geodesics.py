@@ -111,17 +111,22 @@ def _pair_mul(a, b, c, d):
     """(A + i B)(C + i D) = (A C - conj(B) D) + i (conj(A) D + B C), as i B = conj(B) i.
 
     w + x i + y j + z k = A + i B with A, B in span{1, j} is held as the pair of
-    complex numbers (A, B) = (w + y*1j, x + z*1j).  Scalars and arrays broadcast.
+    complex numbers (A, B) = (w + y*1j, x + z*1j), as numbers or as arrays of one
+    shape.  Each part accumulates into its first product by augmented assignment,
+    which on arrays saves the temporary of the sum; the inputs are only read.
     """
-    return a * c - b.conjugate() * d, a.conjugate() * d + b * c
+    p0 = a * c
+    p0 -= b.conjugate() * d
+    p1 = a.conjugate() * d
+    p1 += b * c
+    return p0, p1
 
 
-def _rows(a, b, out=None):
-    """The (4, ...) component rows w, x, y, z of the quaternions held as pairs (a, b), in out if given.
+def _rows(a, b, out):
+    """The (4, ...) component rows w, x, y, z of the quaternions held as pairs (a, b), written into out.
 
     Each component is one contiguous row; the (..., 4) samples are the transpose.
     """
-    out = np.empty((4,) + np.broadcast(a, b).shape) if out is None else out
     out[0], out[1], out[2], out[3] = a.real, b.real, a.imag, b.imag
     return out
 
@@ -278,16 +283,13 @@ def _compose(a, b):
 
     Written into b's arrays by augmented assignment and returned; on numbers, which
     are immutable, only returned.  The float operations are those of
-    (a0 + b0 + p0, a1 + b1 + p1) with (p0, p1) = _pair_mul(a0, a1, b0, b1), each
-    product with its operands in that order, as numpy's complex product is not
+    (a0 + b0 + p0, a1 + b1 + p1) with (p0, p1) = _pair_mul(a0, a1, b0, b1), whose
+    products keep their operands in that order, as numpy's complex product is not
     bit-commutative; only a0 + b0 is taken as b0 + a0, which differs at most in
     the payload of a NaN.
     """
     (a0, a1), (b0, b1) = a, b
-    p0 = a0 * b0
-    p0 -= a1.conjugate() * b1
-    p1 = a0.conjugate() * b1
-    p1 += a1 * b0
+    p0, p1 = _pair_mul(a0, a1, b0, b1)
     b0 += a0
     b0 += p0
     b1 += a1

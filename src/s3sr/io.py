@@ -1,5 +1,9 @@
 """Curve-file formats: columnar CSV and JSON with exact round-tripping.
 
+A record is built from a curve with velocities, whose frame components
+are its a and b columns; files store no velocities, so a curve read
+back from one holds points only.
+
 CSV layout is bit-stable: '#'-prefixed header lines (a format marker,
 sorted key=value metadata, the column list), then comma-separated rows
 rendered with 17 significant digits and LF line endings.  Column order
@@ -9,6 +13,7 @@ bytes as a per-value writer.  The reader makes one pass over the lines,
 collecting every data field in one flat list that one numpy conversion
 turns into floats, with the values float() gives; blank and '#' lines
 may appear anywhere, and a malformed line is named by its number.
+JSON holds the same table as one list of rows of floats.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .curves import SampledCurve, fd_velocities, omega_fd_residuals
+from .curves import SampledCurve, omega_fd_residuals
 from .frames import frame_ab
 
 __all__ = ["COLUMNS", "CurveRecord", "FORMAT_MARKER"]
@@ -45,21 +50,18 @@ class CurveRecord:
 
     @classmethod
     def from_curve(cls, curve: SampledCurve, **extra_header) -> "CurveRecord":
-        """Build a record whose a, b columns are the frame components of the curve's velocities.
+        """Build a record whose a, b columns are the frame components of the curve's stored velocities.
 
-        Those are the stored velocities, or finite differences for a curve
-        without them (zeros for a single sample).  omega_res is the
+        A curve without velocities raises ValueError.  omega_res is the
         finite-difference horizontality residual (0 for single-sample
         curves).
         """
-        n = curve.n
+        if curve.velocities is None:
+            raise ValueError("a curve record needs the curve's velocities")
         meta = dict(curve.meta)
         meta.update(extra_header)
-        vel = curve.velocities if curve.velocities is not None else (
-            fd_velocities(curve) if n >= 2 else np.zeros_like(curve.points)
-        )
-        a, b = frame_ab(curve.points, vel)
-        omega_res = omega_fd_residuals(curve) if n >= 2 else np.zeros(1)
+        a, b = frame_ab(curve.points, curve.velocities)
+        omega_res = omega_fd_residuals(curve) if curve.n >= 2 else np.zeros(1)
         table = np.column_stack([curve.s, curve.points, a, b, omega_res])
         header = {str(k): v for k, v in meta.items() if _scalarish(v)}
         return cls(header, table)
@@ -114,7 +116,7 @@ class CurveRecord:
             "format": FORMAT_MARKER,
             "header": self.header,
             "columns": list(COLUMNS),
-            "rows": [list(map(float, row)) for row in self.data],
+            "rows": self.data.tolist(),
         }
         Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", newline="\n")
 

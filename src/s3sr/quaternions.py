@@ -12,6 +12,8 @@ Sums over a short last axis, here and in frames, curves and geodesics,
 go through _row_sum: np.sum(x, axis=-1) bit for bit, a column at a time.
 frames.frame_ab and frames.omega_eval add their terms in the same order.
 
+The multiplication table is written once, in _product: qmul applies
+it to array columns, _mul_floats and _conj_mul_floats to Python floats.
 The matrices of right multiplication by 1, i, j, k (frames.I1-I3
 among them) are derived from qmul when the module is imported.
 is_unit and check_unit accept a deviation | |q|^2 - 1 | up to
@@ -60,14 +62,16 @@ def qmul(p, q):
     q = np.asarray(q)
     pw, px, py, pz = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
     qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    return np.stack(
-        [
-            pw * qw - px * qx - py * qy - pz * qz,
-            pw * qx + px * qw + py * qz - pz * qy,
-            pw * qy + py * qw + pz * qx - px * qz,
-            pw * qz + pz * qw + px * qy - py * qx,
-        ],
-        axis=-1,
+    return np.stack(_product(pw, px, py, pz, qw, qx, qy, qz), axis=-1)
+
+
+def _product(pw, px, py, pz, qw, qx, qy, qz):
+    """The components (w, x, y, z) of p*q: the multiplication table, on Python floats or array columns alike."""
+    return (
+        pw * qw - px * qx - py * qy - pz * qz,
+        pw * qx + px * qw + py * qz - pz * qy,
+        pw * qy + py * qw + pz * qx - px * qz,
+        pw * qz + pz * qw + px * qy - py * qx,
     )
 
 
@@ -153,27 +157,13 @@ def check_unit(q, what="quaternion"):
 
 def _mul_floats(p, q):
     """p * q for two (4,) arrays, as Python floats equal bit for bit to qmul(p, q)."""
-    pw, px, py, pz = p.tolist()
-    qw, qx, qy, qz = q.tolist()
-    return (
-        pw * qw - px * qx - py * qy - pz * qz,
-        pw * qx + px * qw + py * qz - pz * qy,
-        pw * qy + py * qw + pz * qx - px * qz,
-        pw * qz + pz * qw + px * qy - py * qx,
-    )
+    return _product(*p.tolist(), *q.tolist())
 
 
 def _conj_mul_floats(p, q):
-    """conj(p) * q for two (4,) arrays, as Python floats equal bit for bit to qmul(conj(p), q)."""
+    """conj(p) * q for two (4,) arrays, as Python floats equal bit for bit to qmul(conj(p), q) on finite input."""
     pw, px, py, pz = p.tolist()
-    qw, qx, qy, qz = q.tolist()
-    # qmul's terms with conj's negations moved into the signs
-    return (
-        pw * qw + px * qx + py * qy + pz * qz,
-        pw * qx - px * qw - py * qz + pz * qy,
-        pw * qy - py * qw - pz * qx + px * qz,
-        pw * qz - pz * qw - px * qy + py * qx,
-    )
+    return _product(pw, -px, -py, -pz, *q.tolist())
 
 
 # q @ M = q * e for the basis e = 1, i, j, k (row-vector convention): row

@@ -265,6 +265,24 @@ def _compose_inputs():
     return z
 
 
+def test_pair_mul_matches_its_written_out_form():
+    # _compose takes its product from _pair_mul, and so does its out-of-place
+    # reference below; here the product itself is pinned, byte for byte, to the
+    # formula written out, on arrays and on Python numbers, each with their own
+    # arithmetic, and the inputs must come back unchanged
+    z = _compose_inputs()
+    with np.errstate(all="ignore"):
+        a, b, c, d = z
+        want = np.stack([a * c - b.conjugate() * d, a.conjugate() * d + b * c])
+        x = z.copy()
+        assert np.stack(_pair_mul(*x)).tobytes() == want.tobytes()
+        assert x.tobytes() == z.tobytes()
+        rows = list(zip(*(v.tolist() for v in z)))
+        got = [_pair_mul(*r) for r in rows]
+        want = [(x0 * y0 - x1.conjugate() * y1, x0.conjugate() * y1 + x1 * y0) for x0, x1, y0, y1 in rows]
+    assert np.array(got, dtype=complex).tobytes() == np.array(want, dtype=complex).tobytes()
+
+
 def _compose_out_of_place(a, b):
     """_compose as new values: (a0 + b0 + p0, a1 + b1 + p1) with (p0, p1) = _pair_mul(a0, a1, b0, b1)."""
     (a0, a1), (b0, b1) = a, b

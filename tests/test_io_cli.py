@@ -52,6 +52,15 @@ def test_json_round_trip(tmp_path):
     assert back.header == {k: v for k, v in rec.header.items()}
 
 
+def test_record_refuses_a_curve_without_velocities(tmp_path):
+    # a file's a and b are the frame components of the stored velocity; a curve
+    # read back from a file has points only
+    path = tmp_path / "c.csv"
+    CurveRecord.from_curve(integrate_geodesic([1, 0, 0, 0], GeodesicParams(1.0, 0.3, 0.5), 1.0, 1e-2)).to_csv(path)
+    with pytest.raises(ValueError, match="needs the curve's velocities"):
+        CurveRecord.from_curve(CurveRecord.from_csv(path).to_sampled_curve())
+
+
 def test_malformed_csv_raises(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# s3sr-curve v1\n0,1,0,0\n")

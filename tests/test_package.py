@@ -76,7 +76,7 @@ PUBLIC_NAMES = {
     "connect": "the CLI's connect; bench/workloads.py",
     "connect_constant_psi": "c05",
     "SampledCurve": "connect, integrate_geodesic, shoot, io and the CLI",
-    "fd_velocities": "io.CurveRecord.from_curve; curves.omega_fd_residuals",
+    "fd_velocities": "curves.omega_fd_residuals",
     "omega_fd_residuals": "connect; io.CurveRecord.from_curve; geodesics.check_rows",
     "I1": "geodesics",
     "I2": "geodesics.match_costate; frames.frame_at",

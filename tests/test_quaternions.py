@@ -183,9 +183,13 @@ def test_check_unit_tolerance_edge_is_that_of_norm2(rng, monkeypatch):
 
 
 def test_conj_mul_floats_is_qmul_of_conj_bit_for_bit(rng):
-    # exact zeros and signed zeros from the axis points, plus generic pairs
+    # exact zeros and signed zeros from the axis points, generic pairs, and
+    # finite rows of +-0, +-1.5, -2.0 and 1e-300, where conj's negations meet
+    # signed zeros and underflow inside _product's terms
     axes = [s * e for e in np.eye(4) for s in (1.0, -1.0)] + [np.array([0.0, -0.0, 0.6, -0.8])]
+    special = [np.array(r) for r in itertools.product([0.0, -0.0, 1.5, -1.5, -2.0, 1e-300], repeat=4)]
     pairs = [(p, q) for p in axes for q in axes] + [tuple(random_unit(rng, 2)) for _ in range(500)]
+    pairs += [(p, special[(7 * i + 3) % len(special)]) for i, p in enumerate(special)]
     for p, q in pairs:
         rel = _conj_mul_floats(p, q)
         assert all(type(c) is float for c in rel)
