@@ -47,7 +47,7 @@ import numpy as np
 
 from .charts import EulerAngles, _angle_arrays, _chart_columns, omega_euler, to_cartesian, wrap_angle
 from .curves import SampledCurve, omega_fd_residuals
-from .quaternions import QUAT_I, _conj_mul_floats, _mul_floats, check_unit, conj, qmul
+from .quaternions import _conj_mul_floats, _product, check_unit, conj, qmul
 
 __all__ = [
     "ConstructionError",
@@ -204,9 +204,9 @@ def _two_arcs(q_from, rel, s):
     sig = c1 * z - s1 * y
     u2 = float(np.arctan2(np.hypot(tau, sig), c2))
     chi2 = float(np.arctan2(sig, tau))
-    qi = _mul_floats(q_from, QUAT_I)
+    qi = _product(*q_from.tolist(), 0.0, 1.0, 0.0, 0.0)
     mid = c1 * q_from + s1 * np.array(qi)
-    mid_n = _mul_floats(mid, np.array([0.0, np.cos(chi2), 0.0, np.sin(chi2)]))
+    mid_n = _product(*mid.tolist(), 0.0, float(np.cos(chi2)), 0.0, float(np.sin(chi2)))
     pts = np.empty(s.shape + (4,))
     vel = np.empty_like(pts)
     first = s <= 0.5
@@ -270,7 +270,7 @@ def _single_leg(q_from, q_to, rel, s):
     arc = _single_arc(rel)
     if arc is not None:
         axis, angle = arc
-        pts, vel = _circle(q_from, _mul_floats(q_from, np.array([0.0, *axis])), angle, s, 1.0)
+        pts, vel = _circle(q_from, _product(*q_from.tolist(), 0.0, *axis), angle, s, 1.0)
         return pts, vel, {"route": "subgroup-arc", "angle": angle, "axis": axis}
     # one array pass over the 16 gauges, row 0 for P and row 1 for Q, with
     # psi wrapped into (-pi, pi] and phi shifted to match

@@ -19,8 +19,7 @@ vanishes exactly on horizontal vectors (omega(T) = -1).
 
 I1, I2, I3 are the 4x4 matrices of right multiplication by i, j, k
 acting on row vectors: q @ I1 == qmul(q, i) and so on, derived from
-qmul when quaternions is imported.  Each is skew-orthogonal with
-Im @ Im = -eye(4).
+qmul below.  Each is skew-orthogonal with Im @ Im = -eye(4).
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quaternions import _RIGHT_MATRICES, UNIT_TOL, is_unit, norm2
+from .quaternions import QUAT_I, QUAT_J, QUAT_K, UNIT_TOL, is_unit, norm2, qmul
 
 __all__ = [
     "I1",
@@ -46,8 +45,9 @@ __all__ = [
     "bracket",
 ]
 
-# q @ I1 = q*i, q @ I2 = q*j, q @ I3 = q*k  (row-vector convention)
-_, I1, I2, I3 = _RIGHT_MATRICES
+# q @ I1 = q*i, q @ I2 = q*j, q @ I3 = q*k (row-vector convention): row r
+# of each is basis element r times i, j or k, so the table is qmul's
+I1, I2, I3 = (qmul(np.eye(4), e) for e in (QUAT_I, QUAT_J, QUAT_K))
 
 
 class Frame(NamedTuple):

@@ -53,8 +53,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .curves import SampledCurve, _first_difference, _second_difference, omega_fd_residuals, unit_norm_error
-from .frames import I1, I2, I3, frame_ab, omega_eval
-from .quaternions import _conj_mul_floats, _row_sum, check_unit, norm, norm2
+from .frames import frame_ab, omega_eval
+from .quaternions import QUAT_I, QUAT_J, QUAT_K, _conj_mul_floats, _product, _row_sum, check_unit, norm, norm2
 
 __all__ = [
     "GeodesicParams",
@@ -251,15 +251,9 @@ class HamiltonianTrajectory(NamedTuple):
         return -a, -b
 
     def qdot(self):
-        """p1 q i + p3 q k, with q i = (-x, w, z, -y) and q k = (-z, y, -x, w), as (4, n) rows transposed."""
+        """The velocity q u, u = p1 i + p3 k, from the multiplication table: (4, n) rows, transposed."""
         p1, p3 = self.momenta()
-        w, x, y, z = self.q.T + 0.0  # a zero coordinate enters as +0, as in the BLAS products q @ I1, q @ I3
-        _, nx, ny, nz = 0.0 - self.q.T
-        out = np.empty((4, len(p1)))
-        for row, c1, c3 in zip(out, (nx, w, z, ny), (nz, y, nx, w)):
-            np.multiply(p1, c1, out=row)
-            row += p3 * c3
-        return out.T
+        return np.stack(_product(*self.q.T, 0.0, p1, 0.0, p3)).T
 
     def energy(self):
         p1, p3 = self.momenta()
@@ -269,13 +263,15 @@ class HamiltonianTrajectory(NamedTuple):
 def match_costate(q0, params: GeodesicParams):
     """Costate reproducing the geodesic with the given parameters.
 
-    Solves <q0 I1, xi> = -a(0), <q0 I3, xi> = -b(0) (the Hamiltonian
+    Solves <q0 i, xi> = -a(0), <q0 k, xi> = -b(0) (the Hamiltonian
     velocity is built from q*i and q*k, which are -X and -Y) and places
-    -lam along q0 I2; the component along q0 is gauge and set to 0.
+    -lam along q0 j; the component along q0 is gauge and set to 0.  The
+    products q0 i, q0 j, q0 k are _product's, on Python floats.
     """
-    q0 = np.asarray(q0, dtype=float)
-    a0, b0 = ab_profile(params, 0.0)
-    return -a0 * (q0 @ I1) - b0 * (q0 @ I3) - params.lam * (q0 @ I2)
+    q0 = np.asarray(q0, dtype=float).tolist()
+    qi, qj, qk = (_product(*q0, *e.tolist()) for e in (QUAT_I, QUAT_J, QUAT_K))
+    a0, b0 = map(float, ab_profile(params, 0.0))
+    return np.array([-a0 * i - b0 * k - params.lam * j for i, j, k in zip(qi, qj, qk)])
 
 
 def _compose(a, b):

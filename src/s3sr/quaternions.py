@@ -12,10 +12,10 @@ Sums over a short last axis, here and in frames, curves and geodesics,
 go through _row_sum: np.sum(x, axis=-1) bit for bit, a column at a time.
 frames.frame_ab and frames.omega_eval add their terms in the same order.
 
-The multiplication table is written once, in _product: qmul applies
-it to array columns, _mul_floats and _conj_mul_floats to Python floats.
-The matrices of right multiplication by 1, i, j, k (frames.I1-I3
-among them) are derived from qmul when the module is imported.
+The multiplication table is written once, in _product, on Python floats
+or array columns alike: qmul, _conj_mul_floats, geodesics' qdot and
+match_costate, connect's arcs and, through qmul, the matrices
+frames.I1-I3 all take their products from it.
 is_unit and check_unit accept a deviation | |q|^2 - 1 | up to
 UNIT_TOL, read when they are called.
 """
@@ -155,18 +155,7 @@ def check_unit(q, what="quaternion"):
     return q
 
 
-def _mul_floats(p, q):
-    """p * q for two (4,) arrays, as Python floats equal bit for bit to qmul(p, q)."""
-    return _product(*p.tolist(), *q.tolist())
-
-
 def _conj_mul_floats(p, q):
     """conj(p) * q for two (4,) arrays, as Python floats equal bit for bit to qmul(conj(p), q) on finite input."""
     pw, px, py, pz = p.tolist()
     return _product(pw, -px, -py, -pz, *q.tolist())
-
-
-# q @ M = q * e for the basis e = 1, i, j, k (row-vector convention): row
-# r of M is basis element r times e, so the table is qmul's
-_RIGHT_MATRICES = tuple(qmul(np.eye(4), e) for e in (QUAT_ONE, QUAT_I, QUAT_J, QUAT_K))
-

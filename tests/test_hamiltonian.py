@@ -9,11 +9,13 @@ from s3sr.geodesics import (
     _compose,
     _pair_mul,
     _scan,
+    ab_profile,
     geodesic_point,
     integrate_geodesic,
     integrate_hamiltonian,
     match_costate,
 )
+from s3sr.quaternions import QUAT_I, QUAT_J, QUAT_K, qmul
 from conftest import random_unit
 
 ONE = np.array([1.0, 0.0, 0.0, 0.0])
@@ -68,6 +70,22 @@ def test_match_costate_pairings(rng):
     assert abs(np.dot(q0 @ I3, xi0) + b0) <= 1e-14
     assert abs(np.dot(q0 @ I2, xi0) + p.lam) <= 1e-14
     assert abs(np.dot(q0, xi0)) <= 1e-14
+
+
+def test_qdot_and_match_costate_are_qmul_bit_for_bit(rng):
+    # both take their right products from the multiplication table, so they
+    # equal qmul's products combined in the same order, signed zeros included
+    axes = [s * e for e in np.eye(4) for s in (1.0, -1.0)]
+    for q0 in axes + list(random_unit(rng, 12)):
+        for p in (GeodesicParams(1.0, 0.8, -0.6), GeodesicParams(0.0, 0.0, 2.5), GeodesicParams(2.0, -2.0, 0.0)):
+            xi0 = match_costate(q0, p)
+            a0, b0 = ab_profile(p, 0.0)
+            ref = -a0 * qmul(q0, QUAT_I) - b0 * qmul(q0, QUAT_K) - p.lam * qmul(q0, QUAT_J)
+            assert xi0.tobytes() == ref.tobytes()
+            traj = integrate_hamiltonian(q0, xi0, 0.5, 1e-2)
+            p1, p3 = traj.momenta()
+            u = np.stack([np.zeros_like(p1), p1, np.zeros_like(p1), p3], axis=-1)
+            assert traj.qdot().tobytes() == qmul(traj.q, u).tobytes()
 
 
 def test_matched_trajectories_agree(rng):

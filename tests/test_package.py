@@ -78,9 +78,9 @@ PUBLIC_NAMES = {
     "SampledCurve": "connect, integrate_geodesic, shoot, io and the CLI",
     "fd_velocities": "curves.omega_fd_residuals",
     "omega_fd_residuals": "connect; io.CurveRecord.from_curve; geodesics.check_rows",
-    "I1": "geodesics",
-    "I2": "geodesics.match_costate; frames.frame_at",
-    "I3": "geodesics",
+    "I1": "frames.frame_at and X_FIELD",
+    "I2": "frames.frame_at and T_FIELD",
+    "I3": "frames.frame_at and Y_FIELD",
     "Frame": "frame_at's value, read by the CLI's frames",
     "LinearField": "bracket's value (c02)",
     "bracket": "c02",
