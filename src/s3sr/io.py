@@ -13,8 +13,7 @@ bytes as a per-value writer.  The reader makes one pass over the lines,
 collecting every data field in one flat list that one numpy conversion
 turns into floats, with the values float() gives; blank and '#' lines
 may appear anywhere, and a malformed line is named by its number.
-JSON holds the same table as one list of rows of floats, in
-json.dumps(indent=1, sort_keys=True)'s layout.
+JSON holds the same table as one list of rows of floats.
 """
 
 from __future__ import annotations
@@ -112,20 +111,14 @@ class CurveRecord:
     # -- JSON ----------------------------------------------------------
 
     def to_json(self, path):
-        """json.dumps(payload, indent=1, sort_keys=True)'s bytes, with the rows from json's C encoder.
-
-        That encoder runs only without indent: the flat rows are indented by replacing '[[', '], [', ']]'
-        and then ', ', which no float's repr holds, and fill the top-level '\\n "rows": []', the only such
-        text (header keys sit two spaces deep, and a JSON string holds no raw newline).
-        """
         import json
-        payload = {"format": FORMAT_MARKER, "header": self.header, "columns": list(COLUMNS), "rows": []}
-        rows = json.dumps(self.data.tolist())
-        layout = (("[[", "[\n  [\n   "), ("], [", "\n  ],\n  [\n   "), ("]]", "\n  ]\n ]"), (", ", ",\n   "))
-        for flat, indented in layout:
-            rows = rows.replace(flat, indented)
-        text = json.dumps(payload, indent=1, sort_keys=True).replace('\n "rows": []', '\n "rows": ' + rows)
-        Path(path).write_text(text + "\n", newline="\n")
+        payload = {
+            "format": FORMAT_MARKER,
+            "header": self.header,
+            "columns": list(COLUMNS),
+            "rows": self.data.tolist(),
+        }
+        Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", newline="\n")
 
     @classmethod
     def from_json(cls, path) -> "CurveRecord":

@@ -100,30 +100,6 @@ def test_blocked_csv_matches_per_value_writer(tmp_path, nrows):
     assert np.array_equal(back.data.view(np.int64), rec.data.view(np.int64))  # bit for bit, -0.0 included
 
 
-@pytest.mark.parametrize("nrows", [0, 1, 2, 1025])
-def test_json_writer_matches_the_indented_encoder(tmp_path, nrows):
-    # the rows go through json's C encoder; the bytes must be the indented
-    # encoder's, whatever the header's keys and strings hold
-    data = _table(nrows, 40 + nrows)
-    if nrows:
-        data[0, :4] = [np.nan, np.inf, -np.inf, -0.0]
-    headers = [
-        {"tag": "x", "lambda": 0.5, "n": nrows},
-        {"rows": [], "columns": "[[1, 2], [3, 4]]", "format": ", ", "z": "]]", "r": -0.0, "big": 1e300},
-    ]
-    for header in headers:
-        rec = CurveRecord(header, data)
-        path = tmp_path / "t.json"
-        rec.to_json(path)
-        payload = {"format": "s3sr-curve v1", "header": header, "columns": list(COLUMNS), "rows": data.tolist()}
-        assert path.read_bytes() == (json.dumps(payload, indent=1, sort_keys=True) + "\n").encode()
-        if not nrows:
-            continue  # a file holds at least one row, as a curve has at least one sample
-        back = CurveRecord.from_json(path)
-        assert back.header == header
-        assert np.array_equal(back.data.view(np.int64), rec.data.view(np.int64))  # NaN's bits included
-
-
 def test_csv_reader_skips_blank_and_comment_lines_between_rows(tmp_path):
     rec = CurveRecord({"tag": "x"}, _table(3000, 7))
     path = tmp_path / "t.csv"
