@@ -97,12 +97,11 @@ def _write_record(curve: SampledCurve, args, **extra) -> str:
 
 
 def _cmd_connect(args) -> int:
-    from .connect import _COINCIDENT_TOL, ConstructionError, connect
+    from .connect import ConstructionError, connect
     p = _parse_endpoint(getattr(args, "from"))
     q = _parse_endpoint(args.to)
-    n = 2 if float(np.linalg.norm(p - q)) < _COINCIDENT_TOL else args.samples
     try:
-        curve = connect(p, q, n=n)
+        curve = connect(p, q, n=args.samples)
     except ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION

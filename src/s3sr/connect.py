@@ -369,12 +369,19 @@ def connect_constant_psi(phi0, theta0, phi1, theta1, n):
 
     Returns (psi, curve).  The angle psi is fixed by the endpoints:
 
-        psi = arctan( log(tan(theta1/2) / tan(theta0/2)) / (phi0 - phi1) )
+        psi = arctan( log(tan(theta1/2) / tan(theta0/2)) / (phi0 - phi1) ),
 
-    and the curve follows phi(theta) = phi0 - log(tan(theta/2) /
-    tan(theta0/2)) / tan(psi).  For theta0 == theta1 the construction
-    degenerates to psi = 0 with phi interpolated linearly at fixed
-    theta, which is horizontal because sin(psi) = 0.
+    or copysign(pi/2, rho) on a meridian (phi0 == phi1), where rho is the
+    log ratio above.  The curve is the chart leg of connect with the
+    constant q = tan(psi): on the grid t = linspace(0, 1, n),
+
+        phi = phi0 + (phi1 - phi0) t,   log tan(theta/2) = log tan(theta0/2) + rho t,
+
+    so it follows phi(theta) = phi0 - log(tan(theta/2) / tan(theta0/2)) /
+    tan(psi) without dividing by tan(psi).  Equal thetas give rho = 0
+    and a constant theta.  A meridian has a constant phi, and it is
+    horizontal because cos(psi) = 0 removes the theta' term of the
+    one-form.
     """
     n = _sample_count(n)
     for th in (theta0, theta1):
@@ -384,33 +391,18 @@ def connect_constant_psi(phi0, theta0, phi1, theta1, n):
         raise ValueError("endpoints coincide")
 
     t = np.linspace(0.0, 1.0, n)
-    if abs(theta1 - theta0) < 1e-14:
-        psi = 0.0
-        theta = np.full_like(t, theta0)
-        phi = phi0 + t * (phi1 - phi0)
-        dphi = np.full_like(t, phi1 - phi0)
-        dtheta = np.zeros_like(t)
+    rho = float(np.log(np.tan(0.5 * theta1) / np.tan(0.5 * theta0)))
+    if phi0 == phi1:
+        psi = float(np.copysign(0.5 * np.pi, rho))
     else:
-        ratio = float(np.log(np.tan(0.5 * theta1) / np.tan(0.5 * theta0)))
-        if phi0 == phi1:
-            # meridian: cos(psi) = 0 makes any theta motion horizontal
-            psi = float(np.copysign(0.5 * np.pi, ratio))
-        else:
-            psi = float(np.arctan(ratio / (phi0 - phi1)))
-        theta = theta0 + t * (theta1 - theta0)
-        dtheta = np.full_like(t, theta1 - theta0)
-        tan_psi = np.tan(psi)
-        if np.isfinite(tan_psi) and abs(tan_psi) > 1e-15 and phi0 != phi1:
-            phi = phi0 - (np.log(np.tan(0.5 * theta)) - np.log(np.tan(0.5 * theta0))) / tan_psi
-            dphi = -dtheta / (tan_psi * np.sin(theta))
-        else:
-            phi = np.full_like(t, phi0)
-            dphi = np.zeros_like(t)
-
-    psi_arr = np.full_like(t, psi)
-    dpsi = np.zeros_like(t)
-    pts, vel = _chart_columns(phi, psi_arr, theta, dphi, dpsi, dtheta)
-    residual = 2.0 * float(np.max(np.abs(omega_euler(EulerAngles(phi, psi, theta), (dphi, 0.0, dtheta)))))
+        psi = float(np.arctan(rho / (phi0 - phi1)))
+    k = phi1 - phi0
+    phi = phi0 + k * t
+    ell = float(np.log(np.tan(0.5 * theta0))) + rho * t
+    theta = 2.0 * np.arctan(np.exp(ell))
+    dtheta = rho / np.cosh(ell)
+    pts, vel = _chart_columns(phi, psi, theta, k, 0.0, dtheta)
+    residual = 2.0 * float(np.max(np.abs(omega_euler(EulerAngles(phi, psi, theta), (k, 0.0, dtheta)))))
     curve = SampledCurve(
         t,
         pts,

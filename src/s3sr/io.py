@@ -43,6 +43,8 @@ class CurveRecord:
     def __init__(self, header: dict, data):
         self.header = header
         self.data = np.atleast_2d(np.asarray(data, dtype=float))
+        if not self.data.size:
+            raise ValueError("no data rows found")
         if self.data.shape[1] != len(COLUMNS):
             raise ValueError(f"curve table needs {len(COLUMNS)} columns")
 
@@ -104,8 +106,6 @@ class CurveRecord:
                     raise ValueError(f"line {lineno}: expected {len(COLUMNS)} fields, got {len(parts)}")
                 fields += parts
                 linenos.append(lineno)
-        if not linenos:
-            raise ValueError("no data rows found")
         return cls(header, _as_floats(fields, linenos).reshape(-1, len(COLUMNS)))
 
     # -- JSON ----------------------------------------------------------

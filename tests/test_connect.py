@@ -835,23 +835,27 @@ def test_constant_psi_residual_random(rng):
         assert c.meta["max_sinth1_residual"] <= 1e-9
 
 
+def test_constant_psi_meets_both_endpoints():
+    # tiny tan(psi), a meridian and equal thetas all take the one formula
+    cases = [(0.0, 1.0, 30.0, 1.0 + 2e-14), (0.0, 1.0, 3.0, 1.0 + 1e-14),
+             (0.7, 0.6, 0.7, 1.9), (0.0, np.pi / 2, 1.0, np.pi / 2)]
+    for ph0, th0, ph1, th1 in cases:
+        psi, c = connect_constant_psi(ph0, th0, ph1, th1, n=64)
+        assert np.max(np.abs(c.points[0] - to_cartesian(EulerAngles(ph0, psi, th0)))) <= 1e-15
+        assert np.max(np.abs(c.end - to_cartesian(EulerAngles(ph1, psi, th1)))) <= 1e-15
+
+
 def test_connect_agrees_with_constant_psi():
-    # endpoints on a common constant-psi horizontal curve: connect should
-    # reproduce that curve (its q polynomial collapses to a constant)
+    # endpoints on a common constant-psi horizontal curve: connect's
+    # identity-gauge chart leg (its q polynomial collapses to a constant)
+    # samples that curve in the same parametrization
     ph0, th0, ph1, th1 = 0.2, 0.8, 1.4, 1.9
     psi, ccurve = connect_constant_psi(ph0, th0, ph1, th1, n=512)
     P = EulerAngles(ph0, psi, th0)
     Q = EulerAngles(ph1, psi, th1)
     c = connect(P, Q, n=512)
     assert c.meta["route"] == "chart"
-    # compare phi at matched theta (both curves are monotone in theta here)
-    th_c = np.array([from_cartesian(p).theta for p in c.points])
-    ph_c = np.unwrap(np.array([from_cartesian(p).phi for p in c.points]))
-    th_k = np.array([from_cartesian(p).theta for p in ccurve.points])
-    ph_k = np.unwrap(np.array([from_cartesian(p).phi for p in ccurve.points]))
-    grid = np.linspace(max(th_c.min(), th_k.min()) + 1e-6, min(th_c.max(), th_k.max()) - 1e-6, 100)
-    phi_c = np.interp(grid, th_c, ph_c)
-    phi_k = np.interp(grid, th_k, ph_k)
-    shift = phi_c[0] - phi_k[0]
-    assert abs(shift) <= 1e-6
-    assert np.max(np.abs(phi_c - phi_k)) <= 1e-6
+    assert c.meta["gauge"] == (1.0, 0.0, 0.0, 0.0)
+    assert np.max(np.abs(c.points - ccurve.points)) <= 1e-14
+    scale = np.maximum(1.0, np.abs(ccurve.velocities))
+    assert np.max(np.abs(c.velocities - ccurve.velocities) / scale) <= 1e-14

@@ -290,12 +290,9 @@ def test_integrator_fourth_order_convergence():
         assert err(0.02) / err(0.01) >= 8.0
 
 
-# the order of the per-step chain _reference_geodesic, whose global error
-# over a horizon T is bounded by T h^order
-@pytest.mark.parametrize("order", [4])
 @pytest.mark.parametrize("nsteps", [0, 1, 1023, 1024, 1025, 10000])
-def test_blocked_engine_matches_per_step_loop(order, nsteps):
-    rng = np.random.default_rng(nsteps + order)
+def test_closed_form_grid_matches_pointwise_and_per_step_chain(nsteps):
+    rng = np.random.default_rng(nsteps + 4)
     q0 = random_unit(rng)
     p = GeodesicParams(1.3, rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-1.0, 1.0))
     h = 1e-3
@@ -306,10 +303,10 @@ def test_blocked_engine_matches_per_step_loop(order, nsteps):
     loop = np.array([geodesic_point(q0, p, s) for s in c.s])
     assert c.points.shape == loop.shape == (nsteps + 1, 4)
     assert np.max(np.abs(c.points - loop)) <= 1e-13
-    # and the group-exponential chain stepped over the same grid stays within
-    # its own truncation error (plus rounding) of those samples
+    # and the order-4 group-exponential chain stepped over the same grid
+    # stays within its own truncation error T h^4 (plus rounding) of those samples
     ref = _reference_geodesic(q0, p, T, h)
-    assert np.max(np.abs(c.points - ref)) <= T * h**order + 1e-15
+    assert np.max(np.abs(c.points - ref)) <= T * h**4 + 1e-15
 
 
 def _nested_loop_geodesic(q0, params, T, h):

@@ -163,6 +163,15 @@ def test_csv_reader_needs_a_data_row(tmp_path):
         CurveRecord.from_csv(path)
 
 
+def test_record_needs_a_data_row(tmp_path):
+    with pytest.raises(ValueError, match="^no data rows found$"):
+        CurveRecord({}, np.empty((0, len(COLUMNS))))
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"format": "s3sr-curve v1", "header": {}, "columns": list(COLUMNS), "rows": []}))
+    with pytest.raises(ValueError, match="^no data rows found$"):
+        CurveRecord.from_json(path)
+
+
 def test_csv_reader_starts_no_cyclic_collection(tmp_path):
     # the README's geodesic: 6,281 rows
     path = tmp_path / "geodesic.csv"
@@ -222,12 +231,17 @@ def test_cli_connect_deterministic_bytes(tmp_path, capsys):
 
 
 def test_cli_connect_identical_endpoints(tmp_path, capsys):
+    # the file holds the curve connect returns: every requested sample
     out = tmp_path / "conn.csv"
-    code = run("connect", "--from", "1,1,1", "--to", "1,1,1", "--out", str(out))
-    assert code == 0
-    rec = CurveRecord.from_csv(out)
-    assert rec.data.shape[0] == 2
-    assert np.array_equal(rec.data[0, 1:5], rec.data[1, 1:5])
+    for samples, rows in (([], 256), (["--samples", "5"], 5)):
+        code = run("connect", "--from", "1,1,1", "--to", "1,1,1", *samples, "--out", str(out))
+        assert code == 0
+        data = CurveRecord.from_csv(out).data
+        assert data.shape == (rows, len(COLUMNS))
+        assert (data[:, 1:] == data[0, 1:]).all()
+        capsys.readouterr()
+        assert run("check", str(out)) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
 
 def test_cli_connect_malformed_angles(tmp_path):
